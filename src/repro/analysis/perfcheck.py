@@ -49,7 +49,7 @@ from repro.analysis.lint import Finding, _dotted_name
 from repro.analysis.rules import RULES
 
 #: functions defined in a module with this basename seed the hot set —
-#: the kernel event loop itself (Environment.run/step/schedule and the
+#: the kernel event loop itself (Environment.run/schedule and the
 #: Event/heap machinery all live there).
 KERNEL_BASENAME = "kernel.py"
 

@@ -44,10 +44,10 @@ class Condition(Event):
     def _observe(self, event: Event) -> None:
         if event._ok is False:
             event._defused = True
-            if not self.triggered:
+            if self._ok is None:
                 self.fail(event._value)
             return
-        if self.triggered:
+        if self._ok is not None:  # already triggered
             return
         self._pending -= 1
         if self._satisfied():

@@ -22,7 +22,7 @@ makes calendar-queue / lazy-heap refactors of this scheduler safe.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -33,6 +33,9 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+_INF = float("inf")
 
 #: Scheduling priorities.  URGENT events at a given time fire before NORMAL
 #: ones; interrupts use URGENT so they preempt ordinary deliveries.
@@ -91,7 +94,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay=delay, priority=priority)
+        self.env.schedule(self, delay, priority)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0, priority: int = NORMAL) -> "Event":
@@ -101,7 +104,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, delay=delay, priority=priority)
+        self.env.schedule(self, delay, priority)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -128,16 +131,22 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically ``delay`` time units from now."""
 
-    __slots__ = ("delay")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Born triggered.  The slots are filled here rather than through
+        # Event.__init__, one call fewer on the kernel's commonest event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = False
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, delay)
 
 
 class Environment:
@@ -150,7 +159,7 @@ class Environment:
         env.run(until=600.0)
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_processed", "_stopped",
+    __slots__ = ("_now", "_queue", "_seq", "_processed",
                  "_tiebreak_seed", "_monitor", "_spans", "_spawn_ctx")
 
     def __init__(self, initial_time: float = 0.0, monitor=None,
@@ -159,7 +168,6 @@ class Environment:
         self._queue: list = []
         self._seq = 0
         self._processed = 0
-        self._stopped = False
         # Schedule-perturbation mode (repro.analysis.racecheck).  None is
         # the production FIFO tie-break and the heap holds 4-tuples, as it
         # always has.  With a seed, same-(time, priority) events are
@@ -170,16 +178,17 @@ class Environment:
         # heap.
         self._tiebreak_seed = tiebreak_seed
         # Opt-in profiling hook (see repro.obs.kernelprof).  The fast path
-        # pays one `is not None` check per schedule/step; with no monitor
-        # attached the loop is byte-for-byte the unprofiled one.
+        # pays one `is not None` check per scheduled and per processed
+        # event; with no monitor attached no hook is called.
         self._monitor = monitor
         # Causal-tracing hooks (see repro.obs.spans).  `_spans` is the
         # world's SpanRecorder when request tracing is on (bound by
         # Telemetry.attach), else None.  `_spawn_ctx` is the trace
         # context of the most recently resumed process: process() reads
         # it so children spawned from a traced scope inherit the parent
-        # span without explicit plumbing.  Both stay None when tracing
-        # is off, so recording cannot perturb an untraced run.
+        # span without explicit plumbing.  Process._resume publishes it
+        # only while a recorder is bound, so both stay None when tracing
+        # is off and recording cannot perturb an untraced run.
         self._spans = None
         self._spawn_ctx = None
 
@@ -197,7 +206,7 @@ class Environment:
     def processed_count(self) -> int:
         """Events processed since construction.
 
-        Maintained unconditionally (one integer increment per step), so
+        Maintained unconditionally (one integer increment per event), so
         the benchmark harness can compute events/sec without attaching a
         monitor — attaching one would perturb the quantity being measured.
         """
@@ -238,13 +247,12 @@ class Environment:
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         if self._tiebreak_seed is None:
-            heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+            heappush(self._queue, (self._now + delay, priority, seq, event))
         else:
-            salt = _splitmix64(self._seq ^ self._tiebreak_seed)
-            heapq.heappush(self._queue,
-                           (self._now + delay, priority, salt, self._seq, event))
+            salt = _splitmix64(seq ^ self._tiebreak_seed)
+            heappush(self._queue, (self._now + delay, priority, salt, seq, event))
         if self._monitor is not None:
             self._monitor.on_schedule(len(self._queue))
 
@@ -263,71 +271,71 @@ class Environment:
         captured, so e.g. a retry spawned from a traced request scope
         parents its spans under the original request.
         """
-        from repro.sim.process import Process
-
         if ctx is None:
             ctx = self._spawn_ctx
-        return Process(self, generator, owner=owner, name=name, ctx=ctx)
+        return Process(self, generator, owner, name, ctx)
 
     def any_of(self, events: Iterable[Event]):
-        from repro.sim.conditions import AnyOf
-
         return AnyOf(self, list(events))
 
     def all_of(self, events: Iterable[Event]):
-        from repro.sim.conditions import AllOf
-
         return AllOf(self, list(events))
 
     # -- execution ------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on empty queue")
-        entry = heapq.heappop(self._queue)
-        time = entry[0]
-        event = entry[-1]
-        if time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = time
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        self._processed += 1
-        assert callbacks is not None
-        monitor = self._monitor
-        if monitor is not None:
-            # Profiled path: bracket the callback batch so a timing
-            # monitor (repro.obs.kernelprof.TimingProfiler) can charge
-            # wall time to this event.  The unprofiled loop below stays
-            # free of any per-callback monitor checks.
-            monitor.on_event(event, callbacks)
-            for cb in callbacks:
-                cb(event)
-            monitor.on_event_done(event)
-        else:
-            for cb in callbacks:
-                cb(event)
-        if event._ok is False and not getattr(event, "_defused", False):
-            # An unhandled failure: surface it rather than losing it.
-            raise event._value
+        return self._queue[0][0] if self._queue else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so back-to-back ``run`` calls
-        compose predictably.
+        Events at exactly ``until`` fire; later ones stay queued.  When
+        ``until`` is given, the clock is advanced to exactly ``until``
+        even if the last event fires earlier, so back-to-back ``run``
+        calls compose predictably: they process the same events in the
+        same order as one call.
+
+        This is the kernel's only event loop.  An event's callbacks run
+        in registration order; a failed event that no callback defused
+        is raised out of ``run()``.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            limit = _INF
+        elif until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                break
-            self.step()
+        else:
+            limit = until
+        queue = self._queue
+        pop = heappop
+        while queue and queue[0][0] <= limit:
+            entry = pop(queue)
+            event = entry[-1]
+            self._now = entry[0]
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            self._processed += 1
+            assert callbacks is not None
+            monitor = self._monitor
+            if monitor is None:
+                for cb in callbacks:
+                    cb(event)
+            else:
+                # Profiled path: bracket the callback batch so a timing
+                # monitor (repro.obs.kernelprof.TimingProfiler) can charge
+                # wall time to this event.
+                monitor.on_event(event, callbacks)
+                for cb in callbacks:
+                    cb(event)
+                monitor.on_event_done(event)
+            if event._ok is False and not event._defused:
+                # An unhandled failure: surface it rather than losing it.
+                raise event._value
         if until is not None:
             self._now = until
+
+
+# process.py and conditions.py subclass Event and import it from here, so
+# they load only once this module has defined everything they need.
+from repro.sim.conditions import AllOf, AnyOf  # noqa: E402
+from repro.sim.process import Process  # noqa: E402

@@ -157,9 +157,9 @@ class Process(Event):
         self.owner = owner
         self.name = name or getattr(generator, "__name__", "process")
         #: trace context (repro.obs.spans.Span) this process runs under;
-        #: published to env._spawn_ctx on every resume so child spawns
-        #: inherit it (see Environment.process).  Always None when
-        #: request tracing is off.
+        #: published to env._spawn_ctx on every resume while a span
+        #: recorder is bound, so child spawns inherit it (see
+        #: Environment.process).  Always None when request tracing is off.
         self.ctx = ctx
         self._target: Optional[Event] = None
         if owner is not None:
@@ -190,26 +190,30 @@ class Process(Event):
 
     # -- event delivery ---------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        # The process trampoline: runs once per delivery, so it reads the
+        # slots behind is_alive/is_runnable() directly.
+        if self._ok is not None:
             # Late delivery to a finished/killed process: consume failures
             # so the kernel does not raise them as unhandled.
             if event._ok is False:
                 event._defused = True
             return
         owner = self.owner
-        if owner is not None and not owner.is_runnable():
+        if owner is not None and (owner._frozen or not owner._owner_alive):
             if event._ok is False:
                 event._defused = True
-            if owner.alive:  # frozen: hold for thaw
+            if owner._owner_alive:  # frozen: hold for thaw
                 owner.park(lambda: self._resume(event))
             # crashed: drop silently (kill() will fire shortly/has fired)
             return
         self._target = None
-        # Publish this process's trace context for the duration of the
-        # resume: spawns inside the generator body capture it.  A plain
-        # store (no save/restore) suffices — the next resume overwrites
-        # it, and it is read only synchronously inside spawn calls.
-        self.env._spawn_ctx = self.ctx
+        env = self.env
+        if env._spans is not None:
+            # Publish this process's trace context for the duration of the
+            # resume: spawns inside the generator body capture it.  A plain
+            # store (no save/restore) suffices — the next resume overwrites
+            # it, and it is read only synchronously inside spawn calls.
+            env._spawn_ctx = self.ctx
         try:
             if event._ok:
                 nxt = self._generator.send(event._value)
@@ -226,7 +230,7 @@ class Process(Event):
             return
         if not isinstance(nxt, Event):
             raise SimulationError(f"process {self.name!r} yielded non-event {nxt!r}")
-        if nxt.env is not self.env:
+        if nxt.env is not env:
             raise SimulationError("yielded event belongs to a different Environment")
         self._target = nxt
         nxt.add_callback(self._resume)

@@ -45,7 +45,7 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending get; triggers with the item as value."""
 
-    __slots__ = ("_store")
+    __slots__ = ("_store",)
 
     def __init__(self, store: "Store"):
         super().__init__(store.env)
@@ -103,8 +103,21 @@ class Store:
     # -- operations ---------------------------------------------------------
     def put(self, item: Any) -> StorePut:
         ev = StorePut(self, item)
-        self._put_waiters.append(ev)
-        self._reconcile()
+        items = self.items
+        if self._put_waiters or len(items) >= self.capacity:
+            # Blocked.  Between operations the store is reconciled (see
+            # _reconcile), so a full buffer has no waiting getter and
+            # nothing can move until one arrives.
+            self._put_waiters.append(ev)
+            return ev
+        # Nothing queued ahead: admit directly, then hand the item to a
+        # waiting getter (getters wait only on an empty buffer), in the
+        # order _reconcile would.
+        items.append(item)
+        ev.succeed()
+        getters = self._get_waiters
+        if getters:
+            getters.popleft().succeed(items.popleft())
         return ev
 
     def put_nowait(self, item: Any) -> None:
@@ -112,8 +125,7 @@ class Store:
         or if earlier putters are still queued (FIFO fairness)."""
         if self._put_waiters or self.full:
             raise StoreFullError(f"store {self.name!r} full (capacity={self.capacity})")
-        self.items.append(item)
-        self._reconcile()
+        self.force_put(item)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False instead of raising when full."""
@@ -125,8 +137,20 @@ class Store:
 
     def get(self) -> StoreGet:
         ev = StoreGet(self)
-        self._get_waiters.append(ev)
-        self._reconcile()
+        items = self.items
+        if self._get_waiters or not items:
+            # Blocked: an empty, reconciled store has no queued putter.
+            self._get_waiters.append(ev)
+            return ev
+        # Nothing queued ahead: take the head item, then admit the putters
+        # the freed room lets in, in the order _reconcile would.
+        ev.succeed(items.popleft())
+        putters = self._put_waiters
+        capacity = self.capacity
+        while putters and len(items) < capacity:
+            put = putters.popleft()
+            items.append(put.item)
+            put.succeed()
         return ev
 
     def get_nowait(self) -> Any:
@@ -153,11 +177,16 @@ class Store:
     def force_put(self, item: Any, front: bool = False) -> None:
         """Insert ignoring the capacity bound (e.g. control sentinels that
         must reach the reader even when the buffer is full)."""
+        items = self.items
         if front:
-            self.items.appendleft(item)
+            items.appendleft(item)
         else:
-            self.items.append(item)
-        self._reconcile()
+            items.append(item)
+        # More items admit no putter; a waiting getter found the buffer
+        # empty, so it takes the one item just added.
+        getters = self._get_waiters
+        if getters:
+            getters.popleft().succeed(items.popleft())
 
     def clear(self) -> list:
         """Drop all stored items (crash/state-loss); returns what was dropped.
@@ -172,6 +201,13 @@ class Store:
 
     # -- matching -------------------------------------------------------------
     def _reconcile(self) -> None:
+        """Match queued putters and getters until neither can move.
+
+        Every operation leaves the store reconciled: no putter is queued
+        while there is room, and no getter while there is an item.
+        ``put``, ``get``, ``put_nowait`` and ``force_put`` rely on it to
+        hand off directly without calling here.
+        """
         progress = True
         while progress:
             progress = False

@@ -1,5 +1,7 @@
 """Kernel scheduling semantics."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import NORMAL, URGENT, Environment, SimulationError
@@ -53,6 +55,23 @@ class TestEvent:
         ev._defused = True
         env.run()  # must not raise
 
+    def test_unhandled_process_failure_raises_and_run_resumes(self, env):
+        class Boom(Exception):
+            pass
+
+        def crasher():
+            yield env.timeout(1.0)
+            raise Boom()
+
+        later = []
+        env.process(crasher())
+        env.timeout(2.0).add_callback(lambda e: later.append(env.now))
+        with pytest.raises(Boom):
+            env.run(until=5.0)
+        assert env.now == 1.0  # raised at the failing event, not at until
+        env.run(until=5.0)  # the rest of the queue is intact
+        assert later == [2.0] and env.now == 5.0
+
 
 class TestClock:
     def test_initial_time(self):
@@ -75,6 +94,17 @@ class TestClock:
     def test_negative_timeout_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+    def test_event_at_until_fires_and_just_past_stays_queued(self, env):
+        fired = []
+        env.timeout(5.0).add_callback(lambda e: fired.append("at"))
+        past = env.timeout(math.nextafter(5.0, math.inf))
+        past.add_callback(lambda e: fired.append("past"))
+        env.run(until=5.0)
+        assert fired == ["at"] and env.now == 5.0
+        assert not past.processed and env.peek() > 5.0
+        env.run()
+        assert fired == ["at", "past"]
 
     def test_events_beyond_until_stay_queued(self, env):
         seen = []
@@ -138,10 +168,6 @@ class TestOrdering:
         assert env.peek() == float("inf")
         env.timeout(2.0)
         assert env.peek() == 2.0
-
-    def test_step_empty_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_double_schedule_rejected(self, env):
         ev = env.event().succeed()
@@ -277,3 +303,15 @@ class TestTiebreakPerturbation:
         assert len(outs) == 1000  # no collisions over a small domain
         assert _splitmix64(42) == _splitmix64(42)
         assert all(0 <= v < 2 ** 64 for v in outs)
+
+
+def test_sim_slots_are_tuples():
+    """A bare string in ``__slots__`` names one slot only by accident."""
+    import inspect
+
+    from repro.sim import conditions, kernel, process, store
+
+    for module in (kernel, process, store, conditions):
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and "__slots__" in cls.__dict__:
+                assert isinstance(cls.__dict__["__slots__"], tuple), cls

@@ -245,3 +245,29 @@ class TestOwnership:
         owner.thaw(env)
         env.run(until=8)
         assert len(log) > 1
+
+
+class TestTraceContext:
+    """A process publishes its trace context to children it spawns, but
+    only while a span recorder is bound."""
+
+    def _child_ctx(self, env):
+        children = []
+
+        def child():
+            yield env.timeout(1.0)
+
+        def parent():
+            yield env.timeout(1.0)
+            children.append(env.process(child()))
+
+        env.process(parent(), ctx="request-span")
+        env.run()
+        return children[0].ctx
+
+    def test_child_inherits_ctx_while_recorder_bound(self, env):
+        env.bind_spans(object())
+        assert self._child_ctx(env) == "request-span"
+
+    def test_ctx_not_published_without_recorder(self, env):
+        assert self._child_ctx(env) is None
