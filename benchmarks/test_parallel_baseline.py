@@ -1,8 +1,8 @@
 """Parallel-executor benchmark: speedup accounting + digest equality.
 
 Runs the default INDEP quick grid serially and with ``jobs=4``, asserts
-the merged artifacts are **byte-identical** (the determinism contract —
-this part is unconditional), and records wall times to
+the merged flight records have equal fingerprints (the determinism
+contract — this part is unconditional), and records wall times to
 ``results/BENCH_parallel.json``.  The ≥1.5x speedup floor is only
 asserted on hosts with at least 4 cores: parallel overlap is a property
 of the hardware, digest equality is a property of the code, and only the
@@ -14,7 +14,6 @@ measures the same grid.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.differential import fingerprint_digest, fingerprint_record
 from repro.core.quantify import QuantifyConfig, quantify_version
 
 BASELINE = Path(__file__).resolve().parent / "BENCH_parallel.json"
@@ -34,17 +34,10 @@ SPEEDUP_FLOOR = 1.5
 MIN_CORES_FOR_SPEEDUP = 4
 
 
-def canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def artifact_digest(va) -> str:
-    """Chained SHA-256 over the run's flight records, in fault order."""
-    digest = hashlib.sha256(b"repro-parallel-bench")
-    for kind in sorted(va.records, key=lambda k: k.value):
-        digest.update(hashlib.sha256(
-            canonical(va.records[kind].to_dict())).digest())
-    return digest.hexdigest()
+    """One fingerprint digest over the run's flight records, in fault order."""
+    return fingerprint_digest([fingerprint_record(va.records[kind])
+                               for kind in sorted(va.records, key=lambda k: k.value)])
 
 
 def measure_current() -> dict:

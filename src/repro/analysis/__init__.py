@@ -19,10 +19,10 @@ flow analysis (:mod:`repro.analysis.flow`, :mod:`repro.analysis.callgraph`)
     handler branches, undispatched droppables), and lost-generator
     detection (REP011..REP012).
 
-determinism sanitizer (:mod:`repro.analysis.sanitize`)
-    Runs the same campaign twice under different ``PYTHONHASHSEED``
-    values and diffs the chained trace-event digests and final metrics,
-    pinpointing the first diverging event.
+differential runner (:mod:`repro.analysis.differential`)
+    One run fingerprint, and one runner that repeats a cell under a
+    varied hash seed, tie-break order, obs mode or worker pool and
+    reports the first divergence from that variant's contract.
 
 All are wired into the CLI as ``repro lint`` (``--flow`` for the
 whole-program pass) and ``repro sanitize``.

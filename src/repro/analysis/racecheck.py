@@ -1,4 +1,4 @@
-"""Two-tier simulation race detector: ``repro racecheck``.
+"""Static race analysis: shared-state effects and REP014/REP015.
 
 The kernel's FIFO tie-break among same-``(time, priority)`` events is a
 *convention*: nothing in the happens-before relation orders two events
@@ -8,7 +8,7 @@ change behaviour under any scheduler refactor (calendar queues, lazy
 heaps, batched emission) and under the overlapping-fault campaigns that
 pile concurrent writers onto membership and cache state.
 
-**Static tier** — extends the PR 4 call graph with a read/write *effect
+The analysis extends the flow call graph with a read/write *effect
 analysis*: for every function, the set of ``(class, attribute)`` keys it
 lexically reads and mutates; effects propagate interprocedurally over
 *synchronous* call edges (spawn edges — a generator handed to
@@ -25,40 +25,17 @@ Process roots are the spawn targets.  Two rules fire:
   same-instant process can interleave), then the attribute is written
   back from that stale local.  The classic lost-update race.
 
-**Dynamic tier** — a schedule-perturbation sanitizer.  The same campaign
-runs once with the production FIFO tie-break and again with seeded
-pseudo-random tie-break orders (``Environment(tiebreak_seed=...)``).
-A kernel monitor (:class:`ScheduleRecorder`) records the per-timestamp
-*multiset* of executed (event, callback-target) pairs, canonicalised so
-that a pure same-instant permutation compares equal.  Chained digests
-over the canonical schedule, the canonical trace stream, the metrics
-snapshot, and the stage timeline are diffed to the first diverging
-timestamp; the statically-computed effect sets then name the conflicting
-access pair and both process "stacks" (call paths from each generator to
-the shared write).  Clean runs certify that heap refactors preserving
-happens-before are digest-safe.
+The findings surface through ``repro lint --flow`` (REP014/REP015 and the
+``races`` summary); ``repro sanitize --vary tiebreak`` checks the same
+property at runtime (:mod:`repro.analysis.differential`).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallGraph,
@@ -67,8 +44,6 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.lint import Finding
 from repro.analysis.rules import RULES
-
-RACECHECK_SCHEMA = 1
 
 #: ``(class qualname, attribute name)`` — one piece of shared state
 AttrKey = Tuple[str, str]
@@ -80,12 +55,8 @@ _MUTATORS = frozenset(
 )
 
 
-def _canonical(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
-# static tier: effect analysis
+# effect analysis
 
 
 @dataclass(frozen=True)
@@ -94,14 +65,13 @@ class AccessSite:
 
     key: AttrKey
     kind: str  # "read" | "write"
-    func: str
     path: str
     line: int
 
 
 @dataclass
 class EffectAnalysis:
-    """Per-function lexical and transitive read/write sets."""
+    """Per-function lexical read/write sets and transitive write sets."""
 
     #: function qualname -> keys it lexically reads / writes
     own_reads: Dict[str, Set[AttrKey]] = field(default_factory=dict)
@@ -114,8 +84,7 @@ class EffectAnalysis:
     roots: Set[str] = field(default_factory=set)
     #: functions reachable from any root over sync edges (roots included)
     process_connected: Set[str] = field(default_factory=set)
-    #: transitive closures over sync edges
-    closure_reads: Dict[str, Set[AttrKey]] = field(default_factory=dict)
+    #: transitive write sets over sync edges
     closure_writes: Dict[str, Set[AttrKey]] = field(default_factory=dict)
 
 
@@ -185,8 +154,8 @@ def _collect_accesses(fn: FunctionInfo, graph: CallGraph) -> List[AccessSite]:
     def add(key: Optional[AttrKey], kind: str, node: ast.AST) -> None:
         if key is None:
             return
-        sites.append(AccessSite(key=key, kind=kind, func=fn.qualname,
-                                path=fn.path, line=getattr(node, "lineno", 0)))
+        sites.append(AccessSite(key=key, kind=kind, path=fn.path,
+                                line=getattr(node, "lineno", 0)))
 
     for node in _own_nodes(fn.node):
         if isinstance(node, ast.Attribute):
@@ -271,28 +240,23 @@ def compute_effects(graph: CallGraph) -> EffectAnalysis:
         frontier = nxt
     eff.process_connected = seen
 
-    # transitive effect closures (fixpoint; sets only grow)
-    eff.closure_reads = {q: set(r) for q, r in eff.own_reads.items()}
+    # transitive write closures (fixpoint; sets only grow)
     eff.closure_writes = {q: set(w) for q, w in eff.own_writes.items()}
     changed = True
     while changed:
         changed = False
         for caller, callees in eff.sync_edges.items():
-            reads = eff.closure_reads.setdefault(caller, set())
             writes = eff.closure_writes.setdefault(caller, set())
             for callee in callees:
-                for src, dst in (
-                    (eff.closure_reads.get(callee), reads),
-                    (eff.closure_writes.get(callee), writes),
-                ):
-                    if src and not src <= dst:
-                        dst |= src
-                        changed = True
+                src = eff.closure_writes.get(callee)
+                if src and not src <= writes:
+                    writes |= src
+                    changed = True
     return eff
 
 
 # ---------------------------------------------------------------------------
-# static tier: rules
+# rules
 
 
 def _key_label(key: AttrKey) -> str:
@@ -444,10 +408,9 @@ def _closure_funcs(eff: EffectAnalysis, start: str) -> Set[str]:
 
 @dataclass
 class RaceAnalysis:
-    """Static-tier output: effects, findings, and a JSON summary."""
+    """Effects, findings, and a JSON summary."""
 
     effects: EffectAnalysis
-    graph: CallGraph
     findings: List[Finding]
     #: key -> writer generator qualnames (the REP014 evidence)
     shared_writes: Dict[AttrKey, Tuple[str, ...]]
@@ -466,7 +429,7 @@ class RaceAnalysis:
 
 
 def analyze_races(graph: CallGraph) -> RaceAnalysis:
-    """The static tier: effect analysis + REP014/REP015 findings."""
+    """Effect analysis + REP014/REP015 findings."""
     eff = compute_effects(graph)
     writers = _writer_generators(eff, graph)
     findings = _rep014_findings(eff, graph, writers)
@@ -476,648 +439,4 @@ def analyze_races(graph: CallGraph) -> RaceAnalysis:
         for key, entries in writers.items()
         if len({q for q, _ in entries}) >= 2
     }
-    return RaceAnalysis(effects=eff, graph=graph, findings=findings,
-                        shared_writes=shared)
-
-
-def access_path(analysis: RaceAnalysis, start: str, key: AttrKey,
-                kinds: Tuple[str, ...] = ("write",)) -> List[str]:
-    """BFS call path from ``start`` to the first function that lexically
-    accesses ``key`` — the "process stack" of a conflicting access."""
-    eff = analysis.effects
-    prev: Dict[str, Optional[str]] = {start: None}
-    frontier = [start]
-    hit: Optional[str] = None
-    while frontier and hit is None:
-        nxt: List[str] = []
-        for qual in frontier:
-            if any(s.key == key and s.kind in kinds
-                   for s in eff.sites.get(qual, [])):
-                hit = qual
-                break
-            for callee in sorted(eff.sync_edges.get(qual, ())):
-                if callee not in prev:
-                    prev[callee] = qual
-                    nxt.append(callee)
-        frontier = nxt
-    if hit is None:
-        return [start]
-    path: List[str] = []
-    cur: Optional[str] = hit
-    while cur is not None:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    site = next((s for s in eff.sites.get(hit, [])
-                 if s.key == key and s.kind in kinds), None)
-    if site is not None:
-        path[-1] = f"{hit} ({os.path.basename(site.path)}:{site.line})"
-    return path
-
-
-# ---------------------------------------------------------------------------
-# dynamic tier: schedule recording
-
-
-#: (file, qualname, firstlineno) of a process generator observed at runtime
-ProcRef = Tuple[str, str, int]
-
-
-def _describe_callback(cb: Any) -> Tuple[str, Optional[ProcRef]]:
-    """Stable identity string for an event callback, plus the process
-    code reference when the callback resumes a Process."""
-    bound_self = getattr(cb, "__self__", None)
-    code_ref = getattr(bound_self, "code_ref", None)
-    if code_ref is not None:
-        fname, qualname, lineno = code_ref()
-        return (f"proc:{qualname}:{os.path.basename(fname)}:{lineno}",
-                (fname, qualname, lineno))
-    code = getattr(cb, "__code__", None)
-    if code is None:
-        func = getattr(cb, "__func__", None)
-        code = getattr(func, "__code__", None)
-    if code is not None:
-        qual = getattr(code, "co_qualname", code.co_name)
-        return (f"fn:{qual}:{os.path.basename(code.co_filename)}:"
-                f"{code.co_firstlineno}", None)
-    return (f"cb:{type(cb).__name__}", None)
-
-
-class ScheduleRecorder:
-    """Kernel monitor recording the per-timestamp execution multiset.
-
-    Entries are canonicalised (sorted within each timestamp) so two runs
-    that execute the same events at each instant — in any order —
-    compare equal; only a genuine divergence (different events, or
-    events migrating across timestamps) shows up.
-    """
-
-    def __init__(self) -> None:
-        self._env: Any = None
-        #: [(time, [entry str, ...])] in execution order
-        self._buckets: List[Tuple[float, List[str]]] = []
-        #: process code refs observed per bucket (for attribution)
-        self._procs: List[Set[ProcRef]] = []
-
-    def bind(self, env: Any) -> None:
-        self._env = env
-
-    # -- monitor protocol (see Environment.set_monitor) ------------------
-    def on_schedule(self, depth: int) -> None:  # pragma: no cover - no-op
-        pass
-
-    def on_event(self, event: Any, callbacks: Sequence[Any]) -> None:
-        t = float(self._env.now)
-        if not self._buckets or self._buckets[-1][0] != t:
-            self._buckets.append((t, []))
-            self._procs.append(set())
-        descs: List[str] = []
-        for cb in callbacks:
-            desc, ref = _describe_callback(cb)
-            descs.append(desc)
-            if ref is not None:
-                self._procs[-1].add(ref)
-        entry = f"{type(event).__name__}[{','.join(sorted(descs))}]"
-        self._buckets[-1][1].append(entry)
-
-    def on_event_done(self, event: Any) -> None:  # pragma: no cover - no-op
-        pass
-
-    # -- results ---------------------------------------------------------
-    def schedule(self) -> List[Tuple[float, Tuple[str, ...]]]:
-        """Canonical per-timestamp multisets, execution order preserved
-        across timestamps, sorted within each."""
-        return [(t, tuple(sorted(entries))) for t, entries in self._buckets]
-
-    def ordered(self) -> List[Tuple[float, Tuple[str, ...]]]:
-        """The raw execution order, same shape as :meth:`schedule`.  Two
-        runs whose canonical schedules match can still differ here — the
-        ordered stream locates *where* a same-instant reorder happened
-        when only the outcome (not the event multiset) diverged."""
-        return [(t, tuple(entries)) for t, entries in self._buckets]
-
-    def proc_refs(self) -> List[FrozenSet[ProcRef]]:
-        return [frozenset(s) for s in self._procs]
-
-
-def schedule_digest(schedule: Sequence[Tuple[float, Tuple[str, ...]]]) -> str:
-    chain = hashlib.sha256()
-    for t, entries in schedule:
-        chain.update(_canonical([t, list(entries)]))
-    return chain.hexdigest()
-
-
-def canonical_trace_chain(events: Sequence[Any]) -> List[Tuple[float, str]]:
-    """Chained digests over trace events, order-insensitive *within* a
-    timestamp: [(time, chain hex12)] with one entry per instant."""
-    from repro.obs.export import event_to_dict
-
-    chain = hashlib.sha256()
-    out: List[Tuple[float, str]] = []
-    i = 0
-    n = len(events)
-    while i < n:
-        t = events[i].time
-        group: List[bytes] = []
-        while i < n and events[i].time == t:
-            group.append(_canonical(event_to_dict(events[i])))
-            i += 1
-        for blob in sorted(group):
-            chain.update(blob)
-        out.append((t, chain.hexdigest()[:12]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dynamic tier: captures and comparison
-
-
-@dataclass
-class RunCapture:
-    """Everything observable about one (possibly perturbed) run."""
-
-    tiebreak_seed: Optional[int]
-    schedule: List[Tuple[float, Tuple[str, ...]]]
-    proc_refs: List[FrozenSet[ProcRef]]
-    #: caller-defined scalar outcomes (stage timeline, final counters)
-    observables: Dict[str, Any]
-    trace_chain: List[Tuple[float, str]] = field(default_factory=list)
-    metrics_digest: Optional[str] = None
-    #: raw metrics snapshot (JSON-safe), kept for tolerant comparison
-    metrics: Any = None
-    #: raw execution order (ScheduleRecorder.ordered()) for localization
-    ordered_schedule: List[Tuple[float, Tuple[str, ...]]] = \
-        field(default_factory=list)
-    processed: int = 0
-
-    @property
-    def schedule_digest(self) -> str:
-        return schedule_digest(self.schedule)
-
-    @property
-    def trace_digest(self) -> Optional[str]:
-        return self.trace_chain[-1][1] if self.trace_chain else None
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "tiebreak_seed": self.tiebreak_seed,
-            "processed": self.processed,
-            "timestamps": len(self.schedule),
-            "schedule_digest": self.schedule_digest[:16],
-            "trace_digest": self.trace_digest,
-            "metrics_digest": (self.metrics_digest or "")[:16] or None,
-            "observables": self.observables,
-        }
-
-
-@dataclass
-class ScheduleDivergence:
-    """First timestamp where two runs' canonical streams split."""
-
-    source: str  # "schedule" | "trace" | "length"
-    index: int
-    time: float
-    only_a: List[str] = field(default_factory=list)
-    only_b: List[str] = field(default_factory=list)
-    procs: List[ProcRef] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "index": self.index,
-            "time": self.time,
-            "only_a": self.only_a,
-            "only_b": self.only_b,
-            "procs": [list(p) for p in self.procs],
-        }
-
-    def describe(self) -> str:
-        lines = [f"first divergence ({self.source}) at t={self.time:.6f} "
-                 f"(timestamp #{self.index})"]
-        for label, entries in (("only in FIFO run", self.only_a),
-                               ("only in perturbed run", self.only_b)):
-            for e in entries[:4]:
-                lines.append(f"  {label}: {e}")
-        for fname, qual, lineno in self.procs:
-            lines.append(f"  process here: {qual} "
-                         f"({os.path.basename(fname)}:{lineno})")
-        return "\n".join(lines)
-
-
-def _procs_at_time(cap: RunCapture, t: float) -> Set[ProcRef]:
-    out: Set[ProcRef] = set()
-    for (bt, _), refs in zip(cap.schedule, cap.proc_refs):
-        if bt == t:
-            out |= set(refs)
-    return out
-
-
-def find_divergence(a: RunCapture, b: RunCapture) -> Optional[ScheduleDivergence]:
-    """Walk the canonical streams to the first diverging timestamp."""
-    n = min(len(a.schedule), len(b.schedule))
-    for i in range(n):
-        (ta, ea), (tb, eb) = a.schedule[i], b.schedule[i]
-        if ta != tb or ea != eb:
-            t = min(ta, tb)
-            ca, cb = Counter(ea), Counter(eb)
-            div = ScheduleDivergence(
-                source="schedule", index=i, time=t,
-                only_a=sorted((ca - cb).elements()),
-                only_b=sorted((cb - ca).elements()),
-            )
-            div.procs = sorted(_procs_at_time(a, t) | _procs_at_time(b, t))
-            return div
-    if len(a.schedule) != len(b.schedule):
-        longer = a.schedule if len(a.schedule) > n else b.schedule
-        t = longer[n][0]
-        div = ScheduleDivergence(source="length", index=n, time=t)
-        div.procs = sorted(_procs_at_time(a, t) | _procs_at_time(b, t))
-        return div
-    # schedules identical; the trace chain may still locate a divergence
-    # (e.g. same events, different same-instant RNG interleaving)
-    m = min(len(a.trace_chain), len(b.trace_chain))
-    for i in range(m):
-        if a.trace_chain[i] != b.trace_chain[i]:
-            t = min(a.trace_chain[i][0], b.trace_chain[i][0])
-            div = ScheduleDivergence(source="trace", index=i, time=t)
-            div.procs = sorted(_procs_at_time(a, t) | _procs_at_time(b, t))
-            return div
-    # canonical streams identical: the runs executed the same event
-    # multiset at every instant, so only a same-instant *reorder* can
-    # explain a differing outcome — locate the first one
-    k = min(len(a.ordered_schedule), len(b.ordered_schedule))
-    for i in range(k):
-        (ta, ea), (tb, eb) = a.ordered_schedule[i], b.ordered_schedule[i]
-        if ta != tb or ea != eb:
-            t = min(ta, tb)
-            ca, cb = Counter(ea), Counter(eb)
-            div = ScheduleDivergence(
-                source="order", index=i, time=t,
-                only_a=sorted((ca - cb).elements()),
-                only_b=sorted((cb - ca).elements()),
-            )
-            div.procs = sorted(_procs_at_time(a, t) | _procs_at_time(b, t))
-            return div
-    return None
-
-
-@dataclass
-class Conflict:
-    """A statically-conflicting access pair at the divergence point."""
-
-    key: AttrKey
-    kind: str  # "write-write" | "read-write"
-    proc_a: str
-    proc_b: str
-    stack_a: List[str]
-    stack_b: List[str]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "attr": _key_label(self.key),
-            "class": self.key[0],
-            "kind": self.kind,
-            "a": {"proc": self.proc_a, "stack": self.stack_a},
-            "b": {"proc": self.proc_b, "stack": self.stack_b},
-        }
-
-
-def _match_static(analysis: RaceAnalysis, ref: ProcRef) -> Optional[str]:
-    """Map a runtime process code ref onto its call-graph function."""
-    fname, qualname, lineno = ref
-    real = os.path.realpath(fname)
-    for qual, fn in analysis.graph.functions.items():
-        if fn.lineno == lineno and os.path.realpath(fn.path) == real:
-            return qual
-    for qual in analysis.graph.functions:
-        if qual == qualname or qual.endswith("." + qualname):
-            return qual
-    return None
-
-
-def attribute_divergence(div: ScheduleDivergence,
-                         analysis: RaceAnalysis) -> List[Conflict]:
-    """Name the conflicting shared-state access pairs behind a divergence
-    using the static effect closures, with both process call paths."""
-    eff = analysis.effects
-    mapped = sorted({q for q in (_match_static(analysis, r) for r in div.procs)
-                     if q is not None})
-    conflicts: List[Conflict] = []
-    for i, qa in enumerate(mapped):
-        for qb in mapped[i + 1:]:
-            if qa == qb:
-                continue
-            wa = eff.closure_writes.get(qa, set())
-            wb = eff.closure_writes.get(qb, set())
-            ra = eff.closure_reads.get(qa, set())
-            rb = eff.closure_reads.get(qb, set())
-            pairs = [(k, "write-write") for k in sorted(wa & wb)]
-            pairs += [(k, "read-write") for k in sorted((ra & wb) | (wa & rb))
-                      if k not in (wa & wb)]
-            for key, kind in pairs:
-                akinds: Tuple[str, ...] = ("write",) if key in wa \
-                    else ("read", "write")
-                bkinds: Tuple[str, ...] = ("write",) if key in wb \
-                    else ("read", "write")
-                conflicts.append(Conflict(
-                    key=key, kind=kind, proc_a=qa, proc_b=qb,
-                    stack_a=access_path(analysis, qa, key, akinds),
-                    stack_b=access_path(analysis, qb, key, bkinds),
-                ))
-    return conflicts
-
-
-#: relative tolerance for float metric fields under perturbation.  A
-#: same-instant permutation legitimately shifts a few completions by
-#: sub-millisecond amounts (queue service order within one timestamp),
-#: which perturbs floating-point accumulators (histogram sums/means) at
-#: the 1e-7 level while every count, bucket, and outcome stays identical.
-METRICS_RTOL = 1e-5
-
-
-def _values_close(a: Any, b: Any, rtol: float = METRICS_RTOL) -> bool:
-    """Structural equality with a float tolerance (exact for everything
-    else: ints, strings, dict keys, list lengths)."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if isinstance(a, float) or isinstance(b, float):
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            return False
-        return math.isclose(a, b, rel_tol=rtol, abs_tol=1e-9)
-    if isinstance(a, dict) and isinstance(b, dict):
-        return (a.keys() == b.keys()
-                and all(_values_close(a[k], b[k], rtol) for k in a))
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return (len(a) == len(b)
-                and all(_values_close(x, y, rtol) for x, y in zip(a, b)))
-    return bool(a == b)
-
-
-@dataclass
-class Comparison:
-    """Baseline vs one perturbed run.
-
-    Verdict semantics: permuting causally-unordered same-instant events
-    is *allowed* to churn the micro-schedule (``schedule_match`` is a
-    diagnostic, not a gate) and to shift float metric accumulators
-    below :data:`METRICS_RTOL`.  What must survive the permutation is
-    everything the experiments report: the canonical trace stream, the
-    metrics within tolerance, and the stage-timeline observables.
-    """
-
-    tiebreak_seed: int
-    schedule_match: bool
-    trace_match: bool
-    metrics_match: bool  # exact digest equality (diagnostic)
-    observables_match: bool
-    metrics_close: bool = True  # within METRICS_RTOL (gates the verdict)
-    divergence: Optional[ScheduleDivergence] = None
-    conflicts: List[Conflict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (self.trace_match and self.metrics_close
-                and self.observables_match)
-
-    @property
-    def exact(self) -> bool:
-        """Bit-identical across every stream, micro-schedule included."""
-        return (self.schedule_match and self.trace_match
-                and self.metrics_match and self.observables_match)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "tiebreak_seed": self.tiebreak_seed,
-            "ok": self.ok,
-            "exact": self.exact,
-            "schedule_match": self.schedule_match,
-            "trace_match": self.trace_match,
-            "metrics_match": self.metrics_match,
-            "metrics_close": self.metrics_close,
-            "observables_match": self.observables_match,
-        }
-        if self.divergence is not None:
-            out["divergence"] = self.divergence.to_dict()
-        if self.conflicts:
-            out["conflicts"] = [c.to_dict() for c in self.conflicts]
-        return out
-
-
-def compare_captures(base: RunCapture, perturbed: RunCapture,
-                     analysis: Optional[RaceAnalysis] = None) -> Comparison:
-    metrics_match = base.metrics_digest == perturbed.metrics_digest
-    if metrics_match:
-        metrics_close = True
-    elif base.metrics is not None and perturbed.metrics is not None:
-        metrics_close = _values_close(base.metrics, perturbed.metrics)
-    else:
-        metrics_close = False
-    cmp = Comparison(
-        tiebreak_seed=int(perturbed.tiebreak_seed or 0),
-        schedule_match=base.schedule_digest == perturbed.schedule_digest,
-        trace_match=base.trace_digest == perturbed.trace_digest,
-        metrics_match=metrics_match,
-        metrics_close=metrics_close,
-        observables_match=base.observables == perturbed.observables,
-    )
-    if not cmp.exact:
-        cmp.divergence = find_divergence(base, perturbed)
-        if not cmp.ok and cmp.divergence is not None and analysis is not None:
-            cmp.conflicts = attribute_divergence(cmp.divergence, analysis)
-    return cmp
-
-
-# ---------------------------------------------------------------------------
-# dynamic tier: campaign orchestration
-
-
-def capture_campaign(version_name: str, fault: str, seed: int,
-                     tiebreak_seed: Optional[int], quick: bool = True,
-                     smoke: bool = False) -> RunCapture:
-    """Run one campaign (or the smoke scenario) under a tie-break mode
-    and capture every observable stream."""
-    from repro.core.quantify import QuantifyConfig, run_single_fault
-    from repro.experiments.configs import version
-    from repro.faults.types import FaultKind
-    from repro.obs.telemetry import Telemetry
-
-    spec = version(version_name)
-    telemetry = Telemetry()
-    recorder = ScheduleRecorder()
-    observables: Dict[str, Any]
-    if smoke:
-        from repro.experiments.profiles import SMALL
-        from repro.experiments.runner import build_world
-
-        world = build_world(spec, SMALL, seed=seed, telemetry=telemetry,
-                            tiebreak_seed=tiebreak_seed, monitor=recorder)
-        world.env.run(until=80.0)
-        world.injector.inject_for(FaultKind(fault), "n1", duration=30.0)
-        world.env.run(until=140.0)
-        stats = world.stats
-        observables = {
-            "issued": stats.issued,
-            "succeeded": stats.succeeded,
-            "outcomes": {str(k): v for k, v in sorted(stats.outcomes.items())},
-        }
-        env = world.env
-    else:
-        from dataclasses import replace
-
-        config = QuantifyConfig.quick(seed=seed) if quick else \
-            replace(QuantifyConfig.from_env(), seed=seed)
-        trace, world = run_single_fault(spec, FaultKind(fault), config,
-                                        telemetry=telemetry,
-                                        tiebreak_seed=tiebreak_seed,
-                                        monitor=recorder)
-        observables = {
-            "t_inject": trace.t_inject,
-            "t_detect": trace.t_detect,
-            "t_repair": trace.t_repair,
-            "t_reset": trace.t_reset,
-            "t_end": trace.t_end,
-            "normal_tput": trace.normal_tput,
-        }
-        env = world.env
-    metrics = telemetry.metrics.snapshot()
-    return RunCapture(
-        tiebreak_seed=tiebreak_seed,
-        schedule=recorder.schedule(),
-        ordered_schedule=recorder.ordered(),
-        proc_refs=recorder.proc_refs(),
-        observables=observables,
-        trace_chain=canonical_trace_chain(telemetry.tracer.events),
-        metrics_digest=hashlib.sha256(_canonical(metrics)).hexdigest(),
-        metrics=metrics,
-        processed=env.processed_count,
-    )
-
-
-@dataclass
-class RaceCheckResult:
-    """Full two-tier report: static findings + perturbation comparisons."""
-
-    version: str
-    fault: str
-    seed: int
-    mode: str
-    baseline: Optional[RunCapture] = None
-    perturbed: List[RunCapture] = field(default_factory=list)
-    comparisons: List[Comparison] = field(default_factory=list)
-    static_findings: List[Finding] = field(default_factory=list)
-    static_summary: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def dynamic_ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
-
-    @property
-    def static_ok(self) -> bool:
-        from repro.analysis.rules import Severity
-
-        return not any(f.severity is Severity.ERROR
-                       for f in self.static_findings)
-
-    @property
-    def ok(self) -> bool:
-        return self.dynamic_ok and self.static_ok
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": RACECHECK_SCHEMA,
-            "version": self.version,
-            "fault": self.fault,
-            "seed": self.seed,
-            "mode": self.mode,
-            "ok": self.ok,
-            "static": {
-                "ok": self.static_ok,
-                "findings": [f.to_dict() for f in self.static_findings],
-                "summary": self.static_summary,
-            },
-            "dynamic": {
-                "ok": self.dynamic_ok,
-                "baseline": self.baseline.summary() if self.baseline else None,
-                "perturbed": [c.summary() for c in self.perturbed],
-                "comparisons": [c.to_dict() for c in self.comparisons],
-            },
-        }
-
-
-def run_racecheck(version_name: str = "coop", fault: str = "node_crash",
-                  seed: int = 0, tiebreak_seeds: Sequence[int] = (1, 2),
-                  quick: bool = True, smoke: bool = False,
-                  paths: Sequence[str] = ("src/repro",),
-                  static: bool = True, dynamic: bool = True
-                  ) -> RaceCheckResult:
-    """The full two-tier check behind ``repro racecheck``."""
-    result = RaceCheckResult(version=version_name, fault=fault, seed=seed,
-                             mode="smoke" if smoke else "campaign")
-    analysis: Optional[RaceAnalysis] = None
-    if static:
-        from repro.analysis.flow import analyze_flow
-
-        flow = analyze_flow(list(paths))
-        analysis = flow.races
-        result.static_findings = [f for f in flow.findings
-                                  if f.rule in ("REP014", "REP015")]
-        if analysis is not None:
-            result.static_summary = analysis.to_dict()
-    if dynamic:
-        result.baseline = capture_campaign(version_name, fault, seed,
-                                           tiebreak_seed=None, quick=quick,
-                                           smoke=smoke)
-        for ts in tiebreak_seeds:
-            cap = capture_campaign(version_name, fault, seed,
-                                   tiebreak_seed=int(ts), quick=quick,
-                                   smoke=smoke)
-            result.perturbed.append(cap)
-            result.comparisons.append(
-                compare_captures(result.baseline, cap, analysis))
-    return result
-
-
-def format_racecheck(result: RaceCheckResult) -> str:
-    lines = [f"racecheck: {result.version}/{result.fault} "
-             f"seed={result.seed} mode={result.mode}"]
-    if result.static_summary:
-        s = result.static_summary
-        lines.append(f"  static: {s.get('roots', 0)} process roots, "
-                     f"{len(s.get('shared_writes', {}))} multi-writer "
-                     f"attribute(s); REP014={s.get('rep014', 0)} "
-                     f"REP015={s.get('rep015', 0)}; "
-                     f"{len(result.static_findings)} unsuppressed finding(s)")
-    for f in result.static_findings:
-        lines.append(f"  {f}")
-    if result.baseline is not None:
-        lines.append(f"  baseline (FIFO): {result.baseline.processed} events "
-                     f"over {len(result.baseline.schedule)} timestamps, "
-                     f"schedule {result.baseline.schedule_digest[:16]}…")
-    for cmp in result.comparisons:
-        if cmp.exact:
-            verdict = "MATCH"
-        elif cmp.ok:
-            verdict = "MATCH (micro-schedule churn only)"
-        else:
-            verdict = "DIVERGE"
-        metrics_flag = ("ok" if cmp.metrics_match
-                        else "~" if cmp.metrics_close else "X")
-        lines.append(f"  tiebreak_seed={cmp.tiebreak_seed}: {verdict} "
-                     f"(schedule={'ok' if cmp.schedule_match else 'X'} "
-                     f"trace={'ok' if cmp.trace_match else 'X'} "
-                     f"metrics={metrics_flag} "
-                     f"results={'ok' if cmp.observables_match else 'X'})")
-        if cmp.divergence is not None and not cmp.ok:
-            lines.append("  " + cmp.divergence.describe()
-                         .replace("\n", "\n  "))
-        for c in cmp.conflicts:
-            lines.append(f"    conflict [{c.kind}] on {_key_label(c.key)}:")
-            lines.append(f"      A {c.proc_a}: {' -> '.join(c.stack_a)}")
-            lines.append(f"      B {c.proc_b}: {' -> '.join(c.stack_b)}")
-    if result.ok:
-        lines.append("OK: no schedule-order dependence detected — "
-                     "happens-before-preserving scheduler refactors are "
-                     "digest-safe")
-    else:
-        lines.append("FAIL: results depend on same-instant tie-break order")
-    return "\n".join(lines)
+    return RaceAnalysis(effects=eff, findings=findings, shared_writes=shared)

@@ -274,22 +274,15 @@ def _check_kernel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
 def _gen_bench_parallel(ctx: ReproduceContext) -> Dict[str, Any]:
     """The serial-vs-parallel executor measurement behind
     ``benchmarks/BENCH_parallel.json``: the INDEP quick grid serially and
-    on a 4-worker pool, digest-compared byte for byte."""
-    import hashlib
+    on a 4-worker pool, with one fingerprint digest per run."""
     import time
 
+    from repro.analysis.differential import fingerprint_digest, fingerprint_record
     from repro.core.quantify import QuantifyConfig, quantify_version
 
-    def canonical(obj: Any) -> bytes:
-        return json.dumps(obj, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-
     def artifact_digest(va: Any) -> str:
-        digest = hashlib.sha256(b"repro-parallel-bench")
-        for kind in sorted(va.records, key=lambda k: k.value):
-            digest.update(hashlib.sha256(
-                canonical(va.records[kind].to_dict())).digest())
-        return digest.hexdigest()
+        return fingerprint_digest([fingerprint_record(va.records[kind])
+                                   for kind in sorted(va.records, key=lambda k: k.value)])
 
     config = QuantifyConfig.quick(seed=0)
     jobs = 4
@@ -417,18 +410,19 @@ def _check_lint_clean(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
     return messages
 
 
-def _gen_racecheck(ctx: ReproduceContext) -> Dict[str, Any]:
-    """The two-tier race report (static effect analysis + schedule
-    perturbation).  Quick mode uses the smoke scenario; full mode the
-    quick Table-1 campaign (the `make racecheck` configuration)."""
-    from repro.analysis.racecheck import run_racecheck
+def _gen_sanitize(ctx: ReproduceContext) -> Dict[str, Any]:
+    """The differential determinism report (`repro sanitize`): COOP
+    node_crash under the hashseed and tiebreak variants.  Quick mode runs
+    the smoke cell; full mode the quick campaign (the CI configuration)."""
+    from repro.analysis.differential import Scenario, differential
 
-    result = run_racecheck(smoke=ctx.quick, quick=True)
-    _write_json(ctx.out_dir / "racecheck.json", result.to_dict())
-    if not result.ok:
-        raise ReproduceError("race detector reported a divergence")
-    return {"mode": result.mode,
-            "static_findings": len(result.static_findings)}
+    scenario = Scenario(length="smoke" if ctx.quick else "quick")
+    report = differential(scenario, ("hashseed", "tiebreak"))
+    _write_json(ctx.out_dir / "sanitize.json", report.to_dict())
+    if not report.ok:
+        raise ReproduceError("a sanitize variant diverged; run `repro sanitize` "
+                             "for the first divergence")
+    return {"length": scenario.length, "runs": len(report.runs)}
 
 
 def _gen_docs_check(ctx: ReproduceContext) -> Dict[str, Any]:
@@ -529,13 +523,14 @@ def _registry() -> Dict[str, Artifact]:
         check=_check_lint_clean,
     ))
     entries.append(Artifact(
-        name="racecheck",
-        description="two-tier race report: static shared-state effects + "
-                    "schedule-perturbation sanitizer",
+        name="sanitize",
+        description="differential determinism report: one cell under the "
+                    "hashseed and tiebreak variants, judged by the contract",
         kind="report",
-        generate=_gen_racecheck,
-        outputs=("racecheck.json",),
+        generate=_gen_sanitize,
+        outputs=("sanitize.json",),
         deterministic=True,
+        roadmap_item=2,
     ))
     entries.append(Artifact(
         name="docs-check",

@@ -58,11 +58,12 @@ Commands
     ``--diff REF`` restricts reporting to files changed since a git ref,
     ``--format json`` for the CI artifact.
 ``sanitize``
-    Runtime determinism check: the same campaign twice under different
-    ``PYTHONHASHSEED`` values; trace digests and metrics must match.
+    Differential determinism check: one cell re-run under ``--vary
+    hashseed|tiebreak|obs|jobs``; every observable must meet its
+    contract (see docs/ANALYSIS.md).
 ``digest VERSION FAULT``
-    Fingerprint one run (chained per-event digests) — the worker
-    ``sanitize`` spawns, also useful for manual diffing.
+    Fingerprint one run — the worker the ``hashseed`` variant spawns,
+    also useful for manual diffing.
 
 Version names are case-insensitive and accept aliases (``pressha`` is
 the paper's fully-hardened FME configuration).
@@ -769,65 +770,31 @@ def cmd_lint(args) -> int:
     return 1 if failed else 0
 
 
+def _scenario(args):
+    from repro.analysis.differential import Scenario
+
+    length = "smoke" if args.smoke else "full" if args.full else "quick"
+    return Scenario(_version(args.version).name, args.fault, args.seed, length)
+
+
 def cmd_sanitize(args) -> int:
-    from repro.analysis.sanitize import format_sanitize, run_sanitize
+    from repro.analysis.differential import differential, format_report
 
     try:
-        result = run_sanitize(
-            version_name=args.version,
-            fault=args.fault,
-            seed=args.seed,
-            hash_seeds=tuple(args.hash_seeds),
-            quick=not args.full,
-            smoke=args.smoke,
-        )
+        report = differential(_scenario(args), args.vary or ["hashseed"])
     except (RuntimeError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        print(format_sanitize(result))
-    return 0 if result.ok else 1
-
-
-def cmd_racecheck(args) -> int:
-    from repro.analysis.racecheck import format_racecheck, run_racecheck
-
-    try:
-        result = run_racecheck(
-            version_name=args.version,
-            fault=args.fault,
-            seed=args.seed,
-            tiebreak_seeds=tuple(args.tiebreak_seeds),
-            quick=not args.full,
-            smoke=args.smoke,
-            paths=tuple(args.paths),
-            static=not args.no_static,
-            dynamic=not args.no_dynamic,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fp:
-            json.dump(result.to_dict(), fp, indent=2, sort_keys=True)
-            fp.write("\n")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_racecheck(result))
-    return 0 if result.ok else 1
+        print(format_report(report))
+    return 0 if report.ok else 1
 
 
 def cmd_digest(args) -> int:
-    from repro.analysis.sanitize import campaign_fingerprint
+    from repro.analysis.differential import digest_document
 
-    _version(args.version)  # alias-aware existence check
-    doc = campaign_fingerprint(args.version, args.fault, seed=args.seed,
-                               quick=getattr(args, "quick", False),
-                               smoke=args.smoke,
-                               tiebreak_seed=args.tiebreak_seed)
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(digest_document(_scenario(args)), sort_keys=True))
     return 0
 
 
@@ -873,6 +840,15 @@ def _add_common(p: argparse.ArgumentParser, json_flag: bool = False) -> None:
     if json_flag:
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON output")
+
+
+def _add_length(p: argparse.ArgumentParser) -> None:
+    # One explicit length switch: the run never reads REPRO_QUICK.
+    length = p.add_mutually_exclusive_group()
+    length.add_argument("--smoke", action="store_true",
+                        help="the short fixed cell instead of a campaign")
+    length.add_argument("--full", action="store_true",
+                        help="full-length campaign windows (default: quick)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1124,65 +1100,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("sanitize",
-                       help="runtime determinism check: same campaign, "
-                            "two PYTHONHASHSEED values, digests must match")
+                       help="differential determinism check: re-run one cell "
+                            "under a variation; every observable must meet "
+                            "its contract")
+    p.add_argument("--vary", action="append", metavar="VARIANT",
+                   help="hashseed, tiebreak, obs or jobs (repeatable; "
+                        "default: hashseed)")
     p.add_argument("--version", default="coop", dest="version",
                    help="system version to run (default: coop)")
     p.add_argument("--fault", default="node_crash",
                    choices=[k.value for k in FaultKind])
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--hash-seeds", type=int, nargs=2, default=[101, 202],
-                   metavar=("A", "B"),
-                   help="the two PYTHONHASHSEED values (must differ)")
-    p.add_argument("--smoke", action="store_true",
-                   help="short fixed scenario instead of a full campaign")
-    p.add_argument("--full", action="store_true",
-                   help="full-length campaign windows (default: quick)")
-    _add_common(p, json_flag=True)
+    _add_length(p)
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable JSON output")
     p.set_defaults(fn=cmd_sanitize)
 
     p = sub.add_parser("digest",
-                       help="fingerprint one run (chained trace-event "
-                            "digests; the sanitize worker)")
+                       help="fingerprint one run (the worker of "
+                            "`sanitize --vary hashseed`)")
     p.add_argument("version")
     p.add_argument("fault", nargs="?", default="node_crash",
                    choices=[k.value for k in FaultKind])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smoke", action="store_true",
-                   help="short fixed scenario instead of a full campaign")
-    p.add_argument("--tiebreak-seed", type=int, default=None,
-                   help="perturb same-instant event order with this seed "
-                        "(the racecheck sanitizer's knob)")
-    _add_common(p)
+    _add_length(p)
     p.set_defaults(fn=cmd_digest)
-
-    p = sub.add_parser("racecheck",
-                       help="race detector: static shared-state effect "
-                            "analysis + schedule-perturbation sanitizer")
-    p.add_argument("--version", default="coop", dest="version",
-                   help="system version to run (default: coop)")
-    p.add_argument("--fault", default="node_crash",
-                   choices=[k.value for k in FaultKind])
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--tiebreak-seeds", type=int, nargs="+", default=[1, 2],
-                   metavar="S",
-                   help="tie-break seeds for the perturbed runs "
-                        "(default: 1 2)")
-    p.add_argument("--paths", nargs="+", default=["src/repro"],
-                   help="tree the static tier analyzes "
-                        "(default: src/repro)")
-    p.add_argument("--smoke", action="store_true",
-                   help="short fixed scenario instead of a full campaign")
-    p.add_argument("--full", action="store_true",
-                   help="full-length campaign windows (default: quick)")
-    p.add_argument("--no-static", action="store_true",
-                   help="skip the static effect-analysis tier")
-    p.add_argument("--no-dynamic", action="store_true",
-                   help="skip the schedule-perturbation runs")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON race report to PATH")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_racecheck)
 
     p = sub.add_parser("sensitivity",
                        help="rank what-if levers; optionally search a path "

@@ -169,8 +169,8 @@ def run_single_fault(
     ``telemetry`` is handed to :func:`build_world` — pass an enabled
     :class:`~repro.obs.telemetry.Telemetry` to capture the structured
     trace and metrics of the run (the ``repro trace`` command does).
-    ``tiebreak_seed`` and ``monitor`` are likewise passed through (the
-    race detector's schedule-perturbation runs use both).
+    ``tiebreak_seed`` and ``monitor`` are likewise passed through
+    (``repro sanitize --vary tiebreak`` sets the first).
     """
     world = build_world(spec, config.profile, seed=config.seed,
                         telemetry=telemetry, tiebreak_seed=tiebreak_seed,

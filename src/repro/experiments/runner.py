@@ -160,20 +160,16 @@ def build_world(
     kernel profiling); pass ``Telemetry.disabled()`` for zero-overhead
     runs or ``Telemetry(profile_kernel=True)`` to profile the kernel.
 
-    ``tiebreak_seed`` perturbs same-instant event order (the race
-    detector's schedule sanitizer; see :mod:`repro.analysis.racecheck`)
-    and ``monitor`` attaches a kernel monitor such as its
-    :class:`~repro.analysis.racecheck.ScheduleRecorder`.  A ``monitor``
-    replaces any profiler ``telemetry`` would attach, so don't combine
-    it with ``Telemetry(profile_kernel=True)``.
+    ``tiebreak_seed`` perturbs same-instant event order (the
+    ``tiebreak`` variant of ``repro sanitize``; see
+    :mod:`repro.analysis.differential`) and ``monitor`` attaches a kernel
+    monitor.  A ``monitor`` replaces any profiler ``telemetry`` would
+    attach, so don't combine it with ``Telemetry(profile_kernel=True)``.
     """
     env = Environment(tiebreak_seed=tiebreak_seed)
     telemetry = telemetry if telemetry is not None else Telemetry()
     telemetry.attach(env)
     if monitor is not None:
-        bind = getattr(monitor, "bind", None)
-        if bind is not None:
-            bind(env)
         env.set_monitor(monitor)
     rngs = RngRegistry(seed)
     markers = telemetry.marker_log()

@@ -124,7 +124,6 @@ _ACCOUNTING_EXPORTS = {
     "measure_scenario": "repro.obs.perf",
     "peak_rss_kb": "repro.obs.perf",
     "provenance": "repro.obs.perf",
-    "worlds_digest": "repro.obs.perf",
 }
 
 
@@ -151,7 +150,6 @@ __all__ = [
     "measure_scenario",
     "peak_rss_kb",
     "provenance",
-    "worlds_digest",
     "AttributionConfig",
     "AttributionReport",
     "BoundaryCheck",

@@ -47,6 +47,7 @@ annotations.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -120,6 +121,12 @@ def sanitize(value: Any) -> Any:
     if kind is not None and target is not None:  # FaultComponent shape
         return {"kind": sanitize(kind), "target": sanitize(target)}
     return repr(value)
+
+
+def canonical(value: Any) -> bytes:
+    """The canonical JSON every digest in the repository hashes: sorted
+    keys, no whitespace, UTF-8; ``value`` must be JSON-safe (:func:`sanitize`)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 #: marker label -> source attribution for facade-translated events

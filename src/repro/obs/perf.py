@@ -17,12 +17,12 @@ kernel-speed work (ROADMAP item 1) is gated on:
    serializing every event at emit time) — and the wall-clock ratios
    make the "obs is ~free when not exporting" claim a gated number.
 
-3. **Does observability perturb results?**  Each run is fingerprinted
-   with a chained SHA-256 over telemetry-independent simulation outputs
-   (marker-log entries, request outcomes, final clock, event count).
-   The digests must be identical across all modes *and* under the
-   time-attribution profiler; any divergence means telemetry leaked into
-   simulation behaviour.
+3. **Does observability perturb results?**  Each run is hashed with
+   :func:`~repro.analysis.differential.fingerprint` over the components
+   the ``obs`` row of its contract gates (markers, request outcomes and
+   success timestamps, final clock).  The digests must be identical
+   across all modes *and* under the time-attribution profiler; any
+   divergence means telemetry leaked into simulation behaviour.
 
 Wall-clock reads here time the *host*, never simulated components, and
 feed only the benchmark report — REP001 allowlists this module for that
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import os
 import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import jsonl_subscriber
@@ -50,11 +50,6 @@ OBS_MODES: Tuple[str, ...] = ("off", "unsub", "on", "spans")
 
 #: schema of the BENCH_kernel.json / TREND.jsonl records
 BENCH_SCHEMA = 1
-
-
-def _canonical(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=repr).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +124,14 @@ SCENARIOS: Dict[str, Scenario] = {
 }
 
 
-# ---------------------------------------------------------------------------
-# fingerprinting: the cross-mode correctness oracle
+def _obs_digest(worlds: Sequence[Any]) -> str:
+    """The cross-mode oracle: a fingerprint digest over the contract's
+    ``obs`` row, which gates nothing telemetry records (so it is left out)."""
+    from repro.analysis.differential import CONTRACT, fingerprint, fingerprint_digest
 
-
-def worlds_digest(worlds: Sequence[Any]) -> str:
-    """Chained SHA-256 over telemetry-independent simulation outputs.
-
-    Uses only streams that exist in every obs mode — the plain MarkerLog
-    half of the traced marker log, the request-outcome counters, the
-    final simulated clock, and the kernel's processed-event count.  Equal
-    digests across modes prove observability never perturbed the run.
-    """
-    chain = hashlib.sha256(b"repro-kernel-bench")
-    for world in worlds:
-        for entry in world.markers.entries:
-            chain.update(_canonical(list(entry)))
-        stats = world.stats
-        chain.update(_canonical({
-            "issued": stats.issued,
-            "outcomes": {str(k): v for k, v in stats.outcomes.items()},
-            "now": world.env.now,
-            "processed": world.env.processed_count,
-        }))
-    return chain.hexdigest()
+    return fingerprint_digest(
+        [fingerprint(SimpleNamespace(env=w.env, markers=w.markers, stats=w.stats))
+         for w in worlds], tuple(CONTRACT["obs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +168,8 @@ class ModeRun:
         }
 
 
-def _telemetry_for(mode: str, sink) -> Telemetry:
+def telemetry_for(mode: str, sink) -> Telemetry:
+    """A fresh telemetry bundle for ``mode``; ``on`` streams JSONL to ``sink``."""
     if mode == "off":
         return Telemetry.disabled()
     if mode == "spans":
@@ -208,7 +188,7 @@ def measure_mode(scenario: Scenario, mode: str) -> ModeRun:
     gc.collect()
     sink = open(os.devnull, "w", encoding="utf-8") if mode == "on" else None
     try:
-        telemetry = _telemetry_for(mode, sink)
+        telemetry = telemetry_for(mode, sink)
         t0 = time.perf_counter()
         worlds = scenario.run(telemetry)
         wall = time.perf_counter() - t0
@@ -221,7 +201,7 @@ def measure_mode(scenario: Scenario, mode: str) -> ModeRun:
         events_processed=sum(w.env.processed_count for w in worlds),
         events_scheduled=sum(w.env.scheduled_count for w in worlds),
         trace_events=len(telemetry.tracer),
-        digest=worlds_digest(worlds),
+        digest=_obs_digest(worlds),
         spans_recorded=len(telemetry.spans) if telemetry.trace_spans else 0,
     )
 
@@ -250,7 +230,7 @@ def measure_attribution(scenario: Scenario,
         "by_kind": dict(profiler.top_times("kind", top_n)),
         "by_type": dict(profiler.top_times("type", top_n)),
     }
-    return attribution, worlds_digest(worlds)
+    return attribution, _obs_digest(worlds)
 
 
 # ---------------------------------------------------------------------------

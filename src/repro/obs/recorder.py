@@ -51,8 +51,9 @@ SCHEMA_VERSION = 1
 
 PathOrFile = Union[str, Path, TextIO]
 
-_TIMELINE_FIELDS = ("t_inject", "t_detect", "t_repair", "t_reset", "t_end",
-                    "normal_tput", "offered_rate")
+#: the stage-timeline fields a record (and a run fingerprint) carries
+TIMELINE_FIELDS = ("t_inject", "t_detect", "t_repair", "t_reset", "t_end",
+                   "normal_tput", "offered_rate")
 
 
 @dataclass
@@ -84,15 +85,7 @@ class FlightRecord:
     ) -> "FlightRecord":
         """Snapshot a freshly run :class:`ExperimentTrace` plus its
         structured event stream (``telemetry.tracer.events``)."""
-        timeline = {
-            "t_inject": trace.t_inject,
-            "t_detect": trace.t_detect,
-            "t_repair": trace.t_repair,
-            "t_reset": trace.t_reset,
-            "t_end": trace.t_end,
-            "normal_tput": trace.normal_tput,
-            "offered_rate": trace.offered_rate,
-        }
+        timeline = {name: getattr(trace, name) for name in TIMELINE_FIELDS}
         return cls(
             version=trace.version,
             fault=trace.component.kind.value,

@@ -48,10 +48,9 @@ On top of the store:
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EventKind, TraceEvent
+from repro.obs.events import EventKind, TraceEvent, canonical
 
 #: Attribution buckets a span may charge its self-time to.
 CATEGORIES = frozenset(
@@ -302,8 +301,7 @@ def spans_digest(spans: Iterable[Span]) -> str:
     """
     h = hashlib.sha256()
     for span in sorted(spans, key=lambda s: (s.req_id, s.span_id)):
-        h.update(json.dumps(span_to_dict(span), sort_keys=True,
-                            separators=(",", ":")).encode())
+        h.update(canonical(span_to_dict(span)))
     return h.hexdigest()
 
 

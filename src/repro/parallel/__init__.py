@@ -4,7 +4,7 @@ The quantification grid — every ``(version, fault kind, seed)`` cell of
 a campaign — is embarrassingly parallel, and this package exploits that
 without giving up the repository's determinism contract: a run with
 ``jobs=N`` produces artifacts **byte-identical** to a serial run (the
-property ``tests/parallel`` pins with chained digests).
+property ``tests/parallel`` pins; ``repro sanitize --vary jobs`` checks it).
 
 Layering: :mod:`repro.core.quantify` exposes the cell-level API
 (:func:`~repro.core.quantify.campaign_cells` /

@@ -55,7 +55,7 @@ from repro.faults.campaign import CampaignCell
 from repro.parallel.worker import execute_cell, worker_init
 
 #: hash seed pinned into every worker (any fixed value keeps runs
-#: reproducible; 0 matches ``repro.analysis.sanitize``'s convention)
+#: reproducible; ``repro sanitize`` checks results do not depend on which)
 DEFAULT_HASH_SEED = "0"
 
 ProgressFn = Callable[[str], None]

@@ -8,10 +8,10 @@ availability experiments are compared across system versions; run-to-run
 jitter would show up as noise in the fitted fault templates.
 
 The FIFO tie-break among same-``(time, priority)`` events is a
-*convention*, not a causal necessity — and the race detector
-(:mod:`repro.analysis.racecheck`) exploits exactly that: constructing the
-Environment with a ``tiebreak_seed`` replaces the FIFO tie-break with a
-seeded pseudo-random permutation (a splitmix64 salt keyed on the sequence
+*convention*, not a causal necessity — and ``repro sanitize --vary
+tiebreak`` exploits exactly that: constructing the Environment with a
+``tiebreak_seed`` replaces the FIFO tie-break with a seeded
+pseudo-random permutation (a splitmix64 salt keyed on the sequence
 number), which perturbs the order of *causally unordered* same-instant
 events while preserving every happens-before edge (time, priority, and
 "scheduled by an already-processed callback" all still order events).
@@ -168,7 +168,7 @@ class Environment:
         self._queue: list = []
         self._seq = 0
         self._processed = 0
-        # Schedule-perturbation mode (repro.analysis.racecheck).  None is
+        # Schedule-perturbation mode (repro sanitize --vary tiebreak).  None is
         # the production FIFO tie-break and the heap holds 4-tuples, as it
         # always has.  With a seed, same-(time, priority) events are
         # ordered by a seeded salt instead of arrival order (5-tuples,

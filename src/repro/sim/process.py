@@ -173,21 +173,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._ok is None
 
-    def code_ref(self) -> tuple:
-        """``(filename, qualname, firstlineno)`` of the generator body.
-
-        A stable, instance-independent identity for *which code* this
-        process runs — the join key the race detector uses to map a
-        running process onto its static effect set in the call graph
-        (``repro.analysis.racecheck``).  Survives kill(): the closed
-        generator keeps its code object.
-        """
-        code = getattr(self._generator, "gi_code", None)
-        if code is None:  # non-generator coroutine-like object
-            return ("", self.name, 0)
-        qualname = getattr(code, "co_qualname", code.co_name)
-        return (code.co_filename, qualname, code.co_firstlineno)
-
     # -- event delivery ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         # The process trampoline: runs once per delivery, so it reads the

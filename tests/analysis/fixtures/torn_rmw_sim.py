@@ -1,4 +1,4 @@
-"""A deliberately torn read-modify-write, detectable by both tiers.
+"""A deliberately torn read-modify-write, caught statically and dynamically.
 
 ``_alpha`` runs ``ROUNDS`` iterations of *read the shared counter,
 yield for zero time, write back the stale local plus one*; ``_beta``
@@ -9,10 +9,10 @@ tie-break — and every one of ``_beta``'s increments that lands inside
 stale value.  How many survive, and therefore the final count, depends
 on the tie-break order alone.
 
-The static tier flags the pattern as REP015 (and the two writers as
-REP014); the schedule-perturbation sanitizer sees the final count
-diverge and attributes the divergence to the same ``TornCounter.count``
-attribute with both process stacks.
+``repro lint --flow`` flags the pattern as REP015 (and the two writers
+as REP014); ``repro sanitize --vary tiebreak`` sees the final count
+diverge (9 under FIFO order, 11 under tie-break seed 1, 16 under seed
+2) and names it in the first divergence.
 """
 
 ROUNDS = 8

@@ -1,27 +1,28 @@
-"""The race detector, both tiers: REP014/REP015 static effect analysis,
-the schedule-perturbation sanitizer, and the runtime-to-static
-attribution that joins them."""
+"""Races, both ways: REP014/REP015 static effect analysis (surfaced by
+``repro lint --flow``) and the ``tiebreak`` variant of the differential
+runner, which re-runs the torn fixture under seeded same-instant orders
+and names the final count that moved."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.flow import analyze_flow
-from repro.analysis.racecheck import (
-    RunCapture,
-    ScheduleRecorder,
-    _values_close,
-    analyze_races,
-    compare_captures,
-    find_divergence,
-    schedule_digest,
+from repro.analysis.differential import (
+    compare,
+    differential,
+    fingerprint,
+    format_report,
 )
+from repro.analysis.racecheck import analyze_races
 from repro.analysis.rules import Severity
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -124,147 +125,163 @@ def _load_torn_module():
     return mod
 
 
-def _run_torn(tiebreak_seed):
-    mod = _load_torn_module()
-    rec = ScheduleRecorder()
-    env = Environment(tiebreak_seed=tiebreak_seed, monitor=rec)
-    rec.bind(env)
-    counter = mod.TornCounter(env)
-    counter.start()
-    env.run()
-    return RunCapture(tiebreak_seed=tiebreak_seed,
-                      schedule=rec.schedule(),
-                      ordered_schedule=rec.ordered(),
-                      proc_refs=rec.proc_refs(),
-                      observables={"count": counter.count},
-                      processed=env.processed_count)
+class TornScenario:
+    """The torn fixture as a differential scenario: the counter's final
+    value, marked at the end, is the observable."""
+
+    def run(self, telemetry, tiebreak_seed=None):
+        env = Environment(tiebreak_seed=tiebreak_seed)
+        telemetry.attach(env)
+        markers = telemetry.marker_log()
+        counter = _load_torn_module().TornCounter(env)
+        counter.start()
+        env.run()
+        markers.mark(env.now, "count", counter.count)
+        return fingerprint(SimpleNamespace(env=env, markers=markers,
+                                           telemetry=telemetry))
+
+
+#: the torn counter's final value per same-instant order
+FINAL_COUNT = {None: 9, 1: 11, 2: 16}
+
+
+@pytest.fixture(scope="module")
+def torn_report():
+    return differential(TornScenario(), ["tiebreak"])
 
 
 class TestPerturbation:
     def test_fifo_baseline_is_deterministic(self):
-        a, b = _run_torn(None), _run_torn(None)
-        assert a.observables == b.observables
-        assert a.schedule_digest == b.schedule_digest
+        a, b = TornScenario().run(Telemetry()), TornScenario().run(Telemetry())
+        assert all(c.exact for c in compare(a, b, "hashseed"))
+        assert a["markers"] == [[0.0, "count", FINAL_COUNT[None]]]
 
     def test_same_tiebreak_seed_is_deterministic(self):
-        a, b = _run_torn(7), _run_torn(7)
-        assert a.observables == b.observables
-        assert a.schedule_digest == b.schedule_digest
+        a = TornScenario().run(Telemetry(), tiebreak_seed=7)
+        b = TornScenario().run(Telemetry(), tiebreak_seed=7)
+        assert all(c.exact for c in compare(a, b, "hashseed"))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_torn_rmw_diverges_under_perturbation(self, seed):
-        base, perturbed = _run_torn(None), _run_torn(seed)
-        assert base.observables != perturbed.observables
+    def test_torn_rmw_diverges_under_perturbation(self, torn_report, seed):
+        run = next(r for r in torn_report.runs
+                   if r.other == f"tiebreak_seed={seed}")
+        assert not run.ok and not torn_report.ok
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_divergence_attributed_to_the_torn_attribute(self, seed):
-        analysis = analyze_races(build_callgraph([str(TORN_SIM)]))
-        cmp = compare_captures(_run_torn(None), _run_torn(seed), analysis)
-        assert not cmp.ok and not cmp.observables_match
-        assert cmp.divergence is not None
-        # the dynamic tier blames the same attribute the static tier
-        # flagged (REP015 on TornCounter.count), with both stacks
-        (rep15,) = [f for f in analysis.findings if f.rule == "REP015"]
-        assert "TornCounter.count" in rep15.message
-        conflicts = [c for c in cmp.conflicts if c.key[1] == "count"]
-        assert conflicts and conflicts[0].kind == "write-write"
-        stacks = " ".join(conflicts[0].stack_a + conflicts[0].stack_b)
-        assert "_alpha" in stacks and "_beta" in stacks
-
-    def test_divergence_names_both_process_stacks(self):
-        cmp = compare_captures(_run_torn(None), _run_torn(1))
-        quals = {q for _, q, _ in cmp.divergence.procs}
-        assert any(q.endswith("_alpha") for q in quals)
-        assert any(q.endswith("_beta") for q in quals)
+    def test_divergence_attributed_to_the_torn_attribute(self, torn_report, seed):
+        # the report names the torn counter's final value on both sides,
+        # the count REP015 flags statically (TornCounter.count)
+        run = next(r for r in torn_report.runs
+                   if r.other == f"tiebreak_seed={seed}")
+        div = run.divergence
+        assert div.component == "markers" and div.time == 0.0
+        assert div.only_base == [[0.0, "count", FINAL_COUNT[None]]]
+        assert div.only_other == [[0.0, "count", FINAL_COUNT[seed]]]
+        assert f'[0.0, "count", {FINAL_COUNT[None]}]' in format_report(torn_report)
 
 
 class TestCanonicalDigests:
+    """Per-instant comparison (the tiebreak rule for markers and trace
+    events) against exact comparison (the hashseed rule)."""
+
     def test_schedule_digest_order_insensitive_within_timestamp(self):
-        a = [(0.0, ("x", "y")), (1.0, ("z",))]
-        assert schedule_digest(a) == schedule_digest(
-            [(0.0, tuple(sorted(("y", "x")))), (1.0, ("z",))])
-        assert schedule_digest(a) != schedule_digest(
-            [(0.0, ("x",)), (1.0, ("y", "z"))])
+        base = {"markers": [[0.0, "x", None], [0.0, "y", None], [1.0, "z", None]]}
+        swapped = {"markers": [[0.0, "y", None], [0.0, "x", None], [1.0, "z", None]]}
+        moved = {"markers": [[0.0, "x", None], [1.0, "y", None], [1.0, "z", None]]}
+        (same_instant,) = compare(base, swapped, "tiebreak")
+        assert same_instant.match and not same_instant.exact
+        (across,) = compare(base, moved, "tiebreak")
+        assert not across.match
+        assert across.divergence.time == 0.0
+        assert across.divergence.only_base == [[0.0, "y", None]]
+        assert across.divergence.only_other == []
 
     def test_find_divergence_sources(self):
-        def cap(schedule, ordered=()):
-            return RunCapture(tiebreak_seed=None, schedule=list(schedule),
-                              ordered_schedule=list(ordered or schedule),
-                              proc_refs=[frozenset()] * len(schedule),
-                              observables={})
+        def split(a, b):
+            (check,) = compare({"markers": a}, {"markers": b}, "hashseed")
+            return check.divergence
 
-        a = cap([(0.0, ("x",)), (1.0, ("y",))])
-        b = cap([(0.0, ("x",)), (1.0, ("z",))])
-        div = find_divergence(a, b)
-        assert div.source == "schedule" and div.time == 1.0
-        assert div.only_a == ["y"] and div.only_b == ["z"]
+        a = [[0.0, "x", None], [1.0, "y", None]]
+        content = split(a, [[0.0, "x", None], [1.0, "z", None]])
+        assert content.time == 1.0 and content.index == 1
+        assert content.only_base == [[1.0, "y", None]]
+        assert content.only_other == [[1.0, "z", None]]
 
-        longer = cap([(0.0, ("x",)), (1.0, ("y",)), (2.0, ("y",))])
-        assert find_divergence(a, longer).source == "length"
+        longer = split(a, a + [[2.0, "y", None]])
+        assert longer.index == 2 and longer.time == 2.0
+        assert longer.only_base == [] and longer.only_other == [[2.0, "y", None]]
 
-        # same canonical multiset, different same-instant order
-        o1 = cap([(0.0, ("x", "y"))], ordered=[(0.0, ("x", "y"))])
-        o2 = cap([(0.0, ("x", "y"))], ordered=[(0.0, ("y", "x"))])
-        div = find_divergence(o1, o2)
-        assert div.source == "order" and div.index == 0
-        assert find_divergence(o1, o1) is None
+        # the same entries at one instant in another order
+        order = split([[0.0, "x", None], [0.0, "y", None]],
+                      [[0.0, "y", None], [0.0, "x", None]])
+        assert order.index == 0 and "another order" in order.note
+        assert split(a, list(a)) is None
 
 
 class TestComparisonSemantics:
-    def _caps(self, metrics_b, observables_b=None):
-        a = RunCapture(tiebreak_seed=None, schedule=[], ordered_schedule=[],
-                       proc_refs=[], observables={"n": 1},
-                       metrics_digest="da", metrics={"sum": 1.0})
-        b = RunCapture(tiebreak_seed=3, schedule=[], ordered_schedule=[],
-                       proc_refs=[], observables=observables_b or {"n": 1},
-                       metrics_digest="db", metrics=metrics_b)
-        return a, b
+    """The tiebreak row: metrics within METRICS_RTOL, outcomes exact."""
+
+    def _metrics(self, value):
+        return {"metrics": [{"type": "histogram", "name": "lat",
+                             "labels": {}, "count": 3, "sum": value}],
+                "outcomes": {"issued": 1}}
 
     def test_float_drift_within_tolerance_is_ok(self):
-        cmp = compare_captures(*self._caps({"sum": 1.0 + 1e-9}))
-        assert cmp.metrics_close and not cmp.metrics_match
-        assert cmp.ok and not cmp.exact
+        checks = compare(self._metrics(1.0), self._metrics(1.0 + 1e-9), "tiebreak")
+        metrics = next(c for c in checks if c.component == "metrics")
+        assert metrics.match and not metrics.exact
+        assert all(c.ok for c in checks)
 
     def test_float_drift_beyond_tolerance_fails(self):
-        cmp = compare_captures(*self._caps({"sum": 1.01}))
-        assert not cmp.metrics_close and not cmp.ok
+        checks = compare(self._metrics(1.0), self._metrics(1.01), "tiebreak")
+        metrics = next(c for c in checks if c.component == "metrics")
+        assert not metrics.ok
+        assert metrics.divergence.only_other == [{"metrics[lat{}].sum": 1.01}]
 
     def test_observable_divergence_fails(self):
-        cmp = compare_captures(*self._caps({"sum": 1.0},
-                                           observables_b={"n": 2}))
-        assert not cmp.ok and not cmp.observables_match
+        other = dict(self._metrics(1.0), outcomes={"issued": 2})
+        checks = compare(self._metrics(1.0), other, "tiebreak")
+        outcomes = next(c for c in checks if c.component == "outcomes")
+        assert not outcomes.ok
 
     def test_values_close(self):
-        assert _values_close({"a": [1, 2.0]}, {"a": [1, 2.0 + 1e-12]})
-        assert not _values_close({"a": 1}, {"a": 2})
-        assert not _values_close({"a": 1}, {"b": 1})
-        assert not _values_close([1], [1, 2])
-        assert not _values_close(True, 1.0)  # bools are not floats
+        def close(a, b):
+            return all(c.ok for c in compare({"metrics": a}, {"metrics": b},
+                                              "tiebreak"))
+
+        assert close({"a": [1, 2.0]}, {"a": [1, 2.0 + 1e-12]})
+        assert not close({"a": 1}, {"a": 2})
+        assert not close({"a": 1}, {"b": 1})
+        assert not close([1], [1, 2])
+        assert not close(True, 1.0)  # bools are not floats
 
 
 class TestRacecheckCli:
+    """The static tier's command line is ``repro lint --flow``."""
+
     def _run(self, *args):
         return subprocess.run(
-            [sys.executable, "-m", "repro", "racecheck", *args],
+            [sys.executable, "-m", "repro", "lint", "--flow", *args],
             capture_output=True, text=True,
             cwd=Path(__file__).parent.parent.parent,
         )
 
     def test_static_only_fails_on_fixture_rep015(self, tmp_path):
         out = tmp_path / "deep" / "dir" / "race.json"
-        proc = self._run("--no-dynamic", "--paths", str(TORN_SIM),
-                         "--out", str(out), "--json")
+        proc = self._run(str(TORN_SIM), "--format", "json", "--out", str(out))
         assert proc.returncode == 1, proc.stderr
         doc = json.loads(proc.stdout)
-        assert doc["schema"] == 1 and not doc["ok"]
-        assert not doc["static"]["ok"]
-        rules = {f["rule"] for f in doc["static"]["findings"]}
-        assert rules == {"REP014", "REP015"}
+        assert not doc["ok"]
+        assert {f["rule"] for f in doc["findings"]} == {"REP014", "REP015"}
+        races = doc["flow"]["races"]
+        assert races["rep014"] == 1 and races["rep015"] == 1
         # --out creates parent directories and writes the same report
         on_disk = json.loads(out.read_text())
-        assert on_disk["static"]["findings"] == doc["static"]["findings"]
+        assert on_disk["findings"] == doc["findings"]
 
     def test_static_only_clean_tree_passes(self):
-        proc = self._run("--no-dynamic", "--paths", "src/repro")
+        proc = self._run("src/repro", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 unsuppressed finding(s)" in proc.stdout
+        doc = json.loads(proc.stdout)
+        assert not [f for f in doc["findings"]
+                    if f["rule"] in ("REP014", "REP015")]

@@ -1,30 +1,25 @@
-"""Satellite regression test: the campaign trace digest is identical
-across two PYTHONHASHSEED values.
+"""Regression test: one run's fingerprint is identical across two
+PYTHONHASHSEED values (the ``hashseed`` variant of ``repro sanitize``).
 
 This is the runtime complement to the REP005 lint rule — if any code
-path iterates an unordered container into the event stream, the chained
-digests split and this test names the first diverging event.
+path iterates an unordered container into what the model observes, a
+component splits and the report names the first diverging entry.
 """
 
 import pytest
 
-from repro.analysis.sanitize import run_sanitize
+from repro.analysis.differential import COMPONENTS, Scenario, differential
 
 pytestmark = pytest.mark.slow
 
 
 def test_smoke_scenario_hashseed_invariant():
-    result = run_sanitize(version_name="coop", fault="node_crash", seed=7,
-                          hash_seeds=(1, 4242), smoke=True)
-    detail = "" if result.divergence is None else result.divergence.describe()
-    assert result.trace_match, detail
-    assert result.metrics_match
-    # Span trees (ids, parentage, timings, sampling) are part of the
-    # fingerprint: causal traces must not depend on hash iteration order.
-    assert result.spans_match
-    assert result.timeline_match
-    assert result.ok
-    a, b = result.runs
-    assert a["trace_digest"] == b["trace_digest"]
-    assert a["n_spans"] == b["n_spans"] > 0
-    assert a["python_hash_seed"] == "1" and b["python_hash_seed"] == "4242"
+    report = differential(Scenario("COOP", "node_crash", 7, "smoke"), ["hashseed"])
+    (run,) = report.runs
+    assert run.ok, run.divergence and run.divergence.describe(run.base, run.other)
+    assert (run.base, run.other) == ("PYTHONHASHSEED=101", "PYTHONHASHSEED=202")
+    # every component is recorded and bit-identical, span trees included:
+    # causal traces must not depend on hash iteration order
+    assert [c.component for c in run.checks] == \
+        [c for c in COMPONENTS if c not in ("timeline", "templates")]
+    assert all(c.exact for c in run.checks)

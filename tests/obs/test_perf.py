@@ -18,9 +18,9 @@ from repro.obs.perf import (
     measure_attribution,
     measure_mode,
     measure_scenario,
+    _obs_digest,
     peak_rss_kb,
     provenance,
-    worlds_digest,
 )
 from repro.sim.kernel import Environment
 
@@ -50,6 +50,9 @@ MICRO = Scenario("micro", "synthetic test scenario", cells=1, run=_micro_run)
 
 
 class TestWorldsDigest:
+    """The bench's cross-mode oracle: a fingerprint digest over the
+    components the contract's ``obs`` row gates."""
+
     def _world(self, marks=((1.0, "detected", "x"),), issued=5, now=50.0,
                processed=100):
         from repro.sim.series import MarkerLog
@@ -64,25 +67,27 @@ class TestWorldsDigest:
         )
 
     def test_deterministic(self):
-        assert worlds_digest([self._world()]) == worlds_digest([self._world()])
+        assert _obs_digest([self._world()]) == _obs_digest([self._world()])
 
     def test_sensitive_to_markers(self):
-        a = worlds_digest([self._world(marks=((1.0, "detected", "x"),))])
-        b = worlds_digest([self._world(marks=((1.0, "detected", "y"),))])
+        a = _obs_digest([self._world(marks=((1.0, "detected", "x"),))])
+        b = _obs_digest([self._world(marks=((1.0, "detected", "y"),))])
         assert a != b
 
-    def test_sensitive_to_clock_and_event_count(self):
-        base = worlds_digest([self._world()])
-        assert worlds_digest([self._world(now=51.0)]) != base
-        assert worlds_digest([self._world(processed=101)]) != base
+    def test_sensitive_to_clock_not_event_count(self):
+        base = _obs_digest([self._world()])
+        assert _obs_digest([self._world(now=51.0)]) != base
+        # event counts are not observable: a kernel change that drops an
+        # unobserved event keeps the digest
+        assert _obs_digest([self._world(processed=101)]) == base
 
     def test_sensitive_to_world_order(self):
         w1 = self._world(issued=1)
         w2 = self._world(issued=2)
-        assert worlds_digest([w1, w2]) != worlds_digest([w2, w1])
+        assert _obs_digest([w1, w2]) != _obs_digest([w2, w1])
 
     def test_hex_sha256(self):
-        digest = worlds_digest([self._world()])
+        digest = _obs_digest([self._world()])
         assert len(digest) == 64
         int(digest, 16)
 

@@ -1,35 +1,23 @@
 """Serial ≡ parallel: the executor's headline determinism contract.
 
 A quantification with ``jobs=2`` must produce artifacts byte-identical
-to the serial run — same flight-record JSON, same chained SHA-256
-digests, same model numbers.  This is the regression gate CI runs; if it
-ever fails, something in the fan-out (hash-seed pinning, merge order,
-record replay) started leaking scheduling into results.
+to the serial run — same flight-record JSON, same model numbers.  This
+is the regression gate CI runs; if it ever fails, something in the
+fan-out (hash-seed pinning, merge order, record replay) started leaking
+scheduling into results.  ``repro sanitize --vary jobs`` checks the same
+contract for one cell, component by component.
 """
 
-import hashlib
 import json
 
 import pytest
 
 from repro.core.quantify import QuantifyConfig, quantify_version
 from repro.faults.types import FaultKind
+from repro.obs.events import canonical
 
 #: two cheap INDEP kinds keep the whole test under ~15 s
 KINDS = (FaultKind.APP_CRASH, FaultKind.APP_HANG)
-
-
-def canonical(obj) -> bytes:
-    """The canonical JSON encoding the digest machinery uses."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def chained_digest(docs) -> str:
-    """Chained SHA-256 over canonical JSON docs (order-sensitive)."""
-    digest = hashlib.sha256(b"repro-parallel")
-    for doc in docs:
-        digest.update(hashlib.sha256(canonical(doc)).digest())
-    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +36,6 @@ class TestSerialParallelEquality:
             s = json.dumps(serial.records[kind].to_dict(), sort_keys=True)
             p = json.dumps(parallel.records[kind].to_dict(), sort_keys=True)
             assert s == p, f"record for {kind} differs"
-
-    def test_chained_digests_identical(self, runs):
-        serial, parallel = runs
-        s = chained_digest([serial.records[k].to_dict() for k in KINDS])
-        p = chained_digest([parallel.records[k].to_dict() for k in KINDS])
-        assert s == p
 
     def test_model_numbers_identical(self, runs):
         serial, parallel = runs

@@ -220,7 +220,7 @@ class TestAddCallbackSyncPath:
 
 class TestTiebreakPerturbation:
     """Seeded randomized tie-break among same-(time, priority) events:
-    the racecheck sanitizer's scheduling knob."""
+    the knob of ``repro sanitize --vary tiebreak``."""
 
     def _same_instant_order(self, tiebreak_seed, n=10):
         env = Environment(tiebreak_seed=tiebreak_seed)
