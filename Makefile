@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-all lint docs-check perflint sanitize bench bench-quick bench-kernel reproduce reproduce-quick examples clean
+.PHONY: install test test-fast test-all lint docs-check sanitize bench bench-quick reproduce reproduce-quick examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -35,35 +35,24 @@ lint:
 docs-check:
 	$(PYTHON) -m repro lint --docs
 
-# Hot-path cost analysis: kernel hot set + REP017-021 (allocation,
-# __slots__, telemetry formatting, attribute reloads, linear scans),
-# with the static hot set cross-checked against dynamic TimingProfiler
-# attribution (--validate runs the steady bench scenario once).
-perflint:
-	$(PYTHON) -m repro lint src/repro --perf --strict \
-		--format json --out results/reprolint-perf.json
-	$(PYTHON) -m repro lint src/repro --validate
-
-# Differential determinism check (docs/ANALYSIS.md), the two CI
+# Differential determinism check (docs/ANALYSIS.md), the three CI
 # configurations: the quick COOP node_crash cell under PYTHONHASHSEED
-# 101 vs 202 (seed 7), then FIFO vs tie-break seeds 1 and 2 (seed 0).
-# Every observable must meet its contract.  REP014/REP015 gate through
-# `make lint` (--flow).
+# 101 vs 202 (seed 7), FIFO vs tie-break seeds 1 and 2 (seed 0), and
+# obs off vs unsub/on/spans/profile (seed 0, report in
+# results/sanitize-obs.json).  Every observable must meet its contract.
+# REP014/REP015 gate through `make lint` (--flow).
 sanitize:
 	$(PYTHON) -m repro sanitize --seed 7 --vary hashseed
 	$(PYTHON) -m repro sanitize --seed 0 --vary tiebreak
+	mkdir -p results
+	$(PYTHON) -m repro sanitize --seed 0 --vary obs --json \
+		> results/sanitize-obs.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 bench-quick:
 	REPRO_QUICK=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Kernel speed + observability overhead vs the committed baseline,
-# then the provenance-stamped trajectory (benchmarks/TREND.jsonl).
-bench-kernel:
-	$(PYTHON) -m repro bench --gate --out results/BENCH_kernel.json
-	$(PYTHON) -m repro bench --trend
 
 # One-command artifact regeneration: every registered artifact (paper
 # figures/tables, BENCH_* documents, analysis reports) is rebuilt into

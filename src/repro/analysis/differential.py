@@ -67,6 +67,10 @@ VARIANTS: Tuple[str, ...] = tuple(CONTRACT)
 
 HASH_SEEDS = (101, 202)
 TIEBREAK_SEEDS = (1, 2)
+#: telemetry configurations the ``obs`` variant runs against ``off``:
+#: enabled with no subscriber, streaming JSONL, causal span tracing, and
+#: the wall-time attribution profiler
+OBS_MODES: Tuple[str, ...] = ("off", "unsub", "on", "spans", "profile")
 
 #: the short fixed cell: inject at t=80 s for 30 s, stop at t=140 s
 SMOKE_WINDOWS: Dict[str, float] = {"inject_at": 80.0, "fault_active": 30.0,
@@ -487,10 +491,25 @@ def _vary_tiebreak(scenario: Any) -> List[RunComparison]:
             for seed in TIEBREAK_SEEDS]
 
 
-def _vary_obs(scenario: Any) -> List[RunComparison]:
-    """Obs off against each other ``repro bench`` obs mode, in process."""
-    from repro.obs.perf import OBS_MODES, telemetry_for
+def telemetry_for(mode: str, sink: Any) -> Any:
+    """A fresh telemetry bundle for ``mode``; ``on`` streams JSONL to ``sink``."""
+    from repro.obs.export import jsonl_subscriber
+    from repro.obs.telemetry import Telemetry
 
+    if mode == "off":
+        return Telemetry.disabled()
+    if mode == "spans":
+        return Telemetry(trace_spans=True)
+    if mode == "profile":
+        return Telemetry(profile_time=True)
+    telemetry = Telemetry()
+    if mode == "on":
+        telemetry.tracer.subscribe(jsonl_subscriber(sink))
+    return telemetry
+
+
+def _vary_obs(scenario: Any) -> List[RunComparison]:
+    """Obs off against each other obs mode, in process."""
     with open(os.devnull, "w", encoding="utf-8") as sink:
         base = scenario.run(telemetry_for("off", sink))
         return [RunComparison("obs", "obs=off", f"obs={mode}",

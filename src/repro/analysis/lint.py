@@ -692,18 +692,15 @@ def audit_suppressions(
     declared: Dict[str, Dict[int, Set[str]]],
     used: Dict[str, Dict[int, Set[str]]],
     flow_ran: bool = False,
-    perf_ran: bool = False,
 ) -> List[Finding]:
     """REP016: ``# reprolint: disable=`` comments that suppress nothing.
 
-    ``used`` is the union of what the single-file engine and (when they
-    ran) the flow and perf passes actually dropped.  Suppressions naming
-    flow rules are only auditable when the flow pass ran — a plain
-    ``repro lint`` cannot know whether they still fire, so they are
-    skipped; likewise perf-rule suppressions need the ``--perf`` pass,
-    and a bare ``disable=all`` needs at least one whole-program pass.
-    Unknown rule ids are always reported: they suppress nothing by
-    construction (usually a typo for a real id).
+    ``used`` is the union of what the single-file engine and (when it
+    ran) the flow pass actually dropped.  Suppressions naming flow rules
+    are only auditable when the flow pass ran — a plain ``repro lint``
+    cannot know whether they still fire, so they are skipped, and so is
+    a bare ``disable=all``.  Unknown rule ids are always reported: they
+    suppress nothing by construction (a typo, or a retired rule).
     """
     findings: List[Finding] = []
     for path in sorted(declared):
@@ -714,7 +711,7 @@ def audit_suppressions(
                 if rid in used_here:
                     continue
                 if rid == "ALL":
-                    if not (flow_ran or perf_ran) or used_here:
+                    if not flow_ran or used_here:
                         continue
                     message = ("'disable=all' on this line suppresses no "
                                "finding; delete the stale comment")
@@ -723,8 +720,6 @@ def audit_suppressions(
                                "comment; it suppresses nothing (typo?)")
                 elif RULES[rid].flow and not flow_ran:
                     continue  # only the --flow pass can use it
-                elif RULES[rid].perf and not perf_ran:
-                    continue  # only the --perf pass can use it
                 else:
                     message = (f"suppression of {rid} no longer matches any "
                                "finding; delete the stale comment")

@@ -7,17 +7,14 @@ from typing import IO, Optional
 
 from repro.analysis.flow import FlowResult
 from repro.analysis.lint import LintResult
-from repro.analysis.perfcheck import PerfResult
 from repro.analysis.rules import RULES
 
-#: 4: document gained a "perf" section (hot-set cost analysis), findings
-#: may carry REP017-REP021
+#: layout version of the JSON document
 REPORT_SCHEMA_VERSION = 4
 
 
 def render_text(result: LintResult, verbose: bool = False,
-                flow: Optional[FlowResult] = None,
-                perf: Optional[PerfResult] = None) -> str:
+                flow: Optional[FlowResult] = None) -> str:
     """One line per finding plus a summary, pyflakes-style."""
     lines = [str(f) for f in result.findings]
     if verbose:
@@ -43,34 +40,10 @@ def render_text(result: LintResult, verbose: bool = False,
         if verbose and flow.newly_covered:
             lines.append("flow: newly covered by propagation:")
             lines.extend(f"    {qual}" for qual in flow.newly_covered)
-    if perf is not None:
-        by_sub = ", ".join(
-            f"{sub}:{n}" for sub, n in
-            sorted(perf.hot_by_subsystem().items(), key=lambda kv: -kv[1]))
-        lines.append(
-            f"perf: {len(perf.hot)} hot function(s) from "
-            f"{len(perf.kernel_seeds)} kernel seed(s) + "
-            f"{len(perf.spawn_roots)} process-generator root(s)"
-            + (f" [{by_sub}]" if by_sub else "")
-        )
-        if perf.validation is not None:
-            v = perf.validation
-            lines.append(
-                f"perf: validation ({v['scenario']}): static hot set covers "
-                f"{v['recall']:.0%} of the dynamic top-{v['top_n']} wall "
-                f"time; precision {v['precision']:.0%}"
-                + (f"; missed: {', '.join(v['missed_subsystems'])}"
-                   if v["missed_subsystems"] else "")
-            )
-            if v["rule_weights"]:
-                ranked = ", ".join(f"{rid} {w:.0%}"
-                                   for rid, w in v["rule_weights"].items())
-                lines.append(f"perf: rules by measured weight: {ranked}")
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, flow: Optional[FlowResult] = None,
-                perf: Optional[PerfResult] = None) -> dict:
+def render_json(result: LintResult, flow: Optional[FlowResult] = None) -> dict:
     """Stable JSON document (uploaded as a CI artifact)."""
     doc = {
         "schema": REPORT_SCHEMA_VERSION,
@@ -90,15 +63,12 @@ def render_json(result: LintResult, flow: Optional[FlowResult] = None,
     }
     if flow is not None:
         doc["flow"] = flow.to_dict()
-    if perf is not None:
-        doc["perf"] = perf.to_dict()
     return doc
 
 
 def write_json(result: LintResult, fp: IO[str],
-               flow: Optional[FlowResult] = None,
-               perf: Optional[PerfResult] = None) -> None:
-    json.dump(render_json(result, flow, perf), fp, indent=2, sort_keys=True)
+               flow: Optional[FlowResult] = None) -> None:
+    json.dump(render_json(result, flow), fp, indent=2, sort_keys=True)
     fp.write("\n")
 
 
@@ -112,8 +82,6 @@ def render_rules(rule_id: Optional[str] = None) -> str:
         scope = "sim-reachable code" if rule.sim_only else "all code"
         if rule.flow:
             scope += ", --flow only"
-        if rule.perf:
-            scope = "kernel hot set, --perf only"
         lines.append(f"{rule.id} {rule.name} [{rule.severity}] ({scope})")
         lines.append(f"    {rule.summary}")
         lines.append(f"    {rule.rationale}")

@@ -42,10 +42,6 @@ class Rule:
     #: True if the rule needs the whole-program call graph
     #: (:mod:`repro.analysis.flow`); these only fire under ``lint --flow``.
     flow: bool = False
-    #: True if the rule needs the hot-set cost analysis
-    #: (:mod:`repro.analysis.perfcheck`); these only fire under
-    #: ``lint --perf``.
-    perf: bool = False
 
 
 RULES: Dict[str, Rule] = {
@@ -71,15 +67,12 @@ RULES: Dict[str, Rule] = {
                 # time or per-run results.
                 "parallel/executor.py",
                 "parallel/worker.py",
-                # The performance-observability layer times the *host*:
-                # TimingProfiler brackets callback batches with
-                # perf_counter, and the bench harness/provenance stamps
-                # measure wall time and record timestamps.  None of it
-                # flows into simulated time or any digested stream (the
-                # bench's cross-mode digest equality pins exactly that).
+                # These time the *host*: TimingProfiler brackets callback
+                # batches with perf_counter, and provenance stamps record
+                # a timestamp.  Neither flows into simulated time or any
+                # fingerprinted stream (`sanitize --vary obs` pins that).
                 "obs/kernelprof.py",
                 "obs/perf.py",
-                "repro/bench.py",
             ),
             sim_only=True,
         ),
@@ -297,84 +290,6 @@ RULES: Dict[str, Rule] = {
                 "regression on that line.  Delete it (or fix the rule id "
                 "if it was misspelled)."
             ),
-        ),
-        Rule(
-            id="REP017",
-            name="hot-loop-allocation",
-            severity=Severity.WARNING,
-            summary="per-event object/closure/sequence allocation inside a "
-                    "hot loop body",
-            rationale=(
-                "A closure, comprehension, or list()/dict()/set()/tuple() "
-                "constructor inside an event-loop body allocates on every "
-                "event.  At campaign scale (millions of events per cell, "
-                "thousands of cells in a capacity sweep) that allocation "
-                "dominates the per-event budget — build the object once "
-                "outside the loop, or restructure so the loop moves "
-                "references, not containers."
-            ),
-            perf=True,
-        ),
-        Rule(
-            id="REP018",
-            name="hot-class-no-slots",
-            severity=Severity.WARNING,
-            summary="class on the hot path without __slots__",
-            rationale=(
-                "Instances without __slots__ carry a per-instance dict: "
-                "every attribute read on the event path costs a dict "
-                "lookup, and every per-event instantiation allocates the "
-                "dict too.  Classes whose methods sit in the kernel hot "
-                "set should declare __slots__ (mixin bases with "
-                "incompatible layouts are the one justified suppression)."
-            ),
-            perf=True,
-        ),
-        Rule(
-            id="REP019",
-            name="unguarded-hot-telemetry",
-            severity=Severity.WARNING,
-            summary="eager formatting for telemetry on a hot path",
-            rationale=(
-                "The null-object telemetry makes emit()/mark()/inc() free "
-                "when observability is off — but an f-string, .format() or "
-                "%-format *argument* is still evaluated before the no-op "
-                "call.  On the hot path, guard the emission "
-                "(tracer.enabled) or pass raw fields and defer formatting "
-                "to the exporter, so Telemetry.disabled() stays free."
-            ),
-            perf=True,
-        ),
-        Rule(
-            id="REP020",
-            name="hot-loop-attr-reload",
-            severity=Severity.WARNING,
-            summary="the same attribute chain dereferenced repeatedly "
-                    "inside a hot loop",
-            rationale=(
-                "CPython re-executes every self.x.y dereference: three "
-                "reads of self._queue per iteration are three dict "
-                "lookups per event.  Hoist the chain into a local before "
-                "the loop (locals are array reads); the kernel's event "
-                "loop and the PRESS dispatch loops are exactly the places "
-                "where this is measurable."
-            ),
-            perf=True,
-        ),
-        Rule(
-            id="REP021",
-            name="hot-loop-linear-scan",
-            severity=Severity.ERROR,
-            summary="O(n) scan or sort inside a hot loop",
-            rationale=(
-                "A membership test against a list, a per-event sorted(), "
-                "or a list.pop(0)/insert(0,..) inside the event loop turns "
-                "the O(log n) kernel into O(n log n) or worse as the "
-                "structure grows with load.  Use a set/dict for "
-                "membership, a deque for FIFO, or sort once outside the "
-                "loop — or suppress with the bound on n stated."
-            ),
-            perf=True,
         ),
     )
 }

@@ -13,8 +13,8 @@ artifact carrying
   the drift messages, if any,
 
 plus run-level provenance (git SHA + dirty flag, host fingerprint,
-python/cpu, timestamp — the same stamp ``benchmarks/TREND.jsonl``
-records use, from :func:`repro.obs.perf.provenance`).
+python/cpu, timestamp — the same stamp ``perfbench`` records carry,
+from :func:`repro.obs.perf.provenance`).
 
 The manifest is the machine-readable pass/fail summary of the whole
 artifact set: ``summary.ok`` is the one bit CI gates on.

@@ -19,14 +19,14 @@ in ``ARTIFACTS.md``):
 * bench documents re-run the pinned measurement the corresponding
   ``benchmarks/test_*_baseline.py`` gate uses, so a ``--check`` diff
   here means the committed baseline genuinely drifted;
-* lint/flow/perf reports shell out to the real ``repro lint`` CLI (the
+* lint/flow reports shell out to the real ``repro lint`` CLI (the
   same invocation CI uses), keeping the registry honest about what the
   documented command produces.
 
 Comparison semantics under ``--check`` follow the repo convention:
 digest-backed outputs are compared exactly or value-exactly, while
 host-dependent speed numbers use the existing gate tolerances (the
-±20 % events/sec floor, the ≥4-core guard for speedup floors).
+≥4-core guard for the parallel speedup floor).
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 #: AA drift is judged on the unavailability axis (relative), AT relatively
 UNAVAILABILITY_RTOL = 0.35
 THROUGHPUT_RTOL = 0.10
-#: mirrored from repro.bench: >20% events/sec regression is drift
-KERNEL_REGRESSION_TOLERANCE = 0.20
-#: mirrored from benchmarks/test_parallel_baseline.py
+#: speedup a 4-worker pool must reach on the INDEP quick grid
 PARALLEL_SPEEDUP_FLOOR = 1.5
 MIN_CORES_FOR_PERF_CHECK = 4
 
@@ -215,62 +213,6 @@ def _check_availability(ctx: ReproduceContext,
     return messages
 
 
-def _gen_bench_kernel(ctx: ReproduceContext) -> Dict[str, Any]:
-    """The kernel speed + observability-overhead document (`repro bench`).
-    Quick mode runs the steady scenario only; full mode runs the whole
-    suite and appends a provenance record to ``benchmarks/TREND.jsonl``."""
-    from repro.bench import append_trend, run_bench
-
-    names = ["steady"] if ctx.quick else None
-    report = run_bench(scenario_names=names, progress=ctx.say)
-    _write_json(ctx.out_dir / "BENCH_kernel.json", report.to_dict())
-    trend_appended = False
-    if not ctx.quick:
-        ledger = ctx.baseline_path("benchmarks/TREND.jsonl")
-        append_trend(report, str(ledger))
-        trend_appended = True
-    if not report.ok:
-        raise ReproduceError(
-            "observability perturbed simulation results (digest mismatch "
-            "across obs modes)")
-    return {"scenarios": sorted(report.scenarios),
-            "trend_appended": trend_appended}
-
-
-def _check_kernel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
-    """Dict-level twin of :func:`repro.bench.gate`: digest oracle always,
-    speed floors and overhead ceilings only on capable hosts."""
-    current = _load_json(ctx.out_dir / "BENCH_kernel.json")
-    baseline = _load_json(ctx.baseline_path(artifact.baseline or ""))
-    messages: List[str] = []
-    cores = os.cpu_count() or 1
-    perf_gated = cores >= MIN_CORES_FOR_PERF_CHECK
-    ceilings = baseline.get("gate", {})
-    for name, sc in sorted(current.get("scenarios", {}).items()):
-        if not sc.get("digests_equal", True):
-            messages.append(f"{name}: digests diverged across obs modes")
-        base = baseline.get("scenarios", {}).get(name)
-        if base is None or not perf_gated:
-            continue
-        floor = base["events_per_sec"] * (1.0 - KERNEL_REGRESSION_TOLERANCE)
-        if sc["events_per_sec"] < floor:
-            messages.append(
-                f"{name}: events/sec {sc['events_per_sec']:,.0f} below "
-                f"baseline floor {floor:,.0f}")
-        for mode, key in (("unsub", "max_overhead_unsub"),
-                          ("on", "max_overhead_on"),
-                          ("spans", "max_overhead_spans")):
-            ceiling = ceilings.get(key)
-            overhead = sc.get(f"overhead_{mode}")
-            if ceiling is None or overhead is None:
-                continue
-            if overhead > ceiling:
-                messages.append(
-                    f"{name}: obs overhead ({mode}) {overhead:.3f}x exceeds "
-                    f"ceiling {ceiling:.3f}x")
-    return messages
-
-
 def _gen_bench_parallel(ctx: ReproduceContext) -> Dict[str, Any]:
     """The serial-vs-parallel executor measurement behind
     ``benchmarks/BENCH_parallel.json``: the INDEP quick grid serially and
@@ -389,16 +331,6 @@ def _gen_lint_flow(ctx: ReproduceContext) -> Dict[str, Any]:
             "newly_covered": len(doc.get("flow", {}).get("newly_covered", []))}
 
 
-def _gen_lint_perf(ctx: ReproduceContext) -> Dict[str, Any]:
-    out = ctx.out_dir / "reprolint-perf.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _run_cli(ctx, ["lint", "src/repro", "--perf", "--strict",
-                   "--format", "json", "--out", str(out)])
-    doc = _load_json(out)
-    return {"errors": doc.get("errors"), "warnings": doc.get("warnings"),
-            "hot_functions": doc.get("perf", {}).get("hot_functions")}
-
-
 def _check_lint_clean(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
     doc = _load_json(ctx.out_dir / artifact.outputs[0])
     messages: List[str] = []
@@ -412,12 +344,13 @@ def _check_lint_clean(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
 
 def _gen_sanitize(ctx: ReproduceContext) -> Dict[str, Any]:
     """The differential determinism report (`repro sanitize`): COOP
-    node_crash under the hashseed and tiebreak variants.  Quick mode runs
-    the smoke cell; full mode the quick campaign (the CI configuration)."""
+    node_crash under the hashseed, tiebreak and obs variants.  Quick mode
+    runs the smoke cell; full mode the quick campaign (the CI
+    configuration)."""
     from repro.analysis.differential import Scenario, differential
 
     scenario = Scenario(length="smoke" if ctx.quick else "quick")
-    report = differential(scenario, ("hashseed", "tiebreak"))
+    report = differential(scenario, ("hashseed", "tiebreak", "obs"))
     _write_json(ctx.out_dir / "sanitize.json", report.to_dict())
     if not report.ok:
         raise ReproduceError("a sanitize variant diverged; run `repro sanitize` "
@@ -468,18 +401,6 @@ def _registry() -> Dict[str, Artifact]:
         check=_check_availability,
     ))
     entries.append(Artifact(
-        name="bench-kernel",
-        description="kernel events/sec + observability-overhead document "
-                    "with the cross-mode digest oracle",
-        kind="bench",
-        generate=_gen_bench_kernel,
-        outputs=("BENCH_kernel.json",),
-        deterministic=False,
-        roadmap_item=1,
-        baseline="benchmarks/BENCH_kernel.json",
-        check=_check_kernel,
-    ))
-    entries.append(Artifact(
         name="bench-parallel",
         description="serial-vs-parallel campaign executor measurement "
                     "(byte-identical digests + speedup accounting)",
@@ -512,20 +433,10 @@ def _registry() -> Dict[str, Artifact]:
         check=_check_lint_clean,
     ))
     entries.append(Artifact(
-        name="lint-perf",
-        description="profile-guided hot-path cost report (kernel hot set, "
-                    "REP017-021)",
-        kind="report",
-        generate=_gen_lint_perf,
-        outputs=("reprolint-perf.json",),
-        deterministic=True,
-        roadmap_item=1,
-        check=_check_lint_clean,
-    ))
-    entries.append(Artifact(
         name="sanitize",
         description="differential determinism report: one cell under the "
-                    "hashseed and tiebreak variants, judged by the contract",
+                    "hashseed, tiebreak and obs variants, judged by the "
+                    "contract",
         kind="report",
         generate=_gen_sanitize,
         outputs=("sanitize.json",),

@@ -33,13 +33,6 @@ Commands
     Fault-free run with kernel profiling; report the event-loop hot
     spots (``--time`` adds wall-time attribution per event kind /
     process type / subsystem; ``--json``/``--top N`` for machines).
-``bench``
-    Kernel benchmark harness: standardized scenarios measured with
-    observability off / enabled-unsubscribed / fully exporting —
-    events/sec, wall-per-cell, overhead ratios, hot-path attribution.
-    ``--gate`` enforces the committed ``benchmarks/BENCH_kernel.json``
-    baseline; every run appends a provenance-stamped record to
-    ``benchmarks/TREND.jsonl`` (``--trend`` renders the trajectory).
 ``record VERSION FAULT``
     One single-fault experiment captured as a replayable flight-recorder
     artifact (JSON) for offline re-analysis.
@@ -53,7 +46,7 @@ Commands
 ``validate VERSION``
     Empirical model validation under a random fault load.
 ``lint [PATH ...]``
-    Repo-native static analysis (reprolint, rules REP001..REP013) over
+    Repo-native static analysis (reprolint, rules REP001..REP016) over
     the source tree; ``--flow`` adds the whole-program call-graph pass,
     ``--diff REF`` restricts reporting to files changed since a git ref,
     ``--format json`` for the CI artifact.
@@ -369,65 +362,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        append_trend,
-        format_bench,
-        format_trend,
-        gate,
-        read_baseline,
-        read_trend,
-        run_bench,
-    )
-
-    if args.trend:
-        print(format_trend(read_trend(args.trend_file),
-                           scenario=args.scenario[0] if args.scenario else None))
-        return 0
-
-    try:
-        report = run_bench(
-            scenario_names=args.scenario or None,
-            attribution=not args.no_attribution,
-            top_n=args.top,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-    doc = report.to_dict()
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-    if not args.no_trend_append:
-        append_trend(report, args.trend_file)
-        print(f"trend: appended to {args.trend_file}", file=sys.stderr)
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(format_bench(report))
-
-    rc = 0
-    if args.gate:
-        try:
-            baseline = read_baseline(args.baseline)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read baseline {args.baseline!r}: "
-                             f"{exc}")
-        verdict = gate(report, baseline)
-        print(verdict.describe(), file=sys.stderr)
-        rc = 0 if verdict.ok else 1
-    elif not report.ok:
-        # even ungated, a digest divergence is always an error
-        print("error: observability perturbed simulation results "
-              "(digest mismatch)", file=sys.stderr)
-        rc = 1
-    return rc
-
-
 def cmd_record(args) -> int:
     from repro.obs.attribution import StageAttributor
     from repro.obs.recorder import record_flight, write_record
@@ -670,7 +604,6 @@ def cmd_lint(args) -> int:
         raise SystemExit(f"error: no such path: {', '.join(missing)}")
 
     run_flow = args.flow or bool(args.callgraph_out)
-    run_perf = args.perf or args.validate
     changed: Optional[List[str]] = None
     if args.diff is not None:
         changed = _restrict_to_changed(args.paths, args.diff)
@@ -704,47 +637,17 @@ def cmd_lint(args) -> int:
                 flow.graph.write_json(fp, sim_seeds=flow.sim_seeds,
                                       sim_reachable=flow.sim_reachable)
 
-    perf = None
-    if run_perf:
-        from repro.analysis.lint import Finding, LintResult
-        from repro.analysis.perfcheck import (
-            analyze_perf,
-            validate_against_profile,
-        )
-
-        # like --flow, the hot set spans the full requested tree; --diff
-        # narrows which findings are reported, not what is analyzed
-        perf = analyze_perf(args.paths)
-        if args.validate:
-            print("perf: running the steady bench scenario for dynamic "
-                  "attribution...", file=sys.stderr)
-            validate_against_profile(perf)
-        perf_findings: List[Finding] = perf.findings
-        if changed is not None:
-            keep = {str(Path(c).resolve()) for c in changed}
-            perf_findings = [f for f in perf_findings
-                             if str(Path(f.path).resolve()) in keep]
-        merged = sorted(result.findings + perf_findings,
-                        key=lambda f: (f.path, f.line, f.col, f.rule))
-        result = LintResult(findings=merged,
-                            files_scanned=result.files_scanned,
-                            suppressed=result.suppressed + perf.suppressed,
-                            declared_suppressions=result.declared_suppressions,
-                            used_suppressions=result.used_suppressions)
-
     from repro.analysis.lint import LintResult, audit_suppressions
 
     used = {path: dict(by_line)
             for path, by_line in result.used_suppressions.items()}
-    for extra in (flow, perf):
-        if extra is None:
-            continue
-        for path, by_line in extra.used_suppressions.items():
+    if flow is not None:
+        for path, by_line in flow.used_suppressions.items():
             dst = used.setdefault(path, {})
             for line, ids in by_line.items():
                 dst[line] = dst.get(line, set()) | ids
     audit = audit_suppressions(result.declared_suppressions, used,
-                               flow_ran=run_flow, perf_ran=run_perf)
+                               flow_ran=run_flow)
     if changed is not None:
         keep = {str(Path(c).resolve()) for c in changed}
         audit = [f for f in audit if str(Path(f.path).resolve()) in keep]
@@ -760,12 +663,12 @@ def cmd_lint(args) -> int:
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fp:
-            write_json(result, fp, flow=flow, perf=perf)
+            write_json(result, fp, flow=flow)
     if args.format == "json":
-        print(json.dumps(render_json(result, flow=flow, perf=perf), indent=2,
+        print(json.dumps(render_json(result, flow=flow), indent=2,
                          sort_keys=True))
     else:
-        print(render_text(result, verbose=args.verbose, flow=flow, perf=perf))
+        print(render_text(result, verbose=args.verbose, flow=flow))
     failed = bool(result.errors) or (args.strict and result.warnings)
     return 1 if failed else 0
 
@@ -978,35 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, json_flag=True)
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("bench",
-                       help="kernel benchmark harness: events/sec, "
-                            "obs-overhead ratios, time attribution, "
-                            "trend ledger")
-    p.add_argument("--scenario", action="append", default=[],
-                   metavar="NAME",
-                   help="scenario to run (repeatable; default: all); "
-                        "with --trend, the scenario to render")
-    p.add_argument("--gate", action="store_true",
-                   help="compare against the committed baseline; exit 1 "
-                        "on >20%% events/sec regression or digest "
-                        "divergence")
-    p.add_argument("--baseline", default="benchmarks/BENCH_kernel.json",
-                   help="baseline document for --gate")
-    p.add_argument("--trend", action="store_true",
-                   help="render the trend ledger and exit (no run)")
-    p.add_argument("--trend-file", default="benchmarks/TREND.jsonl",
-                   help="trajectory ledger path")
-    p.add_argument("--no-trend-append", action="store_true",
-                   help="do not append this run to the trend ledger")
-    p.add_argument("--out", default=None,
-                   help="also write the full JSON report to this file")
-    p.add_argument("--top", type=int, default=10,
-                   help="entries per attribution ranking")
-    p.add_argument("--no-attribution", action="store_true",
-                   help="skip the time-attribution pass")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("record",
                        help="one single-fault experiment captured as a "
                             "replayable flight-recorder artifact")
@@ -1059,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint",
                        help="repo-native static analysis "
-                            "(reprolint rules REP001..REP021)")
+                            "(reprolint rules REP001..REP016)")
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to lint (default: src/repro)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -1077,14 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "lost generators (REP011-012)")
     p.add_argument("--callgraph-out", default=None, metavar="FILE",
                    help="write the call graph as JSON (implies --flow)")
-    p.add_argument("--perf", action="store_true",
-                   help="hot-path cost analysis: kernel hot set + "
-                        "REP017-021 (allocation, __slots__, telemetry "
-                        "formatting, attribute reloads, linear scans)")
-    p.add_argument("--validate", action="store_true",
-                   help="cross-check the static hot set against dynamic "
-                        "TimingProfiler attribution (runs the steady "
-                        "bench scenario; implies --perf)")
     p.add_argument("--diff", default=None, metavar="GIT_REF",
                    help="only report findings in files changed since "
                         "GIT_REF (fast pre-commit mode)")

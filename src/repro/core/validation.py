@@ -90,7 +90,9 @@ def _fault_load_driver(world: World, catalog: FaultCatalog,
     probs = np.array([rate for _, rate in rates]) / total_rate
     kinds = [kind for kind, _ in rates]
     timeout = env.timeout
-    while env.now < horizon:  # reprolint: disable=REP020 -- env.now advances across this loop's yields; caching it would freeze simulated time
+    # env.now advances across this loop's yields: reading it into a
+    # local would freeze simulated time
+    while env.now < horizon:
         gap = float(rng.exponential(1.0 / total_rate))
         yield timeout(gap)
         if env.now >= horizon:

@@ -97,7 +97,7 @@ class FaultInjector:
         happens on the first fault of each kind, not on every event."""
         ctr = self._counters.get((name, kind))
         if ctr is None:
-            ctr = self._metrics.counter(name, kind=kind.value)  # reprolint: disable=REP019 -- cached above: the registry lookup runs once per fault kind, not per event
+            ctr = self._metrics.counter(name, kind=kind.value)
             self._counters[(name, kind)] = ctr
         return ctr
 

@@ -154,7 +154,7 @@ class FmeDaemon(NodeService):
             # crashing the host from within one of its processes would
             # kill the running generator out from under itself.
             host.crash()
-            while any(d.faulty for d in host.disks):  # reprolint: disable=REP017 -- paced by reboot_poll during a repair, not per event
+            while any(d.faulty for d in host.disks):
                 yield env.timeout(cfg.reboot_poll)
             yield env.timeout(cfg.reboot_delay)
             if not host.is_up:
@@ -203,7 +203,7 @@ class SfmeMonitor:
         views = []
         for b in self.backends:
             if b.listening:
-                views.append(frozenset(b.coop_view()))  # reprolint: disable=REP017 -- poll-paced, and the frozenset IS the compared view value
+                views.append(frozenset(b.coop_view()))
         if not views:
             return None
         return max(views, key=lambda v: (len(v), -min(v)))

@@ -74,10 +74,12 @@ class MembershipClient:
         while True:
             yield self.env.timeout(self.poll_interval)
             current = self.view.snapshot()
-            for nid in sorted(current - self._delivered):  # reprolint: disable=REP021 -- determinism: joins must be delivered in nid order; the diff is near-empty per poll
+            # joins, then leaves, are delivered in nid order: set
+            # iteration order must not reach the application
+            for nid in sorted(current - self._delivered):
                 self._delivered.add(nid)
                 self.node_in(nid)
-            for nid in sorted(self._delivered - current):  # reprolint: disable=REP021 -- determinism: leaves must be delivered in nid order; the diff is near-empty per poll
+            for nid in sorted(self._delivered - current):
                 self._delivered.discard(nid)
                 self.node_out(nid)
 

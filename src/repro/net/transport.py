@@ -80,7 +80,8 @@ class Connection:
             return
         self.open = False
         for ep in self._endpoints.values():
-            for proc in list(ep._senders):  # reprolint: disable=REP017 -- snapshot required: interrupt() mutates _senders mid-iteration, and reset runs per fault, not per event
+            # iterate a copy: interrupt() mutates _senders
+            for proc in list(ep._senders):
                 proc.interrupt("connection reset")
             ep._senders.clear()
             ep.buffer.clear()

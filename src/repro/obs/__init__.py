@@ -28,12 +28,8 @@ On top of the raw telemetry sits the availability-accounting tier:
 * :func:`render_timeline` — ASCII throughput/stage timelines
   (:mod:`repro.obs.timeline`).
 
-And the performance-observability tier (:mod:`repro.obs.perf`, driven by
-``repro bench`` via :mod:`repro.bench`): standardized kernel benchmark
-scenarios measured under every obs mode (off / enabled-unsubscribed /
-fully exporting), wall-time attribution via :class:`TimingProfiler`,
-observability-overhead self-measurement, and provenance stamps for the
-``benchmarks/TREND.jsonl`` trajectory ledger.
+:func:`provenance` (:mod:`repro.obs.perf`) stamps measurement records
+with the commit, host and interpreter that produced them.
 """
 
 from repro.obs.events import EventKind, KNOWN_KINDS, TraceEvent, sanitize
@@ -111,18 +107,7 @@ _ACCOUNTING_EXPORTS = {
     "write_record": "repro.obs.recorder",
     "format_attribution": "repro.obs.timeline",
     "render_timeline": "repro.obs.timeline",
-    # the performance-observability tier (repro.obs.perf) — lazy for the
-    # same reason: it reaches into the world builders for its scenarios
-    "BENCH_SCHEMA": "repro.obs.perf",
-    "OBS_MODES": "repro.obs.perf",
-    "SCENARIOS": "repro.obs.perf",
-    "Scenario": "repro.obs.perf",
-    "ScenarioReport": "repro.obs.perf",
-    "ModeRun": "repro.obs.perf",
-    "measure_attribution": "repro.obs.perf",
-    "measure_mode": "repro.obs.perf",
-    "measure_scenario": "repro.obs.perf",
-    "peak_rss_kb": "repro.obs.perf",
+    # lazy too, so importing repro.obs never pays for subprocess/platform
     "provenance": "repro.obs.perf",
 }
 
@@ -139,16 +124,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "OBS_MODES",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioReport",
-    "ModeRun",
-    "measure_attribution",
-    "measure_mode",
-    "measure_scenario",
-    "peak_rss_kb",
     "provenance",
     "AttributionConfig",
     "AttributionReport",

@@ -78,7 +78,7 @@ def subsystem_of_path(filename: str) -> str:
         return "other"
     rest = norm[idx + len(marker):]
     pkg = rest.split("/", 1)[0]
-    if pkg.endswith(".py"):  # module directly under repro/ (cli.py, bench.py)
+    if pkg.endswith(".py"):  # module directly under repro/ (cli.py)
         pkg = pkg[:-3]
     return _SUBSYSTEM_OF_PKG.get(pkg, pkg)
 

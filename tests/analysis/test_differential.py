@@ -73,17 +73,22 @@ class TestHashSeed:
 
 
 class LeakyWorld:
-    """Five requests, plus one more only when telemetry is enabled: the
-    obs leak the ``obs`` variant exists to catch."""
+    """Five requests, plus one more when telemetry is enabled (``leak``)
+    or when the wall-time profiler is attached (``profiler_leak``): the
+    obs leaks the ``obs`` variant exists to catch."""
 
-    def __init__(self, leak):
+    def __init__(self, leak, profiler_leak=False):
         self.leak = leak
+        self.profiler_leak = profiler_leak
 
     def run(self, telemetry, tiebreak_seed=None):
         env = Environment(tiebreak_seed=tiebreak_seed)
         telemetry.attach(env)
         stats = RequestStats()
-        n = 6 if self.leak and telemetry.enabled else 5
+        n = 5
+        if (self.leak and telemetry.enabled) or \
+                (self.profiler_leak and telemetry.profiler is not None):
+            n += 1
 
         def client():
             for _ in range(n):
@@ -100,13 +105,22 @@ class LeakyWorld:
 class TestObs:
     def test_telemetry_dependent_request_fails_obs(self):
         report = differential(LeakyWorld(leak=True), ["obs"])
-        assert not report.ok
-        assert [r.other for r in report.runs] == ["obs=unsub", "obs=on", "obs=spans"]
+        assert [(r.other, r.ok) for r in report.runs] == [
+            ("obs=unsub", False), ("obs=on", False), ("obs=spans", False),
+            ("obs=profile", False)]
         div = report.runs[0].divergence
         assert div.component == "successes" and div.time == 6.0
         assert div.only_base == [] and div.only_other == [6.0]
         outcomes = next(c for c in report.runs[0].checks if c.component == "outcomes")
         assert not outcomes.ok
+
+    def test_profiler_dependent_request_fails_only_obs_profile(self):
+        report = differential(LeakyWorld(leak=False, profiler_leak=True), ["obs"])
+        assert [(r.other, r.ok) for r in report.runs] == [
+            ("obs=unsub", True), ("obs=on", True), ("obs=spans", True),
+            ("obs=profile", False)]
+        div = report.runs[-1].divergence
+        assert div.component == "successes" and div.only_other == [6.0]
 
     def test_passes_once_the_extra_request_is_removed(self):
         assert differential(LeakyWorld(leak=False), ["obs"]).ok

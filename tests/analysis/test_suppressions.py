@@ -74,11 +74,13 @@ class TestAuditSuppressions:
         assert "REP001" in f.message
 
     def test_unknown_id_always_reported(self):
-        for flow_ran in (False, True):
-            (f,) = audit_suppressions(
-                declared={"a.py": {3: {"REP999"}}}, used={},
-                flow_ran=flow_ran)
-            assert "unknown rule id 'REP999'" in f.message
+        # REP017: a retired rule id suppresses nothing, like a typo
+        for rid in ("REP999", "REP017"):
+            for flow_ran in (False, True):
+                (f,) = audit_suppressions(
+                    declared={"a.py": {3: {rid}}}, used={},
+                    flow_ran=flow_ran)
+                assert f"unknown rule id '{rid}'" in f.message
 
     def test_flow_rule_skipped_without_flow_pass(self):
         declared = {"a.py": {3: {"REP008"}}}
@@ -90,24 +92,6 @@ class TestAuditSuppressions:
         declared = {"a.py": {3: {"ALL"}}}
         assert audit_suppressions(declared, {}, flow_ran=False) == []
         (f,) = audit_suppressions(declared, {}, flow_ran=True)
-        assert "disable=all" in f.message
-
-    def test_perf_rule_skipped_without_perf_pass(self):
-        declared = {"a.py": {3: {"REP018"}}}
-        assert audit_suppressions(declared, {}, perf_ran=False) == []
-        (f,) = audit_suppressions(declared, {}, perf_ran=True)
-        assert "REP018" in f.message
-
-    def test_perf_rule_not_audited_by_flow_alone(self):
-        # --flow must not flag a perf suppression as stale (and vice versa)
-        declared = {"a.py": {3: {"REP020"}}}
-        assert audit_suppressions(declared, {}, flow_ran=True) == []
-        declared = {"a.py": {4: {"REP008"}}}
-        assert audit_suppressions(declared, {}, perf_ran=True) == []
-
-    def test_disable_all_audited_under_perf(self):
-        declared = {"a.py": {3: {"ALL"}}}
-        (f,) = audit_suppressions(declared, {}, perf_ran=True)
         assert "disable=all" in f.message
 
     def test_disable_all_that_suppressed_something_is_kept(self):

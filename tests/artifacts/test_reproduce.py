@@ -37,7 +37,7 @@ class TestSelection:
         assert names == ["fig1a", "fig1b", "fig2", "fig4", "fig6",
                          "fig7", "fig8", "fig9", "fig10"]
         assert [a.name for a in select("bench-*")] == \
-            ["bench-availability", "bench-kernel", "bench-parallel"]
+            ["bench-availability", "bench-parallel"]
 
     def test_no_match_is_an_error_naming_the_registry(self, tmp_path):
         with pytest.raises(ValueError, match="table1"):

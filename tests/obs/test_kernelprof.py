@@ -347,3 +347,27 @@ class TestTimingProfiler:
             return seen
 
         assert run(None) == run(TimingProfiler())
+
+    def test_ranks_an_injected_linear_scan_first(self):
+        # An injected hot-path regression: one process type does an O(n)
+        # list membership test on every event it handles, and the
+        # profiler must rank it first by wall time.
+        from repro.obs.kernelprof import TimingProfiler
+
+        table = list(range(20_000))
+        env = Environment()
+        profiler = TimingProfiler()
+        env.set_monitor(profiler)
+
+        def scan():
+            while True:
+                yield env.timeout(1.0)
+                assert -1 not in table
+
+        for i in range(4):
+            env.process(_ticker(env, 1.0), name=f"n{i}.main")
+        env.process(scan(), name="n4.scan")
+        env.run(until=200.0)
+        (first, scan_s), (second, main_s) = profiler.top_times("type", 2)
+        assert (first, second) == ("n*.scan", "n*.main")
+        assert scan_s > 5 * main_s
