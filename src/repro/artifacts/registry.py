@@ -266,7 +266,11 @@ def _check_parallel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
     current = _load_json(ctx.out_dir / "BENCH_parallel.json")
     baseline = _load_json(ctx.baseline_path(artifact.baseline or ""))
     messages: List[str] = []
-    for key in ("version", "profile", "jobs"):
+    # The serial fingerprint (markers, request outcomes and success
+    # timestamps, clock, templates) is a pure function of the pinned seed,
+    # so a kernel change that moves any of them fails here even when the
+    # availability does not move.
+    for key in ("version", "profile", "jobs", "serial_digest"):
         if current.get(key) != baseline.get(key):
             messages.append(f"{key} changed: baseline {baseline.get(key)!r} "
                             f"vs regenerated {current.get(key)!r}")

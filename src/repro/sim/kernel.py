@@ -1,11 +1,29 @@
 """Event loop and primitive events.
 
-The scheduler is a binary heap of ``(time, priority, sequence, event)``
-tuples.  The sequence number makes ordering total and deterministic: two
-events scheduled for the same instant at the same priority fire in the
-order they were scheduled, on every run.  Determinism matters here because
-availability experiments are compared across system versions; run-to-run
-jitter would show up as noise in the fitted fault templates.
+Every scheduled event gets a sequence number, and events fire in
+``(time, priority, sequence)`` order: two events scheduled for the same
+instant at the same priority fire in the order they were scheduled, on
+every run.  Determinism matters here because availability experiments
+are compared across system versions; run-to-run jitter would show up as
+noise in the fitted fault templates.
+
+Two structures hold that order.  An event scheduled for a later instant
+goes into a binary heap of ``(time, priority, sequence, event)`` tuples.
+An event scheduled for the current instant (most of them: process
+bootstraps, Store hand-offs, condition firings) goes into one of two
+FIFO lanes, URGENT or NORMAL, with no heap push or pop.  Each heap entry
+at ``now`` was pushed before the clock reached ``now``, so it precedes
+everything in the lane of its priority; ``run`` serves heap-at-now
+URGENT, the URGENT lane, heap-at-now NORMAL, the NORMAL lane, and only
+then advances the clock.  The order is exactly the heap-only order.
+
+A :class:`Timeout` nobody waits on any more (a deadline whose
+:class:`~repro.sim.conditions.AnyOf` already fired on its other event)
+can be withdrawn with :meth:`Timeout.cancel`: it never fires and is not
+counted as processed.  Its entry stays queued until it surfaces and is
+skipped, and once withdrawn entries are the majority of the queue they
+are filtered out and the heap is rebuilt, which keeps the pop order of
+the live entries.
 
 The FIFO tie-break among same-``(time, priority)`` events is a
 *convention*, not a causal necessity — and ``repro sanitize --vary
@@ -15,14 +33,16 @@ pseudo-random permutation (a splitmix64 salt keyed on the sequence
 number), which perturbs the order of *causally unordered* same-instant
 events while preserving every happens-before edge (time, priority, and
 "scheduled by an already-processed callback" all still order events).
-Two perturbed runs that agree on all observable outputs certify that no
-simulated component depends on the accidental FIFO order — which is what
-makes calendar-queue / lazy-heap refactors of this scheduler safe.
+In that mode every event goes through the salted heap and the lanes
+stay empty.  Two perturbed runs that agree on all observable outputs
+certify that no simulated component depends on the accidental FIFO
+order.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -115,8 +135,9 @@ class Event:
         """
         if self._processed:
             fn(self)
+        elif self.callbacks is None:
+            raise SimulationError(f"{self!r} was withdrawn and will never fire")
         else:
-            assert self.callbacks is not None
             self.callbacks.append(fn)
 
     def remove_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -148,6 +169,20 @@ class Timeout(Event):
         self.delay = delay
         env.schedule(self, delay)
 
+    def cancel(self) -> None:
+        """Withdraw the timeout from the schedule: it never fires.
+
+        For a deadline nobody waits on any more, such as the timeout of
+        an AnyOf that already fired on its other event; any callbacks
+        still registered are dropped.  A withdrawn timeout is not counted
+        as processed, and yielding on it or adding a callback to it
+        raises :class:`SimulationError`.  Does nothing once the timeout
+        has fired or been withdrawn.
+        """
+        if self.callbacks is not None:  # neither fired nor withdrawn
+            self.callbacks = None
+            self.env._withdraw()
+
 
 class Environment:
     """The simulation clock and event queue.
@@ -159,23 +194,29 @@ class Environment:
         env.run(until=600.0)
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_processed",
-                 "_tiebreak_seed", "_monitor", "_spans", "_spawn_ctx")
+    __slots__ = ("_now", "_queue", "_urgent", "_normal", "_withdrawn",
+                 "_seq", "_processed", "_tiebreak_seed", "_monitor",
+                 "_spans", "_spawn_ctx")
 
     def __init__(self, initial_time: float = 0.0, monitor=None,
                  tiebreak_seed: Optional[int] = None):
         self._now = float(initial_time)
         self._queue: list = []
+        # Same-instant lanes (events due at `now`), one per priority.
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
+        # Withdrawn timeouts still sitting in the heap or a lane.
+        self._withdrawn = 0
         self._seq = 0
         self._processed = 0
-        # Schedule-perturbation mode (repro sanitize --vary tiebreak).  None is
-        # the production FIFO tie-break and the heap holds 4-tuples, as it
-        # always has.  With a seed, same-(time, priority) events are
-        # ordered by a seeded salt instead of arrival order (5-tuples,
-        # with the sequence number after the salt keeping the order total
-        # and run-to-run deterministic for a given seed).  The mode is
-        # fixed at construction so the two entry shapes never mix in one
-        # heap.
+        # Schedule-perturbation mode (repro sanitize --vary tiebreak).  None
+        # is the production FIFO tie-break: lanes for the current instant
+        # and 4-tuples in the heap.  With a seed, every event goes to the
+        # heap, and same-(time, priority) events are ordered by a seeded
+        # salt instead of arrival order (5-tuples, with the sequence
+        # number after the salt keeping the order total and run-to-run
+        # deterministic for a given seed).  The mode is fixed at
+        # construction so the two entry shapes never mix in one heap.
         self._tiebreak_seed = tiebreak_seed
         # Opt-in profiling hook (see repro.obs.kernelprof).  The fast path
         # pays one `is not None` check per scheduled and per processed
@@ -204,11 +245,10 @@ class Environment:
 
     @property
     def processed_count(self) -> int:
-        """Events processed since construction.
+        """Events processed since construction (monotone, monitor-free).
 
-        Maintained unconditionally (one integer increment per event), so
-        the benchmark harness can compute events/sec without attaching a
-        monitor — attaching one would perturb the quantity being measured.
+        Withdrawn timeouts never fire and are not counted; they stay in
+        :attr:`scheduled_count`.
         """
         return self._processed
 
@@ -242,19 +282,49 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+        """Queue ``event`` to fire ``delay`` from now at ``priority``
+        (URGENT or NORMAL)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
         self._seq = seq = self._seq + 1
-        if self._tiebreak_seed is None:
-            heappush(self._queue, (self._now + delay, priority, seq, event))
-        else:
+        now = self._now
+        at = now + delay
+        if self._tiebreak_seed is not None:
             salt = _splitmix64(seq ^ self._tiebreak_seed)
-            heappush(self._queue, (self._now + delay, priority, salt, seq, event))
+            heappush(self._queue, (at, priority, salt, seq, event))
+        elif at == now:
+            # Due at this instant, so after every event already queued for
+            # it at this priority: a FIFO append keeps the sequence order.
+            # Routing on the sum, not on delay == 0, keeps a delay below
+            # the clock's resolution out of the heap.
+            if priority == URGENT:
+                self._urgent.append(event)
+            else:
+                self._normal.append(event)
+        else:
+            heappush(self._queue, (at, priority, seq, event))
         if self._monitor is not None:
-            self._monitor.on_schedule(len(self._queue))
+            self._monitor.on_schedule(len(self._queue) + len(self._urgent)
+                                      + len(self._normal) - self._withdrawn)
+
+    def _withdraw(self) -> None:
+        """Count one more withdrawn entry (see :meth:`Timeout.cancel`);
+        once they are the majority of the queue, drop them all."""
+        self._withdrawn = withdrawn = self._withdrawn + 1
+        queue = self._queue
+        if 2 * withdrawn <= len(queue) + len(self._urgent) + len(self._normal):
+            return
+        # In place: run() holds these containers in locals.
+        queue[:] = [entry for entry in queue if entry[-1].callbacks is not None]
+        heapify(queue)
+        for lane in (self._urgent, self._normal):
+            live = [event for event in lane if event.callbacks is not None]
+            lane.clear()
+            lane.extend(live)
+        self._withdrawn = 0
 
     def event(self) -> Event:
         return Event(self)
@@ -283,8 +353,20 @@ class Environment:
 
     # -- execution ------------------------------------------------------
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else _INF
+        """Time of the next event that will fire, or ``inf`` if none."""
+        for lane in (self._urgent, self._normal):
+            while lane and lane[0].callbacks is None:
+                lane.popleft()
+                self._withdrawn -= 1
+            if lane:
+                return self._now
+        queue = self._queue
+        while queue:
+            if queue[0][-1].callbacks is not None:
+                return queue[0][0]
+            heappop(queue)
+            self._withdrawn -= 1
+        return _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -306,16 +388,37 @@ class Environment:
         else:
             limit = until
         queue = self._queue
+        urgent = self._urgent
+        normal = self._normal
         pop = heappop
-        while queue and queue[0][0] <= limit:
-            entry = pop(queue)
-            event = entry[-1]
-            self._now = entry[0]
+        now = self._now
+        while True:
+            # The heap holds nothing earlier than `now`, and its entries at
+            # `now` were scheduled before anything in the lanes.
+            if urgent:
+                if queue and queue[0][0] == now and queue[0][1] == URGENT:
+                    event = pop(queue)[-1]
+                else:
+                    event = urgent.popleft()
+            elif normal:
+                if queue and queue[0][0] == now:
+                    event = pop(queue)[-1]
+                else:
+                    event = normal.popleft()
+            elif queue and queue[0][0] <= limit:
+                entry = pop(queue)
+                event = entry[-1]
+                if event.callbacks is not None:  # a withdrawn one sets no clock
+                    self._now = now = entry[0]
+            else:
+                break
             callbacks = event.callbacks
+            if callbacks is None:  # withdrawn
+                self._withdrawn -= 1
+                continue
             event.callbacks = None
             event._processed = True
             self._processed += 1
-            assert callbacks is not None
             monitor = self._monitor
             if monitor is None:
                 for cb in callbacks:

@@ -140,7 +140,7 @@ class Process(Event):
     killed (value = :data:`KILLED`).
     """
 
-    __slots__ = ("_generator", "owner", "name", "_target", "ctx")
+    __slots__ = ("_generator", "owner", "name", "_target", "ctx", "_resume_cb")
 
     def __init__(
         self,
@@ -162,10 +162,15 @@ class Process(Event):
         #: Environment.process).  Always None when request tracing is off.
         self.ctx = ctx
         self._target: Optional[Event] = None
+        # The trampoline, bound once rather than on every yield.  It makes
+        # the process a reference cycle, so it is dropped (None) as soon as
+        # the process ends: a finished process is then freed by reference
+        # counting, not left to the cyclic collector.
+        self._resume_cb = resume = self._resume
         if owner is not None:
             owner.attach(self)
         bootstrap = Event(env)
-        bootstrap.add_callback(self._resume)
+        bootstrap.callbacks.append(resume)
         bootstrap.succeed(priority=URGENT)
 
     # -- introspection ----------------------------------------------------
@@ -209,6 +214,7 @@ class Process(Event):
             self._finish(stop.value)
             return
         except BaseException as exc:
+            self._resume_cb = None
             if self.owner is not None:
                 self.owner.detach(self)
             self.fail(exc)
@@ -218,9 +224,15 @@ class Process(Event):
         if nxt.env is not env:
             raise SimulationError("yielded event belongs to a different Environment")
         self._target = nxt
-        nxt.add_callback(self._resume)
+        callbacks = nxt.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume_cb)
+        else:
+            # Already processed (resume now) or withdrawn (raises).
+            nxt.add_callback(self._resume_cb)
 
     def _finish(self, value: Any) -> None:
+        self._resume_cb = None
         if self.owner is not None:
             self.owner.detach(self)
         self.succeed(value)
@@ -237,7 +249,7 @@ class Process(Event):
                 evt._defused = True
                 return
             if self._target is not None:
-                self._target.remove_callback(self._resume)
+                self._target.remove_callback(self._resume_cb)
                 self._detach_from_target()
             self._resume(evt)
 
@@ -249,9 +261,10 @@ class Process(Event):
         if not self.is_alive:
             return
         if self._target is not None:
-            self._target.remove_callback(self._resume)
+            self._target.remove_callback(self._resume_cb)
             self._detach_from_target()
             self._target = None
+        self._resume_cb = None
         self._generator.close()
         if self.owner is not None:
             self.owner.detach(self)

@@ -10,6 +10,7 @@ that the 7-stage template fitter (:mod:`repro.core.template`) keys on.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +23,10 @@ class ThroughputSeries:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._times: List[float] = []
+        # Packed doubles: 8 bytes a sample instead of a float object and
+        # a list slot (32).  A full cell records ~10^5 of them, and every
+        # rebuilt ExperimentTrace keeps its own.
+        self._times = array("d")
 
     def record(self, time: float) -> None:
         if self._times and time < self._times[-1]:
@@ -35,7 +39,9 @@ class ThroughputSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
+        # A copy: a view would pin the buffer and make the next record()
+        # fail to resize it.
+        return np.array(self._times, dtype=float)
 
     def count(self, t0: float, t1: float) -> int:
         """Number of events with t0 <= t < t1."""

@@ -207,6 +207,7 @@ class ClientPool:
         deadline = self.env.timeout(cfg.request_timeout)
         yield AnyOf(self.env, [req.response, deadline])
         if req.response.triggered:
+            deadline.cancel()  # nobody waits on it any more
             latency = self.env.now - req.created
             self.stats.record_success(self.env.now, latency)
             self._c_ok.inc()

@@ -12,6 +12,7 @@ that shape and is the standard model for Web-server file popularity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class SyntheticTrace:
     tests easy to reason about.
     """
 
-    __slots__ = ("config", "rng", "_pmf", "_cdf")
+    __slots__ = ("config", "rng", "_pmf", "_cdf", "_cdf_list")
 
     def __init__(self, config: TraceConfig, rng: np.random.Generator):
         self.config = config
@@ -52,6 +53,9 @@ class SyntheticTrace:
         self._pmf = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf)
         self._cdf[-1] = 1.0  # guard against fp drift
+        # The same doubles as Python floats: one draw bisects them without
+        # a numpy call.
+        self._cdf_list = self._cdf.tolist()
 
     @property
     def n_files(self) -> int:
@@ -64,8 +68,7 @@ class SyntheticTrace:
 
     def sample_file(self) -> int:
         """Draw one file id."""
-        u = self.rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right"))
+        return bisect_right(self._cdf_list, self.rng.random())
 
     def sample_files(self, n: int) -> np.ndarray:
         """Vectorized draw of ``n`` file ids."""

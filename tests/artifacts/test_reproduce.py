@@ -25,6 +25,7 @@ from repro.artifacts.registry import (
     ReproduceContext,
     ReproduceError,
     _check_availability,
+    _check_parallel,
 )
 
 
@@ -240,3 +241,33 @@ class TestAvailabilityComparator:
         drift = _check_availability(
             self._ctx(tmp_path, current, self._doc()), self._artifact())
         assert any("COOP" in m for m in drift)
+
+
+class TestParallelDriftCheck:
+    """``_check_parallel`` on synthetic documents."""
+
+    DIGEST = "b14f8af603bfdd4cf6260b4ae96e1f24355acae4d80a8ebac42afeac11d19827"
+
+    def _doc(self, digest=DIGEST):
+        return {"version": "INDEP", "profile": "small", "jobs": 4, "cores": 1,
+                "speedup": 0.7, "availability": 0.999, "digests_equal": True,
+                "serial_digest": digest, "parallel_digest": digest}
+
+    def _ctx(self, tmp_path, current, baseline):
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        (out / "BENCH_parallel.json").write_text(json.dumps(current))
+        tree = tmp_path / "tree"
+        (tree / "benchmarks").mkdir(parents=True, exist_ok=True)
+        (tree / "benchmarks" / "BENCH_parallel.json").write_text(json.dumps(baseline))
+        return ReproduceContext(out_dir=out, baseline_root=tree)
+
+    def test_identical_document_is_clean(self, tmp_path):
+        ctx = self._ctx(tmp_path, self._doc(), self._doc())
+        assert _check_parallel(ctx, REGISTRY["bench-parallel"]) == []
+
+    def test_one_changed_digest_character_fails(self, tmp_path):
+        moved = self.DIGEST[:-1] + ("0" if self.DIGEST[-1] != "0" else "1")
+        ctx = self._ctx(tmp_path, self._doc(), self._doc(digest=moved))
+        drift = _check_parallel(ctx, REGISTRY["bench-parallel"])
+        assert len(drift) == 1 and "serial_digest" in drift[0]

@@ -1,6 +1,7 @@
 """Kernel scheduling semantics."""
 
 import math
+import random
 
 import pytest
 
@@ -216,6 +217,128 @@ class TestAddCallbackSyncPath:
         assert seen == []  # not yet: the event is queued, not processed
         env.run()
         assert seen == [2.0]
+
+
+class TestSameInstantLanes:
+    def test_event_due_now_skips_the_heap(self, env):
+        env.timeout(0.0)
+        env.event().succeed(priority=URGENT)
+        env.timeout(1.0)
+        assert len(env._normal) == 1 and len(env._urgent) == 1
+        assert len(env._queue) == 1
+
+    def test_sub_ulp_delay_is_due_now(self):
+        env = Environment(initial_time=2.0 ** 30)
+        fired = []
+        env.timeout(2.0 ** -40).add_callback(lambda e: fired.append(env.now))
+        assert not env._queue and len(env._normal) == 1
+        env.run()
+        assert fired == [2.0 ** 30]
+
+    def test_heap_entry_at_now_precedes_the_lane(self, env):
+        order = []
+        for name in ("a", "b"):
+            env.timeout(1.0).add_callback(lambda e, name=name: order.append(name))
+        env.timeout(1.0).add_callback(
+            lambda e: env.timeout(0.0).add_callback(lambda e: order.append("lane")))
+        env.timeout(1.0).add_callback(lambda e: order.append("c"))
+        env.run()
+        assert order == ["a", "b", "c", "lane"]
+
+    def test_monitor_depth_counts_lanes_and_live_entries(self):
+        class Depths:
+            def __init__(self):
+                self.seen = []
+
+            def on_schedule(self, depth):
+                self.seen.append(depth)
+
+        monitor = Depths()
+        env = Environment(monitor=monitor)
+        env.timeout(1.0)
+        env.timeout(0.0)
+        env.event().succeed(priority=URGENT)
+        env.timeout(2.0).cancel()
+        env.timeout(3.0)
+        assert monitor.seen == [1, 2, 3, 4, 4]
+
+
+class TestWithdrawal:
+    def test_withdrawn_timeout_never_fires(self, env):
+        fired = []
+        deadline = env.timeout(1.0)
+        deadline.add_callback(lambda e: fired.append(e))
+        env.timeout(2.0)
+        deadline.cancel()
+        env.run()
+        assert fired == [] and not deadline.processed
+        assert env.processed_count == 1 and env.scheduled_count == 2
+
+    def test_withdrawn_timeout_sets_no_clock(self, env):
+        env.timeout(1.0)
+        env.timeout(5.0).cancel()
+        assert env.peek() == 1.0
+        env.run()
+        assert env.now == 1.0 and env.peek() == float("inf")
+
+    def test_withdrawn_timeout_due_now_never_fires(self, env):
+        env.timeout(0.0).cancel()
+        assert env.peek() == float("inf")
+        env.run()
+        assert env.processed_count == 0 and env.scheduled_count == 1
+
+    def test_withdrawing_after_firing_does_nothing(self, env):
+        deadline = env.timeout(1.0)
+        env.run()
+        deadline.cancel()
+        deadline.cancel()
+        assert deadline.processed and env.processed_count == 1
+        assert env._withdrawn == 0
+
+    def test_withdrawing_twice_counts_once(self, env):
+        deadline = env.timeout(1.0)
+        env.timeout(2.0)
+        env.timeout(3.0)
+        deadline.cancel()
+        deadline.cancel()
+        assert env._withdrawn == 1
+        env.run()
+        assert env.processed_count == 2 and env._withdrawn == 0
+
+    def test_yielding_on_a_withdrawn_timeout_raises(self, env):
+        def body():
+            deadline = env.timeout(1.0)
+            deadline.cancel()
+            yield deadline
+
+        env.process(body())
+        with pytest.raises(SimulationError, match="withdrawn"):
+            env.run()
+
+    def test_adding_a_callback_to_a_withdrawn_timeout_raises(self, env):
+        deadline = env.timeout(1.0)
+        deadline.cancel()
+        with pytest.raises(SimulationError, match="withdrawn"):
+            deadline.add_callback(lambda e: None)
+        with pytest.raises(SimulationError, match="withdrawn"):
+            env.any_of([env.event(), deadline])
+
+    def test_compaction_keeps_the_pop_order(self, env):
+        rng = random.Random(15)
+        delays = [rng.uniform(0.0, 100.0) for _ in range(1001)]
+        fired = []
+        timeouts = []
+        for delay in delays:
+            timeout = env.timeout(delay)
+            timeout.add_callback(lambda e: fired.append(env.now))
+            timeouts.append(timeout)
+        for timeout in timeouts[::2]:
+            timeout.cancel()
+        # the 501st withdrawal outnumbered the 500 live entries
+        assert len(env._queue) == 500 and env._withdrawn == 0
+        env.run()
+        assert fired == sorted(delays[1::2])
+        assert env.processed_count == 500 and env.scheduled_count == 1001
 
 
 class TestTiebreakPerturbation:

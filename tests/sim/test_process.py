@@ -1,5 +1,8 @@
 """Process coroutines: lifecycle, interrupts, ownership (freeze/crash)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.kernel import SimulationError
@@ -113,6 +116,61 @@ class TestKill:
         env.run(until=0.5)
         proc.kill()
         proc.kill()
+
+    def test_kill_leaves_a_timeout_target_scheduled(self, env):
+        # _detach_from_target cancels only untriggered targets, and a
+        # Timeout is born triggered: killing its waiter does not withdraw it.
+        def sleeper():
+            yield env.timeout(5.0)
+
+        proc = env.process(sleeper())
+        env.run(until=1.0)
+        deadline = proc._target
+        proc.kill()
+        env.run()
+        assert deadline.processed and env.now == 5.0
+        assert env.processed_count == env.scheduled_count
+
+
+class TestReclaim:
+    """The cached resume callback is a reference cycle while the process
+    runs; it must not outlive the process."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_finished_process_freed_by_refcount(self, env):
+        def body():
+            yield env.timeout(1.0)
+
+        generator = body()
+        ref = weakref.ref(generator)
+        proc = env.process(generator)
+        del generator
+        env.run()
+        assert not proc.is_alive
+        del proc
+        assert ref() is None
+
+    def test_killed_process_freed_by_refcount(self, env):
+        gate = env.event()
+
+        def body():
+            yield gate
+
+        generator = body()
+        ref = weakref.ref(generator)
+        proc = env.process(generator)
+        del generator
+        env.run(until=1.0)
+        proc.kill()
+        env.run()
+        del proc
+        assert ref() is None
 
 
 class TestInterrupt:

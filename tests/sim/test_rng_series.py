@@ -70,6 +70,14 @@ class TestThroughputSeries:
         with pytest.raises(ValueError):
             s.record(1.0)
 
+    def test_recording_goes_on_while_times_is_held(self):
+        s = ThroughputSeries()
+        s.record(1.0)
+        held = s.times
+        s.record(2.0)  # a view of the packed buffer would block the resize
+        held[0] = 9.0
+        assert list(s.times) == [1.0, 2.0] and s.times.dtype == float
+
     def test_empty_windows(self):
         s = ThroughputSeries()
         assert s.count(0, 10) == 0
