@@ -20,8 +20,6 @@ test-all: test
 # the target works in a bare checkout.
 lint:
 	$(PYTHON) -m repro lint src/repro --strict
-	$(PYTHON) -m repro lint src/repro --flow \
-		--callgraph-out results/callgraph.json
 	@$(PYTHON) -c "import ruff" 2>/dev/null \
 		&& $(PYTHON) -m ruff check src tests \
 		|| echo "ruff not installed; skipping (pip install -e .[lint])"
@@ -40,7 +38,8 @@ docs-check:
 # 101 vs 202 (seed 7), FIFO vs tie-break seeds 1 and 2 (seed 0), and
 # obs off vs unsub/on/spans/profile (seed 0, report in
 # results/sanitize-obs.json).  Every observable must meet its contract.
-# REP014/REP015 gate through `make lint` (--flow).
+# The tie-break run is the race gate: a result that depends on
+# same-instant order diverges there.
 sanitize:
 	$(PYTHON) -m repro sanitize --seed 7 --vary hashseed
 	$(PYTHON) -m repro sanitize --seed 0 --vary tiebreak

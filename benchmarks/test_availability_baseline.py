@@ -1,93 +1,31 @@
 """Availability/throughput regression gate.
 
-Quantifies a fixed (version, fault-kind) matrix on the SMALL profile and
-compares per-version average availability (AA) and average throughput
-(AT) against the checked-in baseline ``benchmarks/BENCH_availability.json``.
-CI fails when either metric regresses beyond tolerance; the current
-numbers are always written to ``results/BENCH_availability.json`` so a
-legitimate change can refresh the baseline by copying the file.
-
-The config is pinned (explicit quick campaign, seed 0, two fault kinds)
-rather than taken from ``REPRO_QUICK`` so both CI jobs measure the same
-experiment.
+Runs the registry's ``bench-availability`` artifact — a fixed
+(version, fault-kind) matrix on the SMALL profile, pinned to an explicit
+quick campaign at seed 0 with two fault kinds, so every CI job measures
+the same experiment — into ``results/`` and checks it against the
+committed ``BENCH_availability.json`` with the same rule ``repro
+reproduce-all --check`` applies: per-version unavailability within ±35%
+and average throughput (AT) within ±10% of the baseline, the same fault
+kinds and profile, and Figure 1a's ordering (COOP above INDEP in both
+throughput and unavailability).  A legitimate change refreshes the
+baseline by copying ``results/BENCH_availability.json``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
+from repro.artifacts.registry import REGISTRY, ReproduceContext
 
-from repro.core import QuantifyConfig, quantify_version
-from repro.faults.types import FaultKind
-
-BASELINE = Path(__file__).resolve().parent / "BENCH_availability.json"
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-
-VERSIONS = ("INDEP", "COOP")
-KINDS = (FaultKind.NODE_CRASH, FaultKind.APP_CRASH)
-
-#: AA is compared on the unavailability axis (relative — 0.999 vs 0.9992
-#: is a 25% swing in downtime, not a 0.02% one); AT relatively.
-UNAVAILABILITY_RTOL = 0.35
-THROUGHPUT_RTOL = 0.10
-
-
-def measure_current() -> dict:
-    config = QuantifyConfig.quick(kinds=KINDS, seed=0)
-    rows = {}
-    for name in VERSIONS:
-        va = quantify_version(name, config)
-        rows[name] = {
-            "AA": va.availability,
-            "AT": va.normal_tput,
-            "unavailability": va.unavailability,
-        }
-    return {
-        "profile": config.profile.name,
-        "seed": config.seed,
-        "kinds": [k.value for k in KINDS],
-        "versions": rows,
-    }
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_availability_baseline(benchmark):
-    current = benchmark.pedantic(measure_current, rounds=1, iterations=1)
-
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    out = RESULTS / "BENCH_availability.json"
-    out.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {out}")
-
-    if not BASELINE.exists():
-        pytest.fail(f"missing baseline {BASELINE}; copy {out} there to seed it")
-
-    baseline = json.loads(BASELINE.read_text())
-    assert baseline["kinds"] == current["kinds"]
-    assert baseline["profile"] == current["profile"]
-
-    failures = []
-    for name in VERSIONS:
-        base, now = baseline["versions"][name], current["versions"][name]
-        print(f"{name}: AA {now['AA']:.6f} (baseline {base['AA']:.6f}), "
-              f"AT {now['AT']:.1f} (baseline {base['AT']:.1f})")
-        # regression = more downtime than the baseline allows
-        ceiling = base["unavailability"] * (1.0 + UNAVAILABILITY_RTOL)
-        if now["unavailability"] > ceiling:
-            failures.append(
-                f"{name}: unavailability {now['unavailability']:.3e} exceeds "
-                f"baseline {base['unavailability']:.3e} by more than "
-                f"{UNAVAILABILITY_RTOL:.0%}")
-        floor = base["AT"] * (1.0 - THROUGHPUT_RTOL)
-        if now["AT"] < floor:
-            failures.append(
-                f"{name}: throughput {now['AT']:.1f} below baseline "
-                f"{base['AT']:.1f} by more than {THROUGHPUT_RTOL:.0%}")
-    assert not failures, "; ".join(failures)
-
-    # the ordering Figure 1a hinges on must hold in any baseline refresh
-    assert (current["versions"]["COOP"]["AT"]
-            > current["versions"]["INDEP"]["AT"])
-    assert (current["versions"]["COOP"]["unavailability"]
-            > current["versions"]["INDEP"]["unavailability"])
+    artifact = REGISTRY["bench-availability"]
+    ctx = ReproduceContext(out_dir=REPO / "results", baseline_root=REPO,
+                           progress=print)
+    summary = benchmark.pedantic(artifact.generate, args=(ctx,),
+                                 rounds=1, iterations=1)
+    print(f"wrote {ctx.out_dir / artifact.outputs[0]}: {summary}")
+    assert artifact.check(ctx, artifact) == []

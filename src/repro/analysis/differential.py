@@ -170,7 +170,8 @@ class Scenario:
     """One seeded run of one version under one fault.
 
     ``length`` picks the windows: ``smoke`` is the short fixed cell
-    (:data:`SMOKE_WINDOWS`, fault on ``n1``); ``quick`` and ``full`` run
+    (:data:`SMOKE_WINDOWS`, fault on the world's default target for the
+    kind, as a campaign injects it); ``quick`` and ``full`` run
     a single-fault campaign.  It is always explicit: nothing here reads
     ``REPRO_QUICK``.
     """
@@ -215,7 +216,8 @@ class Scenario:
         world = build_world(spec, self.config().profile, seed=self.seed,
                             telemetry=telemetry, tiebreak_seed=tiebreak_seed)
         world.env.run(until=SMOKE_WINDOWS["inject_at"])
-        world.injector.inject_for(kind, "n1", duration=SMOKE_WINDOWS["fault_active"])
+        world.injector.inject_for(kind, world.default_target(kind),
+                                  duration=SMOKE_WINDOWS["fault_active"])
         world.env.run(until=SMOKE_WINDOWS["until"])
         return fingerprint(world)
 

@@ -1,9 +1,10 @@
 """reprolint: the AST engine behind ``repro lint``.
 
-One parse per file, two passes: a pre-scan indexes imports and
-set-typed symbols (names annotated ``Set[...]`` or assigned set
-literals/constructors), then a single visitor emits findings for the
-rules in :mod:`repro.analysis.rules`.
+One parse per file, two passes: a pre-scan indexes imports, set-typed
+symbols (names annotated ``Set[...]`` or assigned set
+literals/constructors) and the module's generator functions, then a
+single visitor emits findings for the rules in
+:mod:`repro.analysis.rules`.  Every rule sees one file at a time.
 
 Findings are suppressed by a ``# reprolint: disable=REPxxx`` comment on
 the offending line (comma-separate several IDs, or ``disable=all``).
@@ -166,8 +167,7 @@ def _suppressions(source: str) -> Dict[int, Set[str]]:
     quoted inside a docstring is documentation, not a suppression.  Ids
     may be comma- and/or whitespace-separated; a ``--`` (or any other
     non-id character) ends the id list, so justification prose can
-    follow: ``# reprolint: disable=REP014 -- writers touch disjoint
-    keys``.
+    follow: ``# reprolint: disable=REP005 -- the loop body is pure``.
     """
     out: Dict[int, Set[str]] = {}
     try:
@@ -194,21 +194,37 @@ def path_is_sim_scope(path: str) -> bool:
     return any(p in SIM_SCOPE_DIRS for p in parts)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: nodes that open a scope of their own inside a function or module
+_NESTED_SCOPES = _FUNCTIONS + (ast.ClassDef,)
+
+
 def _function_nodes(tree: ast.Module) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _FUNCTIONS):
             yield node
 
 
-def _own_statements(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested functions."""
-    stack = list(getattr(func, "body", []))
+def _own_statements(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk a function's (or module's) own code: every node of its body
+    except what a nested ``def``, ``async def`` or ``class`` holds."""
+    stack = [n for n in getattr(scope, "body", [])
+             if not isinstance(n, _NESTED_SCOPES)]
     while stack:
         node = stack.pop()
         yield node
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                stack.append(child)
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _NESTED_SCOPES))
+
+
+def _generator_names(body: Sequence[ast.stmt]) -> Set[str]:
+    """Names of the functions defined in ``body`` whose own code yields
+    (a nested def's yield does not make its parent a generator)."""
+    return {node.name for node in body
+            if isinstance(node, _FUNCTIONS)
+            and any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                    for n in _own_statements(node))}
 
 
 def _is_span_scope(func: ast.AST) -> bool:
@@ -238,12 +254,13 @@ def _is_span_scope(func: ast.AST) -> bool:
 
 
 class _ModuleIndex:
-    """Pre-scan: import aliases and set-typed symbols.
+    """Pre-scan: import aliases, set-typed symbols and generators.
 
     Set-typed *names* are tracked per enclosing function (a name bound to
     a list in one method must not inherit set-ness from a sibling);
     ``self.<attr>`` symbols are tracked module-wide, since attributes are
-    shared state across methods.
+    shared state across methods.  ``generators`` names the module's
+    top-level generator functions (REP011).
     """
 
     #: scope key for module-level bindings
@@ -253,6 +270,7 @@ class _ModuleIndex:
         self.imports: Dict[str, str] = {}
         self.set_attrs: Set[str] = set()
         self.func_sets: Dict[int, Set[str]] = {self.MODULE_SCOPE: set()}
+        self.generators = _generator_names(tree.body)
 
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -283,20 +301,13 @@ class _ModuleIndex:
             [(id(fn), fn) for fn in _function_nodes(tree)]
         for key, scope in scopes:
             names = self.func_sets.setdefault(key, set())
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(scope, _FUNCTIONS):
                 args = scope.args
                 for arg in (args.posonlyargs + args.args + args.kwonlyargs):
                     if arg.annotation is not None \
                             and self._is_set_annotation(arg.annotation):
                         names.add(arg.arg)
-                walker = _own_statements(scope)
-            else:
-                walker = (n for stmt in scope.body
-                          if not isinstance(stmt, (ast.FunctionDef,
-                                                   ast.AsyncFunctionDef,
-                                                   ast.ClassDef))
-                          for n in ast.walk(stmt))
-            statements = list(walker)
+            statements = list(_own_statements(scope))
             for node in statements:
                 if isinstance(node, ast.AnnAssign) \
                         and self._is_set_annotation(node.annotation) \
@@ -365,6 +376,8 @@ class _Visitor(ast.NodeVisitor):
         self.findings: List[Finding] = []
         self._scope: List[int] = [_ModuleIndex.MODULE_SCOPE]
         self._span_scope: List[bool] = [False]
+        #: generator methods of each enclosing class, innermost last
+        self._class_generators: List[Set[str]] = []
 
     def _scope_names(self) -> Set[str]:
         out: Set[str] = set()
@@ -534,6 +547,31 @@ class _Visitor(ast.NodeVisitor):
                                    "untraced work)")
         self.generic_visit(node)
 
+    # -- REP011 ----------------------------------------------------------
+    def visit_Expr(self, node: ast.Expr) -> None:
+        call = node.value
+        if isinstance(call, ast.Call):
+            func = call.func
+            name: Optional[str] = None
+            if isinstance(func, ast.Name) and func.id in self.index.generators:
+                name = func.id
+            elif isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name) \
+                    and func.value.id == "self" and self._class_generators \
+                    and func.attr in self._class_generators[-1]:
+                name = f"self.{func.attr}"
+            if name is not None:
+                self._emit("REP011", call,
+                           f"generator {name}() called as a bare statement: "
+                           "its body never runs — wrap it in "
+                           "env.process(...) or yield from")
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._class_generators.append(_generator_names(node.body))
+        self.generic_visit(node)
+        self._class_generators.pop()
+
     # -- REP003 ----------------------------------------------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         broad = node.type is None
@@ -691,16 +729,12 @@ def lint_paths(paths: Sequence[str]) -> LintResult:
 def audit_suppressions(
     declared: Dict[str, Dict[int, Set[str]]],
     used: Dict[str, Dict[int, Set[str]]],
-    flow_ran: bool = False,
 ) -> List[Finding]:
     """REP016: ``# reprolint: disable=`` comments that suppress nothing.
 
-    ``used`` is the union of what the single-file engine and (when it
-    ran) the flow pass actually dropped.  Suppressions naming flow rules
-    are only auditable when the flow pass ran — a plain ``repro lint``
-    cannot know whether they still fire, so they are skipped, and so is
-    a bare ``disable=all``.  Unknown rule ids are always reported: they
-    suppress nothing by construction (a typo, or a retired rule).
+    ``used`` is what the engine actually dropped.  Unknown rule ids are
+    reported too: they suppress nothing by construction (a typo, or a
+    retired rule).
     """
     findings: List[Finding] = []
     for path in sorted(declared):
@@ -711,15 +745,13 @@ def audit_suppressions(
                 if rid in used_here:
                     continue
                 if rid == "ALL":
-                    if not flow_ran or used_here:
+                    if used_here:
                         continue
                     message = ("'disable=all' on this line suppresses no "
                                "finding; delete the stale comment")
                 elif rid not in RULES:
                     message = (f"unknown rule id '{rid}' in suppression "
                                "comment; it suppresses nothing (typo?)")
-                elif RULES[rid].flow and not flow_ran:
-                    continue  # only the --flow pass can use it
                 else:
                     message = (f"suppression of {rid} no longer matches any "
                                "finding; delete the stale comment")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from typing import IO, Optional
 
-from repro.analysis.flow import FlowResult
 from repro.analysis.lint import LintResult
 from repro.analysis.rules import RULES
 
@@ -13,8 +12,7 @@ from repro.analysis.rules import RULES
 REPORT_SCHEMA_VERSION = 4
 
 
-def render_text(result: LintResult, verbose: bool = False,
-                flow: Optional[FlowResult] = None) -> str:
+def render_text(result: LintResult, verbose: bool = False) -> str:
     """One line per finding plus a summary, pyflakes-style."""
     lines = [str(f) for f in result.findings]
     if verbose:
@@ -29,23 +27,12 @@ def render_text(result: LintResult, verbose: bool = False,
         + (f" [{by_rule}]" if by_rule else "")
         + (f"; {result.suppressed} suppressed" if result.suppressed else "")
     )
-    if flow is not None:
-        lines.append(
-            f"flow: {len(flow.sim_reachable)} sim-reachable function(s) from "
-            f"{len(flow.sim_seeds)} seed(s); "
-            f"{len(flow.newly_covered)} beyond the path heuristic; "
-            f"{len(flow.sent)} kind(s) sent, {len(flow.handled)} handled, "
-            f"{flow.dynamic_sends} dynamic send(s)"
-        )
-        if verbose and flow.newly_covered:
-            lines.append("flow: newly covered by propagation:")
-            lines.extend(f"    {qual}" for qual in flow.newly_covered)
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, flow: Optional[FlowResult] = None) -> dict:
+def render_json(result: LintResult) -> dict:
     """Stable JSON document (uploaded as a CI artifact)."""
-    doc = {
+    return {
         "schema": REPORT_SCHEMA_VERSION,
         "ok": result.ok,
         "files_scanned": result.files_scanned,
@@ -61,14 +48,10 @@ def render_json(result: LintResult, flow: Optional[FlowResult] = None) -> dict:
             "unused": sum(1 for f in result.findings if f.rule == "REP016"),
         },
     }
-    if flow is not None:
-        doc["flow"] = flow.to_dict()
-    return doc
 
 
-def write_json(result: LintResult, fp: IO[str],
-               flow: Optional[FlowResult] = None) -> None:
-    json.dump(render_json(result, flow), fp, indent=2, sort_keys=True)
+def write_json(result: LintResult, fp: IO[str]) -> None:
+    json.dump(render_json(result), fp, indent=2, sort_keys=True)
     fp.write("\n")
 
 
@@ -80,8 +63,6 @@ def render_rules(rule_id: Optional[str] = None) -> str:
             continue
         rule = RULES[rid]
         scope = "sim-reachable code" if rule.sim_only else "all code"
-        if rule.flow:
-            scope += ", --flow only"
         lines.append(f"{rule.id} {rule.name} [{rule.severity}] ({scope})")
         lines.append(f"    {rule.summary}")
         lines.append(f"    {rule.rationale}")

@@ -36,12 +36,9 @@ class Rule:
     #: repo-relative path suffixes exempt from this rule (e.g. the RNG
     #: factory itself is the one legitimate ``default_rng`` call site).
     allowlist: Tuple[str, ...] = field(default=())
-    #: True if the rule only applies to simulation-reachable code
-    #: (sim/press/ha/net/faults/workload/hardware/bookstore/auction).
+    #: True if the rule only applies to simulation-reachable code (a
+    #: module under one of :data:`SIM_SCOPE_DIRS`).
     sim_only: bool = False
-    #: True if the rule needs the whole-program call graph
-    #: (:mod:`repro.analysis.flow`); these only fire under ``lint --flow``.
-    flow: bool = False
 
 
 RULES: Dict[str, Rule] = {
@@ -59,12 +56,9 @@ RULES: Dict[str, Rule] = {
                 "fitted stage boundaries stop being reproducible."
             ),
             allowlist=(
-                # The parallel executor is reachable from sim scope via
-                # Sweep.run(jobs=N)'s call edge, but its wall-clock reads
-                # time the *real* worker processes (speedup accounting)
-                # and its one os.environ read is the worker-bootstrap
-                # PYTHONHASHSEED pin check — neither touches simulated
-                # time or per-run results.
+                # The parallel executor's wall-clock reads time the
+                # *real* worker processes (speedup accounting) — they
+                # never touch simulated time or per-run results.
                 "parallel/executor.py",
                 "parallel/worker.py",
                 # These time the *host*: TimingProfiler brackets callback
@@ -159,47 +153,6 @@ RULES: Dict[str, Rule] = {
             sim_only=True,
         ),
         Rule(
-            id="REP008",
-            name="unhandled-kind",
-            severity=Severity.ERROR,
-            summary="message kind sent but matched by no receiver branch",
-            rationale=(
-                "A Message(kind=...) with no handler branch anywhere is "
-                "silently dropped at dispatch — indistinguishable from a "
-                "real network fault, so it corrupts the availability "
-                "numbers instead of failing loudly.  This is exactly the "
-                "implicit-cooperation failure mode the paper measures."
-            ),
-            flow=True,
-        ),
-        Rule(
-            id="REP009",
-            name="dead-handler",
-            severity=Severity.WARNING,
-            summary="handler branch for a kind that is never sent",
-            rationale=(
-                "A dispatch branch comparing against a kind no sender "
-                "constructs is dead protocol: either the sender was "
-                "removed and the branch should go, or the kind string is "
-                "misspelled on one side."
-            ),
-            flow=True,
-        ),
-        Rule(
-            id="REP010",
-            name="undispatched-droppable",
-            severity=Severity.ERROR,
-            summary="kind declared droppable but absent from any dispatch branch",
-            rationale=(
-                "Droppable kinds may be shed under overload, but they "
-                "must still have a real handler for the normal path.  A "
-                "droppable kind with no dispatch branch is *always* "
-                "dropped, which under-counts the work the protocol was "
-                "meant to do."
-            ),
-            flow=True,
-        ),
-        Rule(
             id="REP011",
             name="lost-generator",
             severity=Severity.ERROR,
@@ -208,23 +161,11 @@ RULES: Dict[str, Rule] = {
                 "Calling a sim-process generator without yield from / "
                 "env.process(...) creates the generator object and throws "
                 "it away: the protocol step never executes, yet the code "
-                "reads as if it did.  The scheduler cannot detect this; "
-                "only whole-program analysis can."
+                "reads as if it did, and the scheduler cannot detect it.  "
+                "Only generators defined in the same module are seen: a "
+                "module-level one called by name, or a method of the "
+                "enclosing class called through self."
             ),
-            flow=True,
-        ),
-        Rule(
-            id="REP012",
-            name="orphan-event",
-            severity=Severity.WARNING,
-            summary="Event created but never yielded, succeeded, or referenced",
-            rationale=(
-                "An Event that is constructed and never used again can "
-                "never fire its callbacks or wake a waiter — usually a "
-                "refactoring leftover where the succeed()/yield moved "
-                "but the construction stayed."
-            ),
-            flow=True,
         ),
         Rule(
             id="REP013",
@@ -245,40 +186,6 @@ RULES: Dict[str, Rule] = {
             sim_only=True,
         ),
         Rule(
-            id="REP014",
-            name="unordered-shared-write",
-            severity=Severity.WARNING,
-            summary="attribute written by two process generators with no "
-                    "ordering edge",
-            rationale=(
-                "Two distinct process generators that both write the same "
-                "attribute of the same class race whenever they run at the "
-                "same instant: the kernel's FIFO tie-break is a convention, "
-                "not a causal ordering, so the final value silently depends "
-                "on schedule order — and flips under any scheduler refactor "
-                "or overlapping-fault campaign.  Order the writers with an "
-                "explicit event/priority edge, or make the state per-process."
-            ),
-            sim_only=True,
-            flow=True,
-        ),
-        Rule(
-            id="REP015",
-            name="torn-read-modify-write",
-            severity=Severity.ERROR,
-            summary="read-modify-write of shared state torn across a yield",
-            rationale=(
-                "A generator that reads shared state into a local, yields, "
-                "and writes the modified local back has a lost-update race: "
-                "another same-instant process can interleave at the yield, "
-                "and its update is overwritten by the stale value.  Re-read "
-                "after the yield, or do the whole read-modify-write "
-                "synchronously (DES callbacks are atomic between yields)."
-            ),
-            sim_only=True,
-            flow=True,
-        ),
-        Rule(
             id="REP016",
             name="unused-suppression",
             severity=Severity.WARNING,
@@ -294,9 +201,14 @@ RULES: Dict[str, Rule] = {
     )
 }
 
-#: Top-level package directories whose code runs inside the simulation.
+#: Top-level package directories whose code runs inside the simulation,
+#: or is called from it: ``core/`` drives campaigns, ``obs/`` records
+#: from inside simulated components, ``parallel/`` runs the cells.
 SIM_SCOPE_DIRS = frozenset(
     {
+        "core",
+        "obs",
+        "parallel",
         "sim",
         "press",
         "ha",

@@ -56,7 +56,6 @@ class ArtifactRecord:
     deterministic: bool             # digest-backed vs host-dependent
     status: str = "skipped"         # ok | failed | skipped
     paper_ref: Optional[str] = None
-    roadmap_item: Optional[int] = None
     baseline: Optional[str] = None  # committed document --check diffs against
     wall_seconds: float = 0.0
     #: repo-relative output path -> {"sha256": ..., "bytes": ...}
@@ -79,7 +78,6 @@ class ArtifactRecord:
             "deterministic": self.deterministic,
             "status": self.status,
             "paper_ref": self.paper_ref,
-            "roadmap_item": self.roadmap_item,
             "baseline": self.baseline,
             "wall_seconds": self.wall_seconds,
             "outputs": self.outputs,
@@ -97,7 +95,6 @@ class ArtifactRecord:
             deterministic=bool(doc.get("deterministic", False)),
             status=doc.get("status", "skipped"),
             paper_ref=doc.get("paper_ref"),
-            roadmap_item=doc.get("roadmap_item"),
             baseline=doc.get("baseline"),
             wall_seconds=float(doc.get("wall_seconds", 0.0)),
             outputs=dict(doc.get("outputs", {})),

@@ -5,9 +5,9 @@ Each :class:`Artifact` names one deliverable — a paper figure/table, a
 callable that regenerates it, the output files it writes (relative to
 the run's output directory, ``results/reproduce/`` by default), whether
 its bytes are deterministic on a fixed tree, the committed baseline it
-is diffed against under ``--check``, and the paper figure / ROADMAP
-item it serves.  ``ARTIFACTS.md`` documents the same set for humans,
-and a test asserts the two stay in sync.
+is diffed against under ``--check``, and the paper figure it serves.
+``ARTIFACTS.md`` documents the same set for humans, and a test asserts
+the two stay in sync.
 
 Regeneration commands (the exact CLI equivalents are listed per entry
 in ``ARTIFACTS.md``):
@@ -16,11 +16,12 @@ in ``ARTIFACTS.md``):
   :class:`~repro.experiments.figures.Evaluation` cache so versions
   quantified by several figures are measured once; ``--jobs N`` fans
   their campaign cells over the PR-5 parallel executor;
-* bench documents re-run the pinned measurement the corresponding
-  ``benchmarks/test_*_baseline.py`` gate uses, so a ``--check`` diff
-  here means the committed baseline genuinely drifted;
-* lint/flow reports shell out to the real ``repro lint`` CLI (the
-  same invocation CI uses), keeping the registry honest about what the
+* bench documents run the pinned measurement that the corresponding
+  ``benchmarks/test_*_baseline.py`` gate runs through this registry, so
+  a ``--check`` diff here means the committed baseline genuinely
+  drifted;
+* the lint report shells out to the real ``repro lint`` CLI (the same
+  invocation CI uses), keeping the registry honest about what the
   documented command produces.
 
 Comparison semantics under ``--check`` follow the repo convention:
@@ -40,8 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: tolerances mirrored from benchmarks/test_availability_baseline.py —
-#: AA drift is judged on the unavailability axis (relative), AT relatively
+#: availability gate tolerances: AA drift is judged on the unavailability
+#: axis (relative — 0.999 vs 0.9992 is a 25% swing in downtime, not a
+#: 0.02% one), AT relatively
 UNAVAILABILITY_RTOL = 0.35
 THROUGHPUT_RTOL = 0.10
 #: speedup a 4-worker pool must reach on the INDEP quick grid
@@ -97,7 +99,6 @@ class Artifact:
     outputs: Tuple[str, ...]     # relative to ctx.out_dir
     deterministic: bool
     paper_ref: Optional[str] = None
-    roadmap_item: Optional[int] = None
     baseline: Optional[str] = None   # repo-relative committed document
     #: returns drift messages against the committed baseline (``--check``)
     check: Optional[Callable[[ReproduceContext, "Artifact"], List[str]]] = None
@@ -161,9 +162,10 @@ _FIGURES: Tuple[Tuple[str, str, str], ...] = (
 
 
 def _gen_bench_availability(ctx: ReproduceContext) -> Dict[str, Any]:
-    """The pinned (version, fault-kind) availability matrix —
-    the same measurement ``benchmarks/test_availability_baseline.py``
-    gates on (explicit quick campaign, seed 0, two fault kinds)."""
+    """The pinned (version, fault-kind) availability matrix that
+    ``benchmarks/test_availability_baseline.py`` gates on (explicit quick
+    campaign, seed 0, two fault kinds, so every run measures the same
+    experiment whatever ``REPRO_QUICK`` says)."""
     from repro.core.quantify import QuantifyConfig, quantify_version
     from repro.faults.types import FaultKind
 
@@ -193,6 +195,10 @@ def _check_availability(ctx: ReproduceContext,
     current = _load_json(ctx.out_dir / "BENCH_availability.json")
     baseline = _load_json(ctx.baseline_path(artifact.baseline or ""))
     messages: List[str] = []
+    for key in ("kinds", "profile"):
+        if current.get(key) != baseline.get(key):
+            messages.append(f"{key} changed: baseline {baseline.get(key)!r} "
+                            f"vs regenerated {current.get(key)!r}")
     for name, base in sorted(baseline.get("versions", {}).items()):
         row = current.get("versions", {}).get(name)
         if row is None:
@@ -210,6 +216,19 @@ def _check_availability(ctx: ReproduceContext,
             messages.append(
                 f"{name}: throughput {row['AT']:.1f} drifted {rel_t:.0%} "
                 f"from baseline {base['AT']:.1f} (> {THROUGHPUT_RTOL:.0%})")
+    # the ordering Figure 1a hinges on: cooperation buys throughput at
+    # the cost of availability
+    rows = current.get("versions", {})
+    coop, indep = rows.get("COOP"), rows.get("INDEP")
+    if coop is not None and indep is not None:
+        if coop["AT"] <= indep["AT"]:
+            messages.append(f"COOP throughput {coop['AT']:.1f} is not above "
+                            f"INDEP's {indep['AT']:.1f} (Figure 1a ordering)")
+        if coop["unavailability"] <= indep["unavailability"]:
+            messages.append(
+                f"COOP unavailability {coop['unavailability']:.3e} is not "
+                f"above INDEP's {indep['unavailability']:.3e} "
+                f"(Figure 1a ordering)")
     return messages
 
 
@@ -291,7 +310,7 @@ def _check_parallel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# analysis reports (regenerated through the real CLI, as CI runs them)
+# analysis reports (the lint report runs through the real CLI, as CI runs it)
 
 
 def _run_cli(ctx: ReproduceContext, args: Sequence[str],
@@ -321,18 +340,6 @@ def _gen_lint(ctx: ReproduceContext) -> Dict[str, Any]:
     doc = _load_json(out)
     return {"files_scanned": doc.get("files_scanned"),
             "errors": doc.get("errors"), "warnings": doc.get("warnings")}
-
-
-def _gen_lint_flow(ctx: ReproduceContext) -> Dict[str, Any]:
-    out = ctx.out_dir / "reprolint-flow.json"
-    graph = ctx.out_dir / "callgraph.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _run_cli(ctx, ["lint", "src/repro", "--flow", "--strict",
-                   "--format", "json", "--out", str(out),
-                   "--callgraph-out", str(graph)])
-    doc = _load_json(out)
-    return {"errors": doc.get("errors"), "warnings": doc.get("warnings"),
-            "newly_covered": len(doc.get("flow", {}).get("newly_covered", []))}
 
 
 def _check_lint_clean(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
@@ -412,27 +419,16 @@ def _registry() -> Dict[str, Artifact]:
         generate=_gen_bench_parallel,
         outputs=("BENCH_parallel.json",),
         deterministic=False,
-        roadmap_item=1,
         baseline="benchmarks/BENCH_parallel.json",
         check=_check_parallel,
     ))
     entries.append(Artifact(
         name="lint",
-        description="reprolint determinism report (REP001-007, REP013, "
-                    "REP016) over src/repro, strict",
+        description="reprolint determinism report (REP001-007, REP011, "
+                    "REP013, REP016) over src/repro, strict",
         kind="report",
         generate=_gen_lint,
         outputs=("reprolint.json",),
-        deterministic=True,
-        check=_check_lint_clean,
-    ))
-    entries.append(Artifact(
-        name="lint-flow",
-        description="whole-program flow report (protocol consistency, "
-                    "lost generators, races) + call graph",
-        kind="report",
-        generate=_gen_lint_flow,
-        outputs=("reprolint-flow.json", "callgraph.json"),
         deterministic=True,
         check=_check_lint_clean,
     ))
@@ -445,7 +441,6 @@ def _registry() -> Dict[str, Artifact]:
         generate=_gen_sanitize,
         outputs=("sanitize.json",),
         deterministic=True,
-        roadmap_item=2,
     ))
     entries.append(Artifact(
         name="docs-check",

@@ -55,7 +55,6 @@ def _record_for(artifact: Artifact) -> ArtifactRecord:
         kind=artifact.kind,
         deterministic=artifact.deterministic,
         paper_ref=artifact.paper_ref,
-        roadmap_item=artifact.roadmap_item,
         baseline=artifact.baseline,
     )
 

@@ -96,7 +96,7 @@ class AuctionDataCluster:
                 # Both writers (_role_duty and _elect) refresh the
                 # watchdog to env.now, so same-instant order cannot
                 # change the stored value.
-                self._hb_seen = self.env.now  # reprolint: disable=REP014
+                self._hb_seen = self.env.now
             else:
                 silent = self.env.now - self._hb_seen
                 if (silent > cfg.loss_threshold * cfg.heartbeat
@@ -175,8 +175,7 @@ class AuctionAppServer(TierServer):
             job = yield self.queue.get()
             yield self.env.timeout(cfg.app_cpu)
             # "write" reaches Job.kind through the op-class table in
-            # build_auction, which flow analysis counts as a dynamic
-            # send — not a dead branch, so no REP009 fires here.
+            # build_auction.
             router = self.data.writes if job.kind == "write" else self.data.reads
             sub = Job(self.env, job.kind)
             queued = yield from router.dispatch(sub)

@@ -167,7 +167,7 @@ class TierServer(NodeService):
                 for _ in range(job.queries):
                     # Job.kind is a diagnostic label here — bookstore routing
                     # is positional (per-tier queue), not kind-dispatched.
-                    sub = Job(self.env, "down", queries=1)  # reprolint: disable=REP008
+                    sub = Job(self.env, "down", queries=1)
                     queued = yield from self.downstream.dispatch(sub)
                     if not queued:
                         ok = False
@@ -202,7 +202,7 @@ class WebServer(TierServer):
         queries = (self.config.order_queries if order
                    else self.config.browse_queries)
         # label only; the web tier never dispatches on Job.kind
-        job = Job(self.env, "page", queries=queries)  # reprolint: disable=REP008
+        job = Job(self.env, "page", queries=queries)
 
         def _finish(evt):
             if evt.value and not req.expired:
@@ -301,7 +301,7 @@ class DbCluster(Dispatcher):
                 # Both writers (_heartbeat_duty and _promote) refresh
                 # the watchdog to env.now, so same-instant order cannot
                 # change the stored value.
-                self._hb_seen = self.env.now  # reprolint: disable=REP014
+                self._hb_seen = self.env.now
             else:
                 silent = self.env.now - self._hb_seen
                 if (silent > cfg.db_loss_threshold * cfg.db_heartbeat

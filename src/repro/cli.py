@@ -47,9 +47,8 @@ Commands
     Empirical model validation under a random fault load.
 ``lint [PATH ...]``
     Repo-native static analysis (reprolint, rules REP001..REP016) over
-    the source tree; ``--flow`` adds the whole-program call-graph pass,
-    ``--diff REF`` restricts reporting to files changed since a git ref,
-    ``--format json`` for the CI artifact.
+    the source tree, one file at a time; ``--diff REF`` lints only the
+    files changed since a git ref, ``--format json`` for the CI artifact.
 ``sanitize``
     Differential determinism check: one cell re-run under ``--vary
     hashseed|tiebreak|obs|jobs``; every observable must meet its
@@ -572,7 +571,7 @@ def _restrict_to_changed(paths: List[str], ref: str) -> List[str]:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis.lint import lint_paths
+    from repro.analysis.lint import LintResult, audit_suppressions, lint_paths
     from repro.analysis.report import (
         render_json,
         render_rules,
@@ -603,54 +602,13 @@ def cmd_lint(args) -> int:
     if missing:
         raise SystemExit(f"error: no such path: {', '.join(missing)}")
 
-    run_flow = args.flow or bool(args.callgraph_out)
     changed: Optional[List[str]] = None
     if args.diff is not None:
         changed = _restrict_to_changed(args.paths, args.diff)
 
-    lint_targets = args.paths if changed is None else changed
-    result = lint_paths(lint_targets)
-
-    flow = None
-    if run_flow:
-        from repro.analysis.flow import analyze_flow
-        from repro.analysis.lint import Finding, LintResult
-
-        # the graph always spans the full requested tree — a --diff run
-        # narrows which findings are *reported*, not what is analyzed
-        flow = analyze_flow(args.paths)
-        flow_findings: List[Finding] = flow.findings
-        if changed is not None:
-            keep = {str(Path(c).resolve()) for c in changed}
-            flow_findings = [f for f in flow_findings
-                            if str(Path(f.path).resolve()) in keep]
-        merged = sorted(result.findings + flow_findings,
-                        key=lambda f: (f.path, f.line, f.col, f.rule))
-        result = LintResult(findings=merged,
-                            files_scanned=result.files_scanned,
-                            suppressed=result.suppressed + flow.suppressed,
-                            declared_suppressions=result.declared_suppressions,
-                            used_suppressions=result.used_suppressions)
-        if args.callgraph_out:
-            Path(args.callgraph_out).parent.mkdir(parents=True, exist_ok=True)
-            with open(args.callgraph_out, "w", encoding="utf-8") as fp:
-                flow.graph.write_json(fp, sim_seeds=flow.sim_seeds,
-                                      sim_reachable=flow.sim_reachable)
-
-    from repro.analysis.lint import LintResult, audit_suppressions
-
-    used = {path: dict(by_line)
-            for path, by_line in result.used_suppressions.items()}
-    if flow is not None:
-        for path, by_line in flow.used_suppressions.items():
-            dst = used.setdefault(path, {})
-            for line, ids in by_line.items():
-                dst[line] = dst.get(line, set()) | ids
-    audit = audit_suppressions(result.declared_suppressions, used,
-                               flow_ran=run_flow)
-    if changed is not None:
-        keep = {str(Path(c).resolve()) for c in changed}
-        audit = [f for f in audit if str(Path(f.path).resolve()) in keep]
+    result = lint_paths(args.paths if changed is None else changed)
+    audit = audit_suppressions(result.declared_suppressions,
+                               result.used_suppressions)
     if audit:
         merged = sorted(result.findings + audit,
                         key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -663,12 +621,11 @@ def cmd_lint(args) -> int:
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fp:
-            write_json(result, fp, flow=flow)
+            write_json(result, fp)
     if args.format == "json":
-        print(json.dumps(render_json(result, flow=flow), indent=2,
-                         sort_keys=True))
+        print(json.dumps(render_json(result), indent=2, sort_keys=True))
     else:
-        print(render_text(result, verbose=args.verbose, flow=flow))
+        print(render_text(result, verbose=args.verbose))
     failed = bool(result.errors) or (args.strict and result.warnings)
     return 1 if failed else 0
 
@@ -945,12 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append each finding's rationale")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule registry and exit")
-    p.add_argument("--flow", action="store_true",
-                   help="whole-program pass: call-graph sim-scope "
-                        "propagation, protocol consistency (REP008-010), "
-                        "lost generators (REP011-012)")
-    p.add_argument("--callgraph-out", default=None, metavar="FILE",
-                   help="write the call graph as JSON (implies --flow)")
     p.add_argument("--diff", default=None, metavar="GIT_REF",
                    help="only report findings in files changed since "
                         "GIT_REF (fast pre-commit mode)")

@@ -26,6 +26,7 @@ from repro.net.message import Message
 from repro.net.network import ClusterNetwork
 from repro.obs.events import EventKind
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.sim.kernel import SimulationError
 from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 
@@ -141,8 +142,9 @@ class MembershipDaemon(NodeService):
         while True:
             msg = yield self.inbox.get()
             handler = getattr(self, f"_on_{msg.kind}", None)
-            if handler is not None:
-                handler(msg)
+            if handler is None:
+                raise SimulationError(f"{self.host.name}: no membership handler for {msg.kind!r}")
+            handler(msg)
 
     # -- periodic duties ----------------------------------------------------
     def _on_tick(self, _msg: Message) -> None:

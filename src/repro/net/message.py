@@ -2,11 +2,12 @@
 
 ``WIRE_KINDS`` is the canonical protocol vocabulary: every kind any
 component may put on the wire, grouped by plane.  ``Message.__init__``
-asserts membership, and the whole-program protocol checker
-(:mod:`repro.analysis.flow`, rules REP008–REP010) audits the same set
-statically — so the runtime and the linter cannot drift apart, and a
-misspelled kind fails the instant it is constructed rather than
-vanishing at dispatch.
+asserts membership, so a misspelled kind fails the instant it is
+constructed.  The other half is at the receiver: every dispatcher
+(PRESS's main, peer-message and control loops, INDEP's main loop, the
+membership daemon) raises ``SimulationError`` on a valid kind it has
+no branch for, so a message on the wrong queue fails the run rather
+than vanishing at dispatch.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.obs.events import EventKind
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.press.cache import LruCache
 from repro.press.config import PressConfig
-from repro.sim.kernel import Event
+from repro.sim.kernel import Event, SimulationError
 from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 from repro.workload.client import Request
@@ -153,6 +153,9 @@ class IndepServer(NodeService):
                 yield timeout(cfg.cpu_control)
                 if not item.triggered:
                     item.succeed()
+            else:
+                raise SimulationError(
+                    f"{self.host.name}: main loop has no branch for work item {kind!r}")
 
     def _disk_loop(self):
         disks = self.host.disks

@@ -36,7 +36,7 @@ from repro.press.cache import CacheDirectory, LruCache
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.sim.conditions import AnyOf
-from repro.sim.kernel import Event
+from repro.sim.kernel import Event, SimulationError
 from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 from repro.workload.client import Request
@@ -332,6 +332,9 @@ class PressServer(NodeService):
                 yield self.env.timeout(cfg.cpu_control)
                 if not item.triggered:
                     item.succeed()
+            else:
+                raise SimulationError(
+                    f"{self.host.name}: main loop has no branch for work item {kind!r}")
 
     def _handle_client(self, req: Request):
         cfg = self.config
@@ -341,7 +344,7 @@ class PressServer(NodeService):
         if req.expired:  # client gave up while we were queued
             # Commutative counter: every writer does a synchronous
             # += / -= between yields, so any interleaving sums the same.
-            self.client_pending -= 1  # reprolint: disable=REP014
+            self.client_pending -= 1
             return
         if self.cache.lookup(req.fid):
             serve = self._spans.start("serve", "service", self.host.name,
@@ -395,9 +398,9 @@ class PressServer(NodeService):
         if disposition == "blockingly":
             # reqid is unique per request and _handle_net only pops the
             # id it is answering: the writers touch disjoint keys.
-            self.fwd_pending[reqid] = req  # reprolint: disable=REP014
+            self.fwd_pending[reqid] = req
             if fetch_span is not None:
-                self._fwd_spans[reqid] = fetch_span  # reprolint: disable=REP014
+                self._fwd_spans[reqid] = fetch_span
             link.pending_requests += 1
             # COOP: the main thread blocks here (bounded by the OS send
             # timeout; see PressConfig.send_block_timeout).
@@ -417,11 +420,6 @@ class PressServer(NodeService):
             self._spans.finish(fetch_span, outcome=disposition)
             yield from self._to_disk(DiskFetch(req.fid, request=req,
                                                ctx=req.ctx))
-
-    #: message kinds that may be dropped under pressure in every version:
-    #: caching information is advisory (piggybacked/lossy in real PRESS) and
-    #: directory staleness is tolerated by design.
-    _DROPPABLE = frozenset({"cache_add", "cache_del"})
 
     def _dispatch_to_peer(self, link: PeerLink, msg: Message, is_request: bool) -> str:
         """Queue-monitoring policy (Section 4.3) or blocking enqueue."""
@@ -451,8 +449,6 @@ class PressServer(NodeService):
     def _dispatch_policy(self, link: PeerLink, msg: Message, is_request: bool) -> str:
         cfg = self.config
         if not cfg.queue_monitoring:
-            if msg.kind in self._DROPPABLE:
-                return "sent" if link.send_q.try_put(msg) else "dropped"
             if self._warm_mode:
                 # Warm-up mode: a cold cluster under full load jams every
                 # queue at once; blocking here would wedge the whole mesh
@@ -492,7 +488,7 @@ class PressServer(NodeService):
         # _handle_disk_done pops a fid only after its disk read
         # completes, so the pop is ordered after this put through the
         # disk queue — never a same-instant race on the same key.
-        self.pending_fetch[fetch.fid] = [fetch]  # reprolint: disable=REP014
+        self.pending_fetch[fetch.fid] = [fetch]
         self._c_disk.inc()
         # The disk queue put blocks when full — a node with a dead disk
         # stalls itself here no matter which HA techniques are enabled.
@@ -505,7 +501,7 @@ class PressServer(NodeService):
             # Load gossip is last-writer-wins per source key; a
             # one-tick-stale estimate only biases the balancing
             # heuristic, never correctness.
-            self.loads[msg.src] = payload["load"]  # reprolint: disable=REP014
+            self.loads[msg.src] = payload["load"]
         if msg.kind == "fwd_req":
             self._c_remote.inc()
             remote = self._spans.start("remote_serve", "service",
@@ -534,13 +530,16 @@ class PressServer(NodeService):
             # Directory add/remove are idempotent per-(node, fid) set
             # ops; gossip vs control-channel replays reconcile through
             # the periodic cache_sync exchange.
-            self.directory.add(msg.src, payload["fid"])  # reprolint: disable=REP014
+            self.directory.add(msg.src, payload["fid"])
         elif msg.kind == "cache_del":
             yield self.env.timeout(cfg.cpu_control)
             self.directory.remove(msg.src, payload["fid"])
         elif msg.kind == "cache_sync":
             yield self.env.timeout(cfg.cpu_control)
             self.directory.replace_node(msg.src, payload["fids"])
+        else:
+            raise SimulationError(
+                f"{self.host.name}: no handler for peer message {msg.kind!r}")
 
     def _send_fwd_resp(self, origin: int, reqid: int, fid: int, ctx=None):
         link = self.links.get(origin)
@@ -704,6 +703,9 @@ class PressServer(NodeService):
                         self.directory.add(src, payload["fid"])
                     else:
                         self.directory.remove(src, payload["fid"])
+            else:
+                raise SimulationError(
+                    f"{self.host.name}: no handler for control message {kind!r}")
 
     def _control_tick(self) -> None:
         cfg = self.config

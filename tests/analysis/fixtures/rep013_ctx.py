@@ -64,3 +64,13 @@ def good_nested_scope(env, spans, req):
 
 def good_non_env_process(ctx, pool, item):
     return pool.process(item)  # GOOD: not an env spawn
+
+
+class GoodNestedHelper:
+    def outer(self):
+        def _helper(req):
+            span = self._spans.start("serve", "service", "n1", ctx=req.ctx)
+            return span
+
+        # GOOD: only the nested helper is span-aware, not this method
+        return Message("hb", 0, 1), _helper

@@ -1,4 +1,4 @@
-"""A deliberately torn read-modify-write, caught statically and dynamically.
+"""A deliberately torn read-modify-write, caught by the tiebreak variant.
 
 ``_alpha`` runs ``ROUNDS`` iterations of *read the shared counter,
 yield for zero time, write back the stale local plus one*; ``_beta``
@@ -7,12 +7,9 @@ so the interleaving is decided purely by the kernel's same-instant
 tie-break — and every one of ``_beta``'s increments that lands inside
 ``_alpha``'s read/yield/write window is silently overwritten by the
 stale value.  How many survive, and therefore the final count, depends
-on the tie-break order alone.
-
-``repro lint --flow`` flags the pattern as REP015 (and the two writers
-as REP014); ``repro sanitize --vary tiebreak`` sees the final count
-diverge (9 under FIFO order, 11 under tie-break seed 1, 16 under seed
-2) and names it in the first divergence.
+on the tie-break order alone: ``repro sanitize --vary tiebreak`` sees
+the final count diverge (9 under FIFO order, 11 under tie-break seed 1,
+16 under seed 2) and names it in the first divergence.
 """
 
 ROUNDS = 8

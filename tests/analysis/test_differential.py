@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.differential import (
     CONTRACT,
+    SMOKE_WINDOWS,
     VARIANTS,
     Scenario,
     compare,
@@ -27,6 +28,7 @@ from repro.analysis.differential import (
 )
 from repro.cli import build_parser
 from repro.core.quantify import QuantifyConfig
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 from repro.workload.stats import RequestStats
 
@@ -207,6 +209,13 @@ class TestLength:
         doc = json.loads(proc.stdout)
         assert doc["ok"] and doc["windows"] == self.FULL
         assert doc["scenario"]["length"] == "full"
+
+    def test_smoke_fault_goes_on_the_default_target(self):
+        # a disk fault targets a disk of n1, as a campaign injects it
+        fp = Scenario("COOP", "scsi_timeout", 0, "smoke").run(Telemetry.disabled())
+        (injected,) = [m for m in fp["markers"] if m[1] == "fault_injected"]
+        assert injected[0] == SMOKE_WINDOWS["inject_at"]
+        assert injected[2]["target"] == "n1.disk0"
 
     def test_one_length_switch(self):
         parser = build_parser()

@@ -1,5 +1,5 @@
-"""The ``repro lint`` CLI surface added by the flow pass: --flow,
---callgraph-out, and --diff (with the git call monkeypatched)."""
+"""The ``repro lint`` command line: ``--out``, ``--diff`` mode (with the
+git call monkeypatched), and no whole-program flags."""
 
 import json
 from pathlib import Path
@@ -11,69 +11,39 @@ from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent.parent / "src" / "repro")
+BAD = str(FIXTURES / "rep006_defaults.py")
 
 
-class TestFlowFlag:
-    def test_flow_clean_tree_exits_zero(self, capsys):
-        assert main(["lint", SRC, "--flow"]) == 0
-        out = capsys.readouterr().out
-        assert "flow:" in out
-        assert "sim-reachable" in out
-
-    def test_flow_json_includes_flow_section(self, capsys):
-        assert main(["lint", SRC, "--flow", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"]
-        flow = doc["flow"]
-        assert flow["sim_reachable"] >= flow["sim_seeds"] > 0
-        assert flow["newly_covered"]
-        assert set(flow["protocol"]) == {
-            "sent_kinds", "handled_kinds", "droppable", "dynamic_sends"}
-
-    def test_flow_error_fails_gate(self, capsys):
-        fixture = str(FIXTURES / "flow_rep008_unhandled.py")
-        assert main(["lint", fixture, "--flow"]) == 1
-        assert "REP008" in capsys.readouterr().out
-
-    def test_without_flow_flag_flow_rules_silent(self, capsys):
-        fixture = str(FIXTURES / "flow_rep008_unhandled.py")
-        assert main(["lint", fixture]) == 0
-        assert "REP008" not in capsys.readouterr().out
+@pytest.fixture
+def clean(tmp_path):
+    path = tmp_path / "clean.py"
+    path.write_text("def f(xs=None):\n    return xs or []\n")
+    return str(path)
 
 
-class TestCallgraphOut:
-    def test_writes_graph_and_implies_flow(self, tmp_path, capsys):
-        out = tmp_path / "graph.json"
-        assert main(["lint", SRC, "--callgraph-out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
-        # every module under src/repro appears
-        expected = {p for p in Path(SRC).rglob("*.py")
-                    if "__pycache__" not in p.parts}
-        assert len(doc["modules"]) == len(expected)
-        assert any(f["sim_reachable"] and not f["sim_seed"]
-                   for f in doc["functions"])
-        assert "flow:" in capsys.readouterr().out
+def test_out_creates_parent_directories(tmp_path, capsys):
+    out = tmp_path / "deep" / "dir" / "lint.json"
+    assert main(["lint", BAD, "--format", "json", "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["ok"] and doc["counts"] == {"REP006": 4}
+    # the file holds the same report the command printed
+    assert json.loads(out.read_text())["findings"] == doc["findings"]
 
 
 class TestDiffMode:
-    def test_diff_restricts_reported_findings(self, monkeypatch, capsys):
-        bad = str(FIXTURES / "flow_rep008_unhandled.py")
-        clean = str(FIXTURES / "flowpkg" / "transport.py")
-        # only the clean file "changed": the REP008 in the other file
+    def test_diff_restricts_reported_findings(self, monkeypatch, capsys, clean):
+        # only the clean file "changed": the REP006 in the other file
         # must not be reported
         monkeypatch.setattr(cli, "_git_changed_files", lambda ref: [clean])
-        assert main(["lint", bad, clean, "--flow", "--diff", "HEAD"]) == 0
-        assert "REP008" not in capsys.readouterr().out
+        assert main(["lint", BAD, clean, "--diff", "HEAD"]) == 0
+        assert "REP006" not in capsys.readouterr().out
 
     def test_diff_keeps_findings_in_changed_files(self, monkeypatch, capsys):
-        bad = str(FIXTURES / "flow_rep008_unhandled.py")
-        monkeypatch.setattr(cli, "_git_changed_files", lambda ref: [bad])
-        assert main(["lint", bad, "--flow", "--diff", "HEAD"]) == 1
-        assert "REP008" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "_git_changed_files", lambda ref: [BAD])
+        assert main(["lint", BAD, "--diff", "HEAD"]) == 1
+        assert "REP006" in capsys.readouterr().out
 
-    def test_diff_ignores_changes_outside_targets(self, monkeypatch, capsys):
-        clean = str(FIXTURES / "flowpkg" / "transport.py")
+    def test_diff_ignores_changes_outside_targets(self, monkeypatch, clean):
         monkeypatch.setattr(
             cli, "_git_changed_files",
             lambda ref: [clean, "somewhere/else/module.py"])
@@ -85,3 +55,11 @@ class TestDiffMode:
         monkeypatch.setattr(cli, "_git_changed_files", boom)
         with pytest.raises(SystemExit, match="git diff"):
             main(["lint", SRC, "--diff", "no-such-ref"])
+
+
+@pytest.mark.parametrize("flag", ["--flow", "--callgraph-out"])
+def test_whole_program_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", SRC, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

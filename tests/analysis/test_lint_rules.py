@@ -73,6 +73,9 @@ class TestRules:
     def test_rep007_delays(self):
         check_fixture("rep007_delay.py", "REP007")
 
+    def test_rep011_lost_generator(self):
+        check_fixture("rep011_generator.py", "REP011")
+
     def test_rep013_trace_context_loss(self):
         check_fixture("rep013_ctx.py", "REP013")
 
@@ -126,11 +129,18 @@ class TestScopeAndAllowlist:
         for sfx in RULES["REP002"].allowlist:
             assert path_is_sim_scope(f"src/repro/{sfx}") or sfx == "sim/rng.py"
 
+    @pytest.mark.parametrize("pkg", ["core", "obs", "parallel"])
+    def test_wallclock_flagged_in_the_sim_called_packages(self, pkg):
+        src = "import time\n\n\ndef f():\n    return time.perf_counter()\n"
+        assert [f.rule for f in
+                lint_source(src, f"src/repro/{pkg}/x.py").findings] == \
+            ["REP001"]
+        assert lint_source(src, "src/repro/obs/kernelprof.py").findings == []
+
     def test_parallel_executor_allowlisted_for_wallclock(self):
         # the executor's perf_counter reads time real worker processes
-        # (speedup accounting), reachable from sim scope only through
-        # Sweep.run(jobs=N); the allowlist keeps flow-propagated REP001
-        # findings from flagging them
+        # (speedup accounting); parallel/ is sim scope, so only the
+        # allowlist keeps REP001 from flagging them
         for sfx in ("parallel/executor.py", "parallel/worker.py"):
             assert sfx in RULES["REP001"].allowlist
         src = "import time\n\n\ndef f():\n    return time.perf_counter()\n"
@@ -140,7 +150,7 @@ class TestScopeAndAllowlist:
         assert path_is_sim_scope("src/repro/press/server.py")
         assert path_is_sim_scope("src/repro/ha/membership.py")
         assert not path_is_sim_scope("src/repro/analysis/lint.py")
-        assert not path_is_sim_scope("src/repro/core/model.py")
+        assert path_is_sim_scope("src/repro/core/model.py")
         assert not path_is_sim_scope("src/repro/cli.py")
 
 
@@ -159,6 +169,19 @@ class TestEngine:
         )
         result = lint_source(src, "src/repro/ha/x.py")
         assert [f.line for f in result.findings] == [3]
+
+    def test_nested_def_does_not_leak_set_names_into_its_parent(self):
+        src = (
+            "def outer(view, links):\n"
+            "    def helper():\n"
+            "        members = set(view)\n"
+            "        return members\n"
+            "    members = list(view)\n"
+            "    for m in members:\n"
+            "        links.send(m)\n"
+            "    return helper\n"
+        )
+        assert lint_source(src, "src/repro/ha/x.py").findings == []
 
     def test_self_attr_set_tracking(self):
         src = (

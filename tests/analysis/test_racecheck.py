@@ -1,120 +1,24 @@
-"""Races, both ways: REP014/REP015 static effect analysis (surfaced by
-``repro lint --flow``) and the ``tiebreak`` variant of the differential
-runner, which re-runs the torn fixture under seeded same-instant orders
-and names the final count that moved."""
+"""Races: the ``tiebreak`` variant of the differential runner re-runs
+the torn fixture under seeded same-instant orders and names the final
+count that moved, plus the per-instant comparison rules it uses."""
 
 import importlib.util
-import json
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.callgraph import build_callgraph
-from repro.analysis.flow import analyze_flow
 from repro.analysis.differential import (
     compare,
     differential,
     fingerprint,
     format_report,
 )
-from repro.analysis.racecheck import analyze_races
-from repro.analysis.rules import Severity
 from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TORN_SIM = FIXTURES / "torn_rmw_sim.py"
-
-
-def flow_findings(name, rule):
-    result = analyze_flow([str(FIXTURES / name)])
-    return [f for f in result.findings if f.rule == rule]
-
-
-def expected_bad_lines(name, rule):
-    out = []
-    for lineno, line in enumerate(
-            (FIXTURES / name).read_text().splitlines(), 1):
-        if f"BAD {rule}" in line:
-            out.append(lineno)
-    return out
-
-
-class TestRep014:
-    def test_fixture_lines(self):
-        flagged = sorted(f.line for f in
-                         flow_findings("flow_rep014_shared.py", "REP014"))
-        assert flagged == expected_bad_lines("flow_rep014_shared.py",
-                                             "REP014")
-
-    def test_is_a_warning_naming_both_writers(self):
-        (finding,) = flow_findings("flow_rep014_shared.py", "REP014")
-        assert finding.severity is Severity.WARNING
-        assert "_bumper" in finding.message and "_resetter" in finding.message
-        assert "Shared.count" in finding.message
-
-    def test_single_writer_not_flagged(self):
-        findings = flow_findings("flow_rep014_shared.py", "REP014")
-        assert all("Shared.own" not in f.message for f in findings)
-
-    def test_sync_helper_not_a_writer(self):
-        # _helper writes Shared.watch but is not a process generator
-        findings = flow_findings("flow_rep014_shared.py", "REP014")
-        assert all("Shared.watch" not in f.message for f in findings)
-
-    def test_suppression_honoured(self):
-        result = analyze_flow([str(FIXTURES / "flow_rep014_shared.py")])
-        assert all("Suppressed.flag" not in f.message
-                   for f in result.findings)
-        assert result.suppressed >= 1
-
-
-class TestRep015:
-    def test_fixture_lines(self):
-        flagged = sorted(f.line for f in
-                         flow_findings("flow_rep015_torn.py", "REP015"))
-        assert flagged == expected_bad_lines("flow_rep015_torn.py", "REP015")
-
-    def test_is_an_error_naming_the_torn_window(self):
-        (finding,) = flow_findings("flow_rep015_torn.py", "REP015")
-        assert finding.severity is Severity.ERROR
-        assert "Counter.value" in finding.message
-        assert "'v'" in finding.message  # the stale local, by name
-
-    def test_atomic_rmw_not_flagged(self):
-        # _atomic does the whole read-modify-write between yields
-        flagged = {f.line for f in
-                   flow_findings("flow_rep015_torn.py", "REP015")}
-        src = (FIXTURES / "flow_rep015_torn.py").read_text().splitlines()
-        atomic_write = next(i for i, l in enumerate(src, 1)
-                            if "self.value = self.value + 1" in l)
-        assert atomic_write not in flagged
-
-    def test_unshared_rmw_not_flagged(self):
-        # .private has one toucher: torn shape, but nothing to race with
-        findings = flow_findings("flow_rep015_torn.py", "REP015")
-        assert all("private" not in f.message for f in findings)
-
-
-class TestEffectAnalysis:
-    def test_torn_fixture_summary(self):
-        analysis = analyze_races(build_callgraph([str(TORN_SIM)]))
-        doc = analysis.to_dict()
-        assert doc["roots"] >= 2  # _alpha and _beta
-        assert doc["rep014"] == 1 and doc["rep015"] == 1
-        (label,) = doc["shared_writes"]
-        assert label.endswith("TornCounter.count")
-
-    def test_real_tree_races_are_justified(self):
-        # every REP014/REP015 in src/repro is fixed or carries an
-        # in-repo justification (suppression comment at the site)
-        result = analyze_flow(["src/repro"])
-        races = [f for f in result.findings
-                 if f.rule in ("REP014", "REP015")]
-        assert races == []
 
 
 def _load_torn_module():
@@ -169,8 +73,7 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_divergence_attributed_to_the_torn_attribute(self, torn_report, seed):
-        # the report names the torn counter's final value on both sides,
-        # the count REP015 flags statically (TornCounter.count)
+        # the report names the torn counter's final value on both sides
         run = next(r for r in torn_report.runs
                    if r.other == f"tiebreak_seed={seed}")
         div = run.divergence
@@ -254,34 +157,3 @@ class TestComparisonSemantics:
         assert not close({"a": 1}, {"b": 1})
         assert not close([1], [1, 2])
         assert not close(True, 1.0)  # bools are not floats
-
-
-class TestRacecheckCli:
-    """The static tier's command line is ``repro lint --flow``."""
-
-    def _run(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--flow", *args],
-            capture_output=True, text=True,
-            cwd=Path(__file__).parent.parent.parent,
-        )
-
-    def test_static_only_fails_on_fixture_rep015(self, tmp_path):
-        out = tmp_path / "deep" / "dir" / "race.json"
-        proc = self._run(str(TORN_SIM), "--format", "json", "--out", str(out))
-        assert proc.returncode == 1, proc.stderr
-        doc = json.loads(proc.stdout)
-        assert not doc["ok"]
-        assert {f["rule"] for f in doc["findings"]} == {"REP014", "REP015"}
-        races = doc["flow"]["races"]
-        assert races["rep014"] == 1 and races["rep015"] == 1
-        # --out creates parent directories and writes the same report
-        on_disk = json.loads(out.read_text())
-        assert on_disk["findings"] == doc["findings"]
-
-    def test_static_only_clean_tree_passes(self):
-        proc = self._run("src/repro", "--format", "json")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        doc = json.loads(proc.stdout)
-        assert not [f for f in doc["findings"]
-                    if f["rule"] in ("REP014", "REP015")]

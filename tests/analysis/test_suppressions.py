@@ -40,8 +40,8 @@ class TestSuppressionParsing:
 
     def test_justification_prose_after_dashes_is_not_an_id(self):
         sup = _suppressions(
-            "x = 1  # reprolint: disable=REP014 -- writers are disjoint\n")
-        assert sup == {1: {"REP014"}}
+            "x = 1  # reprolint: disable=REP005 -- the loop is pure\n")
+        assert sup == {1: {"REP005"}}
 
     def test_docstring_example_is_not_a_suppression(self):
         src = ('"""Suppress with ``# reprolint: disable=REP001`` on the '
@@ -76,28 +76,24 @@ class TestAuditSuppressions:
     def test_unknown_id_always_reported(self):
         # REP017: a retired rule id suppresses nothing, like a typo
         for rid in ("REP999", "REP017"):
-            for flow_ran in (False, True):
-                (f,) = audit_suppressions(
-                    declared={"a.py": {3: {rid}}}, used={},
-                    flow_ran=flow_ran)
-                assert f"unknown rule id '{rid}'" in f.message
+            (f,) = audit_suppressions(declared={"a.py": {3: {rid}}}, used={})
+            assert f"unknown rule id '{rid}'" in f.message
 
-    def test_flow_rule_skipped_without_flow_pass(self):
-        declared = {"a.py": {3: {"REP008"}}}
-        assert audit_suppressions(declared, {}, flow_ran=False) == []
-        (f,) = audit_suppressions(declared, {}, flow_ran=True)
-        assert "REP008" in f.message
+    def test_retired_flow_rule_is_an_unknown_id(self):
+        # the whole-program rules are retired: their suppressions are
+        # stale comments like any other unknown id
+        (f,) = audit_suppressions({"a.py": {3: {"REP014"}}}, {})
+        assert f.rule == "REP016"
+        assert "unknown rule id 'REP014'" in f.message
 
-    def test_disable_all_only_audited_under_flow(self):
-        declared = {"a.py": {3: {"ALL"}}}
-        assert audit_suppressions(declared, {}, flow_ran=False) == []
-        (f,) = audit_suppressions(declared, {}, flow_ran=True)
+    def test_unused_disable_all_is_reported(self):
+        (f,) = audit_suppressions({"a.py": {3: {"ALL"}}}, {})
         assert "disable=all" in f.message
 
     def test_disable_all_that_suppressed_something_is_kept(self):
         findings = audit_suppressions(
             declared={"a.py": {3: {"ALL"}}},
-            used={"a.py": {3: {"ALL"}}}, flow_ran=True)
+            used={"a.py": {3: {"ALL"}}})
         assert findings == []
 
     def test_mixed_line_reports_only_the_stale_id(self):

@@ -202,8 +202,8 @@ class TestAvailabilityComparator:
                 "versions": {
                     "INDEP": {"AA": 1 - u_indep, "AT": at_indep,
                               "unavailability": u_indep},
-                    "COOP": {"AA": 0.99, "AT": 120.0,
-                             "unavailability": 0.01},
+                    "COOP": {"AA": 0.8, "AT": 200.0,
+                             "unavailability": 0.2},
                 }}
 
     def _ctx(self, tmp_path, current, baseline):
@@ -241,6 +241,26 @@ class TestAvailabilityComparator:
         drift = _check_availability(
             self._ctx(tmp_path, current, self._doc()), self._artifact())
         assert any("COOP" in m for m in drift)
+
+    def test_swapped_versions_break_the_figure_1a_ordering(self, tmp_path):
+        swapped = self._doc()
+        rows = swapped["versions"]
+        rows["COOP"], rows["INDEP"] = rows["INDEP"], rows["COOP"]
+        # the same swapped matrix on both sides: no tolerance drift, so
+        # only the ordering rule can fail it
+        drift = _check_availability(self._ctx(tmp_path, swapped, swapped),
+                                    self._artifact())
+        assert len(drift) == 2
+        assert all("Figure 1a ordering" in m for m in drift)
+        assert any("throughput" in m for m in drift)
+        assert any("unavailability" in m for m in drift)
+
+    def test_changed_fault_kinds_detected(self, tmp_path):
+        current = self._doc()
+        current["kinds"] = ["node_crash"]
+        drift = _check_availability(
+            self._ctx(tmp_path, current, self._doc()), self._artifact())
+        assert any(m.startswith("kinds changed") for m in drift)
 
 
 class TestParallelDriftCheck:

@@ -9,7 +9,9 @@ from repro.ha.membership import (
     bootstrap_membership,
 )
 from repro.hardware.host import Host
+from repro.net.message import Message
 from repro.net.network import ClusterNetwork
+from repro.sim.kernel import SimulationError
 
 
 @pytest.fixture
@@ -147,3 +149,12 @@ class TestDivergence:
         env.run(until=150)
         for d in daemons:
             assert d.version >= seen[d.node_id]
+
+
+class TestDispatch:
+    def test_unhandled_kind_fails_the_run(self, env, cluster):
+        # a valid wire kind the daemon has no _on_ handler for
+        _, _, daemons = cluster
+        daemons[2].inbox.force_put(Message("hb", 1, 2))
+        with pytest.raises(SimulationError, match=r"^n2: .*'hb'"):
+            env.run(until=10)

@@ -4,13 +4,17 @@ These use small purpose-built worlds (not the full experiment profiles)
 so individual mechanisms are observable quickly.
 """
 
+import pytest
+
 from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host
+from repro.net.message import Message
 from repro.net.network import ClusterNetwork
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.press.indep import IndepServer
 from repro.press.server import PressServer, bootstrap_cluster
+from repro.sim.kernel import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.series import MarkerLog
 from repro.workload.client import Request
@@ -204,10 +208,33 @@ class TestReconfiguration:
         # n1 is excluded; its later announcements must not be honored
         servers[1].inject_crash()
         env.run(until=4.0)
-        from repro.net.message import Message
         servers[0].ctl_q.force_put(Message("node_dead", 1, 0, 2))
         env.run(until=6.0)
         assert 2 in servers[0].coop
+
+
+class TestUnhandledItems:
+    """Each PRESS dispatcher fails the run on an item it has no branch
+    for, naming the host and the item: a dropped peer message must not
+    read as a fault."""
+
+    def test_main_loop_rejects_an_unknown_tag(self, env):
+        servers, *_ = build_cluster(env)
+        servers[0].main_q.force_put(("bogus", None))
+        with pytest.raises(SimulationError, match=r"^n0: .*'bogus'"):
+            env.run(until=1.0)
+
+    def test_peer_handler_rejects_a_control_kind(self, env):
+        servers, *_ = build_cluster(env)
+        servers[0].main_q.force_put(("net", Message("hb", 1, 0)))
+        with pytest.raises(SimulationError, match=r"^n0: .*'hb'"):
+            env.run(until=1.0)
+
+    def test_control_loop_rejects_a_membership_kind(self, env):
+        servers, *_ = build_cluster(env)
+        servers[0].ctl_q.force_put(Message("mhb", 1, 0))
+        with pytest.raises(SimulationError, match=r"^n0: .*'mhb'"):
+            env.run(until=1.0)
 
 
 class TestIndep:
@@ -258,3 +285,10 @@ class TestIndep:
         ev = servers[0].http_probe()
         env.run(until=0.5)
         assert ev.triggered
+
+    def test_main_loop_rejects_peer_traffic(self, env):
+        # INDEP has no peers: a ("net", msg) item has no branch
+        servers = self.build(env)
+        servers[0].main_q.force_put(("net", Message("fwd_req", 1, 0)))
+        with pytest.raises(SimulationError, match=r"^n0: .*'net'"):
+            env.run(until=1.0)
