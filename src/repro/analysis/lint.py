@@ -58,7 +58,7 @@ _EFFECT_METHODS = frozenset(
     {
         "send", "multicast", "datagram", "control_send", "control_broadcast",
         "schedule", "process", "succeed", "fail", "timeout", "put",
-        "force_put", "emit", "mark", "emit_marker", "inject", "repair",
+        "force_put", "emit", "mark", "inject", "repair",
         "kill", "start", "stop", "crash", "revive", "publish",
         "add", "discard", "remove", "pop", "update", "clear",
         "append", "extend", "setdefault", "inc", "dec", "set",
@@ -480,8 +480,7 @@ class _Visitor(ast.NodeVisitor):
                        "draw from RngRegistry.stream(name) instead")
 
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in (
-                "emit", "mark", "emit_marker"):
+        if isinstance(func, ast.Attribute) and func.attr in ("emit", "mark"):
             for value in list(node.args) + [kw.value for kw in node.keywords]:
                 if self._is_unordered(value):
                     self._emit("REP004", value,

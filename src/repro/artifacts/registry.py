@@ -16,10 +16,10 @@ in ``ARTIFACTS.md``):
   :class:`~repro.experiments.figures.Evaluation` cache so versions
   quantified by several figures are measured once; ``--jobs N`` fans
   their campaign cells over the PR-5 parallel executor;
-* bench documents run the pinned measurement that the corresponding
-  ``benchmarks/test_*_baseline.py`` gate runs through this registry, so
-  a ``--check`` diff here means the committed baseline genuinely
-  drifted;
+* bench documents run a pinned measurement (explicit windows and seed,
+  whatever ``REPRO_QUICK`` says), so a ``--check`` diff here means the
+  committed baseline genuinely drifted; ``reproduce-all --check`` is
+  the only path that regenerates and checks them;
 * the lint report shells out to the real ``repro lint`` CLI (the same
   invocation CI uses), keeping the registry honest about what the
   documented command produces.
@@ -162,10 +162,10 @@ _FIGURES: Tuple[Tuple[str, str, str], ...] = (
 
 
 def _gen_bench_availability(ctx: ReproduceContext) -> Dict[str, Any]:
-    """The pinned (version, fault-kind) availability matrix that
-    ``benchmarks/test_availability_baseline.py`` gates on (explicit quick
-    campaign, seed 0, two fault kinds, so every run measures the same
-    experiment whatever ``REPRO_QUICK`` says)."""
+    """The pinned (version, fault-kind) availability matrix behind
+    ``benchmarks/BENCH_availability.json`` (explicit quick campaign,
+    seed 0, two fault kinds, so every run measures the same experiment
+    whatever ``REPRO_QUICK`` says)."""
     from repro.core.quantify import QuantifyConfig, quantify_version
     from repro.faults.types import FaultKind
 

@@ -11,10 +11,11 @@ from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultKind
 from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Markers
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter, Request
 from repro.workload.stats import RequestStats
 from repro.workload.trace import SyntheticTrace, TraceConfig
@@ -64,14 +65,15 @@ class _RouterView(Dispatcher):
 class AuctionDataCluster:
     """Master + read replicas with heartbeat-driven leader election."""
 
-    __slots__ = ("env", "config", "markers", "servers", "master", "_electing",
+    __slots__ = ("env", "config", "_tracer", "servers", "master", "_electing",
                  "_hb_seen", "reads", "writes")
 
     def __init__(self, env: Environment, config: AuctionConfig,
-                 markers: Optional[MarkerLog] = None):
+                 telemetry: Optional[Telemetry] = None):
         self.env = env
         self.config = config
-        self.markers = markers if markers is not None else MarkerLog()
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self.servers: List[TierServer] = []
         self.master: Optional[TierServer] = None
         self._electing = False
@@ -113,10 +115,10 @@ class AuctionDataCluster:
     def _elect(self, server: "AuctionDataServer"):
         self._electing = True
         old = self.master
-        self.markers.mark(self.env.now, "detected",
+        self._tracer.mark(self.env.now, "detected",
                           ("auction_election", server.host.name,
                            old.host.name if old else "?"))
-        self.markers.mark(self.env.now, "auction_election", server.host.name)
+        self._tracer.mark(self.env.now, "auction_election", server.host.name)
         yield self.env.timeout(self.config.election_time)
         self.master = server
         self._hb_seen = self.env.now
@@ -127,9 +129,9 @@ class AuctionDataServer(TierServer):
     """One data node (master or replica depending on the cluster's view)."""
 
     def __init__(self, host, config: AuctionConfig, cluster: AuctionDataCluster,
-                 markers=None, rng=None):
+                 rng=None):
         bridge = _tier_config_bridge(config)
-        super().__init__(host, "data", bridge, downstream=None, markers=markers)
+        super().__init__(host, "data", bridge, downstream=None)
         self.auction_config = config
         self.cluster = cluster
         self.rng = rng
@@ -162,10 +164,9 @@ class AuctionDataServer(TierServer):
 class AuctionAppServer(TierServer):
     """Application tier: routes reads to replicas, writes to the master."""
 
-    def __init__(self, host, config: AuctionConfig, data: AuctionDataCluster,
-                 markers=None):
+    def __init__(self, host, config: AuctionConfig, data: AuctionDataCluster):
         bridge = _tier_config_bridge(config)
-        super().__init__(host, "app", bridge, downstream=None, markers=markers)
+        super().__init__(host, "app", bridge, downstream=None)
         self.auction_config = config
         self.data = data
 
@@ -195,11 +196,9 @@ class AuctionWebServer(TierServer):
     """Web tier: one op-tagged entry point per operation class is wrapped
     around this server (see :class:`OpEntryPoint`)."""
 
-    def __init__(self, host, config: AuctionConfig, downstream: Dispatcher,
-                 markers=None):
+    def __init__(self, host, config: AuctionConfig, downstream: Dispatcher):
         bridge = _tier_config_bridge(config)
-        super().__init__(host, "web", bridge, downstream=downstream,
-                         markers=markers)
+        super().__init__(host, "web", bridge, downstream=downstream)
         self.auction_config = config
 
     def accept_op(self, req: Request, op: str) -> bool:
@@ -283,7 +282,7 @@ class AuctionWorld:
 
     env: Environment
     rngs: RngRegistry
-    markers: MarkerLog
+    telemetry: Telemetry
     config: AuctionConfig
     hosts: List[Host]
     web: List[AuctionWebServer]
@@ -298,6 +297,10 @@ class AuctionWorld:
     catalog: FaultCatalog
     version: str = "AUCTION"
     reset_downtime: float = 10.0
+
+    @property
+    def markers(self) -> Markers:
+        return self.telemetry.tracer.markers
 
     @property
     def servers(self):
@@ -341,9 +344,9 @@ def build_auction(
 ) -> AuctionWorld:
     env = Environment()
     rngs = RngRegistry(seed)
-    markers = MarkerLog()
+    telemetry = Telemetry.disabled()
 
-    data_cluster = AuctionDataCluster(env, config, markers)
+    data_cluster = AuctionDataCluster(env, config, telemetry)
     app_dispatcher = Dispatcher(env, _tier_config_bridge(config))
 
     hosts: List[Host] = []
@@ -360,17 +363,16 @@ def build_auction(
         return host
 
     for _ in range(config.web_nodes):
-        web.append(AuctionWebServer(new_host("web"), config, app_dispatcher,
-                                    markers))
+        web.append(AuctionWebServer(new_host("web"), config, app_dispatcher))
     for _ in range(config.app_nodes):
-        server = AuctionAppServer(new_host("app"), config, data_cluster, markers)
+        server = AuctionAppServer(new_host("app"), config, data_cluster)
         app.append(server)
         app_dispatcher.attach(server)
     for _ in range(1 + config.data_replicas):
         host = new_host("data")
         Disk(env, host, 0, DiskParams(seek_time=0.010),
              rngs.stream(f"disk.{host.name}"))
-        server = AuctionDataServer(host, config, data_cluster, markers,
+        server = AuctionDataServer(host, config, data_cluster,
                                    rng=rngs.stream(f"miss.{host.name}"))
         data.append(server)
         data_cluster.attach(server)
@@ -416,10 +418,10 @@ def build_auction(
         hosts={h.name: h for h in hosts},
         app_of=lambda host: next(host.services[n] for n in ("web", "app", "data")
                                  if n in host.services),
-        markers=markers,
+        telemetry=telemetry,
     )
     return AuctionWorld(
-        env=env, rngs=rngs, markers=markers, config=config, hosts=hosts,
+        env=env, rngs=rngs, telemetry=telemetry, config=config, hosts=hosts,
         web=web, app=app, data=data, data_cluster=data_cluster,
         injector=injector, stats=stats, read_stats=read_stats,
         write_stats=write_stats, offered_rate=read_rate + write_rate,

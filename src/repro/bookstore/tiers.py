@@ -13,9 +13,9 @@ from operator import attrgetter
 from typing import List, Optional
 
 from repro.hardware.host import Host, NodeService
+from repro.obs.telemetry import Telemetry
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment, Event
-from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 from repro.bookstore.config import BookstoreConfig
 
@@ -109,7 +109,7 @@ class Dispatcher:
 class TierServer(NodeService):
     """A generic staged server (web or application tier)."""
 
-    __slots__ = ("tier", "config", "downstream", "markers", "queue",
+    __slots__ = ("tier", "config", "downstream", "queue",
                  "_running", "jobs_done")
 
     def __init__(
@@ -118,13 +118,11 @@ class TierServer(NodeService):
         tier: str,
         config: BookstoreConfig,
         downstream: Optional[Dispatcher] = None,
-        markers: Optional[MarkerLog] = None,
     ):
         self.tier = tier
         super().__init__(host, name=tier)
         self.config = config
         self.downstream = downstream
-        self.markers = markers if markers is not None else MarkerLog()
         self.queue = self.group.own_store(
             Store(self.env, capacity=config.queue_capacity, name=f"{host.name}.{tier}q")
         )
@@ -187,8 +185,8 @@ class TierServer(NodeService):
 class WebServer(TierServer):
     """Web tier: the client-facing entry point (workload.client protocol)."""
 
-    def __init__(self, host, config, downstream, markers=None, rng=None):
-        super().__init__(host, "web", config, downstream, markers)
+    def __init__(self, host, config, downstream, rng=None):
+        super().__init__(host, "web", config, downstream)
         self.rng = rng
         self.client_pending = 0
 
@@ -219,8 +217,8 @@ class WebServer(TierServer):
 class DbServer(TierServer):
     """Database node: queries hit the buffer pool or the local disks."""
 
-    def __init__(self, host, config, cluster: "DbCluster", markers=None, rng=None):
-        super().__init__(host, "db", config, downstream=None, markers=markers)
+    def __init__(self, host, config, cluster: "DbCluster", rng=None):
+        super().__init__(host, "db", config, downstream=None)
         self.cluster = cluster
         self.rng = rng
 
@@ -263,12 +261,13 @@ class DbCluster(Dispatcher):
     blind spot PRESS's membership service has).
     """
 
-    __slots__ = ("markers", "primary", "_promoting", "_hb_seen")
+    __slots__ = ("_tracer", "primary", "_promoting", "_hb_seen")
 
     def __init__(self, env, config: BookstoreConfig,
-                 markers: Optional[MarkerLog] = None):
+                 telemetry: Optional[Telemetry] = None):
         super().__init__(env, config)
-        self.markers = markers if markers is not None else MarkerLog()
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self.primary: Optional[DbServer] = None
         self._promoting = False
         self._hb_seen = env.now
@@ -311,10 +310,10 @@ class DbCluster(Dispatcher):
     def _promote(self, server: DbServer):
         self._promoting = True
         old = self.primary
-        self.markers.mark(self.env.now, "detected",
+        self._tracer.mark(self.env.now, "detected",
                           ("db_failover", server.host.name,
                            old.host.name if old else "?"))
-        self.markers.mark(self.env.now, "db_failover", server.host.name)
+        self._tracer.mark(self.env.now, "db_failover", server.host.name)
         yield self.env.timeout(self.config.db_promotion_time)  # log replay
         self.primary = server
         self._hb_seen = self.env.now

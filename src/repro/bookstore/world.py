@@ -12,9 +12,10 @@ from repro.faults.faultload import FaultCatalog, FaultRate, HOUR, MINUTE, MONTH,
 from repro.faults.types import FaultKind
 from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Markers
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import RequestStats
 from repro.workload.trace import SyntheticTrace, TraceConfig
@@ -39,7 +40,7 @@ class BookstoreWorld:
 
     env: Environment
     rngs: RngRegistry
-    markers: MarkerLog
+    telemetry: Telemetry
     config: BookstoreConfig
     hosts: List[Host]
     web: List[WebServer]
@@ -53,6 +54,10 @@ class BookstoreWorld:
     catalog: FaultCatalog
     version: str = "BOOKSTORE"
     reset_downtime: float = 10.0
+
+    @property
+    def markers(self) -> Markers:
+        return self.telemetry.tracer.markers
 
     @property
     def servers(self) -> List[TierServer]:
@@ -108,9 +113,9 @@ def build_bookstore(
 ) -> BookstoreWorld:
     env = Environment()
     rngs = RngRegistry(seed)
-    markers = MarkerLog()
+    telemetry = Telemetry.disabled()
 
-    db_cluster = DbCluster(env, config, markers)
+    db_cluster = DbCluster(env, config, telemetry)
     app_dispatcher = Dispatcher(env, config)
 
     hosts: List[Host] = []
@@ -129,12 +134,11 @@ def build_bookstore(
 
     for _ in range(config.web_nodes):
         host = new_host("web")
-        web.append(WebServer(host, config, app_dispatcher, markers,
+        web.append(WebServer(host, config, app_dispatcher,
                              rng=rngs.stream(f"mix.{host.name}")))
     for _ in range(config.app_nodes):
         host = new_host("app")
-        server = TierServer(host, "app", config, downstream=db_cluster,
-                            markers=markers)
+        server = TierServer(host, "app", config, downstream=db_cluster)
         app.append(server)
         app_dispatcher.attach(server)
     for _ in range(1 + config.db_replicas):
@@ -143,7 +147,7 @@ def build_bookstore(
             disk = Disk(env, host, d, DiskParams(seek_time=0.012),
                         rngs.stream(f"disk.{host.name}.{d}"))
             disks[disk.name] = disk
-        server = DbServer(host, config, db_cluster, markers,
+        server = DbServer(host, config, db_cluster,
                           rng=rngs.stream(f"dbmiss.{host.name}"))
         db.append(server)
         db_cluster.attach(server)
@@ -170,10 +174,10 @@ def build_bookstore(
         hosts={h.name: h for h in hosts},
         disks=disks,
         app_of=app_of,
-        markers=markers,
+        telemetry=telemetry,
     )
     return BookstoreWorld(
-        env=env, rngs=rngs, markers=markers, config=config, hosts=hosts,
+        env=env, rngs=rngs, telemetry=telemetry, config=config, hosts=hosts,
         web=web, app=app, db=db, db_cluster=db_cluster, disks=disks,
         injector=injector, stats=stats, offered_rate=rate,
         catalog=bookstore_catalog(config),

@@ -121,17 +121,11 @@ class VersionAvailability:
                      environment: Optional[EnvironmentParams] = None):
         """Roll the fitted templates into an unavailability error budget
         with stage-level drill-down (see :mod:`repro.obs.budget`)."""
-        from repro.faults.faultload import table1_catalog
         from repro.obs.budget import build_budget
 
-        catalog = self.spec.transform_catalog(table1_catalog(
-            n_nodes=self.spec.server_count,
-            disks_per_node=2,
-            with_frontend=self.spec.frontend,
-        ))
         return build_budget(
             self.templates,
-            catalog,
+            self.spec.catalog(),
             offered_rate=self.offered_rate,
             version=self.spec.name,
             environment=environment or EnvironmentParams(),
@@ -302,11 +296,7 @@ def run_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:
     spec = version_by_name(cell.version)
     if cell.seed != config.seed:
         config = replace(config, seed=cell.seed)
-    # REPRO_CELL_SPANS opts workers into causal tracing; the default-off
-    # path keeps cell documents byte-identical to pre-span tooling, and
-    # the digest is how the jobs=1 ≡ jobs=2 contract extends to spans.
-    trace_spans = bool(os.environ.get("REPRO_CELL_SPANS"))
-    telemetry = Telemetry(trace_spans=trace_spans)
+    telemetry = Telemetry()
     trace, world = run_single_fault(spec, cell.kind, config,
                                     target=cell.target, telemetry=telemetry)
     record = FlightRecord.from_experiment(
@@ -316,17 +306,11 @@ def run_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:
         profile=config.profile.name,
         target=cell.target or world.default_target(cell.kind),
     )
-    doc = {
+    return {
         "schema": CELL_DOC_SCHEMA,
         "cell": cell.to_dict(),
         "record": record.to_dict(),
     }
-    if trace_spans:
-        from repro.obs.spans import spans_digest
-
-        doc["spans_digest"] = spans_digest(telemetry.spans.spans())
-        doc["n_spans"] = len(telemetry.spans)
-    return doc
 
 
 def quantify_from_cell_docs(

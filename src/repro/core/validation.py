@@ -111,7 +111,7 @@ def _fault_load_driver(world: World, catalog: FaultCatalog,
         t0, t1 = env.now - min(recovery_wait, 20.0), env.now
         normal = world.offered_rate
         if world.stats.series.mean_rate(t0, t1) < operator_threshold * normal:
-            world.markers.mark(env.now, "operator_reset", kind)
+            world.telemetry.tracer.mark(env.now, "operator_reset", fault.component)
             world.operator_reset()
             yield env.timeout(60.0)
 

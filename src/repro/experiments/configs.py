@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.faults.faultload import FaultCatalog
+from repro.faults.faultload import FaultCatalog, table1_catalog
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,12 @@ class VersionSpec:
         for transform in self.catalog_transforms:
             catalog = getattr(catalog, transform)()
         return catalog
+
+    def catalog(self) -> FaultCatalog:
+        """This version's Table 1 fault catalog, transforms applied."""
+        return self.transform_catalog(table1_catalog(
+            n_nodes=self.server_count, disks_per_node=2,
+            with_frontend=self.frontend))
 
 
 def _mk(name: str, **kw) -> VersionSpec:

@@ -73,15 +73,10 @@ class Evaluation:
     def predicted(self, name: str) -> ModelResult:
         """Paper Fig 7 'modeled from COOP' bars: predict a version's
         availability using only COOP's measurements."""
-        from repro.faults.faultload import table1_catalog
-
         coop = self.va("COOP")
         spec = version(name)
         templates = predict_templates(coop.templates, spec)
-        catalog = spec.transform_catalog(
-            table1_catalog(n_nodes=spec.server_count, with_frontend=spec.frontend)
-        )
-        model = AvailabilityModel(catalog, self.config.environment)
+        model = AvailabilityModel(spec.catalog(), self.config.environment)
         return model.evaluate(templates, coop.normal_tput, coop.offered_rate,
                               version=f"{name}(pred)")
 
@@ -276,16 +271,9 @@ def _scaled_result(ev: Evaluation, name: str, k: int) -> ModelResult:
     va = ev.va(name)
     templates = {kind: scale_template(tpl, float(k))
                  for kind, tpl in va.templates.items()}
-    model = AvailabilityModel(scale_catalog(_catalog_for(va), k), ev.config.environment)
+    model = AvailabilityModel(scale_catalog(va.spec.catalog(), k), ev.config.environment)
     return model.evaluate(templates, va.normal_tput * k, va.offered_rate * k,
                           version=f"{name}x{k}")
-
-
-def _catalog_for(va: VersionAvailability):
-    from repro.faults.faultload import table1_catalog
-
-    return va.spec.transform_catalog(
-        table1_catalog(n_nodes=va.spec.server_count, with_frontend=va.spec.frontend))
 
 
 def fig9(ev: Evaluation, measure_direct: bool = True) -> FigureOutput:
@@ -301,7 +289,7 @@ def fig9(ev: Evaluation, measure_direct: bool = True) -> FigureOutput:
     rows = [{"config": "FME-4 (measured)", "unavailability": base.unavailability}]
     for k, label in ((2, "FME-8 (scaled model)"), (4, "FME-16 (scaled model)")):
         scaled = AvailabilityModel(
-            scale_catalog(_catalog_for(base), k), ev.config.environment
+            scale_catalog(base.spec.catalog(), k), ev.config.environment
         ).evaluate(
             {kind: scale_template(t, float(k)) for kind, t in base.templates.items()},
             base.normal_tput * k, base.offered_rate * k, version=f"FMEx{k}",
@@ -334,7 +322,7 @@ def fig10(ev: Evaluation) -> FigureOutput:
             u = base.unavailability
         else:
             scaled = AvailabilityModel(
-                scale_catalog(_catalog_for(base), k), ev.config.environment
+                scale_catalog(base.spec.catalog(), k), ev.config.environment
             ).evaluate(
                 {kind: scale_template(t, float(k)) for kind, t in base.templates.items()},
                 base.normal_tput * k, base.offered_rate * k, version=label,

@@ -3,8 +3,8 @@
 A :class:`World` bundles everything a phase-1 campaign needs: the
 simulated cluster (hosts, disks, network), the server processes, the HA
 subsystems the version enables, the client workload, the fault injector,
-and the shared marker log.  Build one world per experiment — worlds are
-cheap and single-use (the campaign perturbs them).
+and the telemetry whose tracer keeps the markers.  Build one world per
+experiment — worlds are cheap and single-use (the campaign perturbs them).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.configs import VersionSpec
 from repro.experiments.profiles import ScaleProfile
-from repro.faults.faultload import FaultCatalog, table1_catalog
+from repro.faults.faultload import FaultCatalog
 from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultKind
 from repro.ha.fme import FmeConfig, FmeDaemon, SfmeMonitor
@@ -29,13 +29,13 @@ from repro.hardware.disk import Disk
 from repro.hardware.host import Host
 from repro.net.network import ClusterNetwork
 from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Markers
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.press.indep import IndepServer
 from repro.press.server import PressServer, bootstrap_cluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import RequestStats
 from repro.workload.trace import SyntheticTrace
@@ -50,7 +50,6 @@ class World:
     profile: ScaleProfile
     env: Environment
     rngs: RngRegistry
-    markers: MarkerLog
     net: ClusterNetwork
     hosts: List[Host]
     servers: List
@@ -67,6 +66,10 @@ class World:
     telemetry: Telemetry = field(default_factory=Telemetry)
     #: master RNG seed the world was built with (flight-record provenance)
     seed: int = 0
+
+    @property
+    def markers(self) -> Markers:
+        return self.telemetry.tracer.markers
 
     def host_by_name(self, name: str) -> Host:
         for host in self.hosts:
@@ -172,7 +175,6 @@ def build_world(
     if monitor is not None:
         env.set_monitor(monitor)
     rngs = RngRegistry(seed)
-    markers = telemetry.marker_log()
     net = ClusterNetwork(env)
     fabric = ClusterFabric(env, net)
     trace_cfg = profile.trace
@@ -206,10 +208,10 @@ def build_world(
             disk = Disk(env, host, d, profile.disk, rngs.stream(f"disk.{i}.{d}"))
             disks[disk.name] = disk
         if spec.cooperative:
-            server = PressServer(host, i, press_cfg, trace, fabric, markers,
+            server = PressServer(host, i, press_cfg, trace, fabric,
                                  telemetry=telemetry)
         else:
-            server = IndepServer(host, i, press_cfg, trace, markers,
+            server = IndepServer(host, i, press_cfg, trace,
                                  telemetry=telemetry)
         hosts.append(host)
         servers.append(server)
@@ -218,7 +220,7 @@ def build_world(
     if spec.membership:
         mnet = MembershipNetwork(net)
         for host, server in zip(hosts, servers):
-            daemon = MembershipDaemon(host, server.node_id, mnet, MembershipConfig(), markers,
+            daemon = MembershipDaemon(host, server.node_id, mnet, MembershipConfig(),
                                       telemetry=telemetry)
             server.shared_view = daemon.shared_view
             membership_daemons.append(daemon)
@@ -226,7 +228,7 @@ def build_world(
     fme_daemons: List[FmeDaemon] = []
     if spec.fme:
         for host, server in zip(hosts, servers):
-            fme_daemons.append(FmeDaemon(host, server, FmeConfig(), markers,
+            fme_daemons.append(FmeDaemon(host, server, FmeConfig(),
                                          telemetry=telemetry))
 
     for host in hosts:
@@ -243,10 +245,10 @@ def build_world(
         fe_cfg = FrontEndConfig(
             mode=MonMode.CONNECTION if spec.fe_conn_monitoring else MonMode.PING
         )
-        frontend = FrontEnd(env, fe_host, servers, fe_cfg, markers,
+        frontend = FrontEnd(env, fe_host, servers, fe_cfg,
                             telemetry=telemetry)
         if spec.sfme:
-            sfme = SfmeMonitor(env, frontend, servers, markers=markers)
+            sfme = SfmeMonitor(env, frontend, servers, telemetry=telemetry)
 
     router = frontend if frontend is not None else DnsRouter(servers)
 
@@ -273,16 +275,7 @@ def build_world(
         disks=disks,
         frontends={"fe0": frontend} if frontend is not None else {},
         app_of=lambda host: host.services["press"],
-        markers=markers,
         telemetry=telemetry,
-    )
-
-    catalog = spec.transform_catalog(
-        table1_catalog(
-            n_nodes=spec.server_count,
-            disks_per_node=2,
-            with_frontend=spec.frontend,
-        )
     )
 
     return World(
@@ -291,7 +284,6 @@ def build_world(
         profile=profile,
         env=env,
         rngs=rngs,
-        markers=markers,
         net=net,
         hosts=hosts,
         servers=servers,
@@ -299,7 +291,7 @@ def build_world(
         injector=injector,
         stats=stats,
         offered_rate=rate,
-        catalog=catalog,
+        catalog=spec.catalog(),
         frontend=frontend,
         membership_daemons=membership_daemons,
         fme_daemons=fme_daemons,

@@ -12,7 +12,8 @@ The driver expects a *world* object exposing::
 
     world.env        -- simulation Environment
     world.stats      -- workload stats with a ``.series`` ThroughputSeries
-    world.markers    -- MarkerLog shared with the injector and the servers
+    world.telemetry  -- Telemetry whose tracer the injector and the
+                        servers mark into (``world.markers`` views it)
     world.injector   -- FaultInjector
     world.operator_reset() -- full service restart (stage F)
 
@@ -25,7 +26,8 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro.faults.types import FaultComponent, FaultKind
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.trace import Markers
+from repro.sim.series import ThroughputSeries
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class ExperimentTrace:
     component: FaultComponent
     config: CampaignConfig
     series: ThroughputSeries
-    markers: MarkerLog
+    markers: Markers
     t_inject: float
     t_repair: float
     t_end: float
@@ -166,7 +168,7 @@ class SingleFaultCampaign:
         t_reset: Optional[float] = None
         if normal > 0 and post_rate < cfg.operator_threshold * normal:
             t_reset = env.now
-            self.world.markers.mark(t_reset, "operator_reset", fault.component)
+            self.world.telemetry.tracer.mark(t_reset, "operator_reset", fault.component)
             self.world.operator_reset()
             env.run(until=t_reset + cfg.reset_duration + cfg.post_reset_observe)
 

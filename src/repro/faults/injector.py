@@ -15,9 +15,8 @@ from typing import Callable, Dict, Optional
 from repro.faults.types import FaultComponent, FaultKind
 from repro.hardware.host import Host, NodeService
 from repro.net.network import ClusterNetwork
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 
 
 @dataclass
@@ -37,7 +36,7 @@ class FaultInjector:
     """Inject/repair the eight fault kinds of Table 1."""
 
     __slots__ = ("env", "hosts", "network", "disks", "frontends", "app_of",
-                 "markers", "_metrics", "_counters", "_active")
+                 "_tracer", "_metrics", "_counters", "_active")
 
     def __init__(
         self,
@@ -47,7 +46,6 @@ class FaultInjector:
         disks: Optional[Dict[str, object]] = None,
         frontends: Optional[Dict[str, object]] = None,
         app_of: Optional[Callable[[Host], NodeService]] = None,
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.env = env
@@ -56,8 +54,9 @@ class FaultInjector:
         self.disks = disks or {}
         self.frontends = frontends or {}
         self.app_of = app_of
-        self.markers = markers if markers is not None else MarkerLog()
-        self._metrics = (telemetry if telemetry is not None else NULL_TELEMETRY).metrics
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
+        self._metrics = tm.metrics
         self._counters: Dict[tuple, object] = {}
         self._active: Dict[FaultComponent, ActiveFault] = {}
 
@@ -70,7 +69,7 @@ class FaultInjector:
         fault = ActiveFault(comp, self.env.now)
         self._active[comp] = fault
         self._counter("faults_injected", kind).inc()
-        self.markers.mark(self.env.now, "fault_injected", comp)
+        self._tracer.mark(self.env.now, "fault_injected", comp)
         return fault
 
     def repair(self, fault: ActiveFault) -> None:
@@ -79,7 +78,7 @@ class FaultInjector:
         self._undo(fault.component)
         fault.repaired_at = self.env.now
         self._counter("faults_repaired", fault.component.kind).inc()
-        self.markers.mark(self.env.now, "fault_repaired", fault.component)
+        self._tracer.mark(self.env.now, "fault_repaired", fault.component)
 
     def inject_for(self, kind: FaultKind, target: str, duration: float) -> ActiveFault:
         """Inject now and schedule the repair ``duration`` seconds later."""

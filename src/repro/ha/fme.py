@@ -33,10 +33,9 @@ from repro.ha.faultmodel import (
     Symptoms,
 )
 from repro.hardware.host import Host, NodeService
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class FmeConfig:
 class FmeDaemon(NodeService):
     """Per-node FME process (its own ProcGroup, separate from the app)."""
 
-    __slots__ = ("app", "config", "model", "markers", "_spans",
+    __slots__ = ("app", "config", "model", "_tracer", "_spans",
                  "enforcements")
 
     service_name = "fme"
@@ -61,7 +60,6 @@ class FmeDaemon(NodeService):
         host: Host,
         app: NodeService,
         config: FmeConfig = FmeConfig(),
-        markers: Optional[MarkerLog] = None,
         model: FaultModel = PRESS_FAULT_MODEL,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -69,8 +67,8 @@ class FmeDaemon(NodeService):
         self.app = app
         self.config = config
         self.model = model
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self._spans = tm.spans
         self.enforcements = 0
 
@@ -145,8 +143,8 @@ class FmeDaemon(NodeService):
         """
         now = self.env.now
         self.enforcements += 1
-        self.markers.mark(now, "detected", ("fme_disk", self.host.name, self.host.name))
-        self.markers.mark(now, "fme_offline", self.host.name)
+        self._tracer.mark(now, "detected", ("fme_disk", self.host.name, self.host.name))
+        self._tracer.mark(now, "fme_offline", self.host.name)
         env, host, cfg = self.env, self.host, self.config
 
         def _shutdown_and_repair():
@@ -166,8 +164,8 @@ class FmeDaemon(NodeService):
         """App stuck, disks fine: enforce 'application crash(-restart)'."""
         now = self.env.now
         self.enforcements += 1
-        self.markers.mark(now, "detected", ("fme_app", self.host.name, self.host.name))
-        self.markers.mark(now, "fme_restart", self.host.name)
+        self._tracer.mark(now, "detected", ("fme_app", self.host.name, self.host.name))
+        self._tracer.mark(now, "fme_restart", self.host.name)
         self.app.force_restart()
 
 
@@ -180,7 +178,7 @@ class SfmeMonitor:
     a node that cannot carry its share.
     """
 
-    __slots__ = ("env", "frontend", "backends", "poll_interval", "markers",
+    __slots__ = ("env", "frontend", "backends", "poll_interval", "_tracer",
                  "actions")
 
     def __init__(
@@ -189,13 +187,14 @@ class SfmeMonitor:
         frontend,
         backends,
         poll_interval: float = 2.0,
-        markers: Optional[MarkerLog] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         self.env = env
         self.frontend = frontend
         self.backends = list(backends)
         self.poll_interval = poll_interval
-        self.markers = markers if markers is not None else MarkerLog()
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self.actions = 0
         env.process(self._loop(), owner=frontend.host.os, name="sfme")
 
@@ -219,6 +218,6 @@ class SfmeMonitor:
                 if isolated and self.frontend.is_routed(b):
                     self.frontend.force_offline(b)
                     self.actions += 1
-                    self.markers.mark(self.env.now, "sfme_offline", b.host.name)
+                    self._tracer.mark(self.env.now, "sfme_offline", b.host.name)
                 elif not isolated:
                     self.frontend.allow_online(b)

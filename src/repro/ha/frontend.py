@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hardware.host import Host
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 from repro.workload.client import Request, Router
 
 
@@ -61,7 +60,7 @@ class FrontEndConfig:
 class FrontEnd(Router):
     """The request distributor + Mon monitor."""
 
-    __slots__ = ("env", "host", "config", "markers", "_spans", "_c_probes",
+    __slots__ = ("env", "host", "config", "_tracer", "_spans", "_c_probes",
                  "_c_probe_fail", "_g_active", "backends", "active",
                  "_fail_counts", "_forced_out", "_rr", "_functioning",
                  "_primary_up")
@@ -72,14 +71,13 @@ class FrontEnd(Router):
         host: Host,
         backends: List,
         config: FrontEndConfig = FrontEndConfig(),
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.env = env
         self.host = host
         self.config = config
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self._spans = tm.spans
         m = tm.metrics
         self._c_probes = m.counter("fe_probes", node=host.name)
@@ -126,12 +124,12 @@ class FrontEnd(Router):
     def _monitor(self, backend):
         cfg = self.config
         key = id(backend)
-        # Loop-invariant bindings: the maps and marker log are mutated in
+        # Loop-invariant bindings: the maps and the tracer are mutated in
         # place but never rebound, and the backend's host name is fixed.
         env = self.env
         fail_counts = self._fail_counts
         active = self.active
-        mark = self.markers.mark
+        mark = self._tracer.mark
         backend_name = backend.host.name
         while True:
             yield env.timeout(cfg.probe_interval)
@@ -180,18 +178,18 @@ class FrontEnd(Router):
             return
         self._primary_up = False
         self._functioning = False
-        self.markers.mark(self.env.now, "fe_failed", self.host.name)
+        self._tracer.mark(self.env.now, "fe_failed", self.host.name)
         if self.config.redundant:
             def _takeover():
                 yield self.env.timeout(self.config.takeover_time)
                 if not self._primary_up:  # primary still down: backup serves
                     self._functioning = True
-                    self.markers.mark(self.env.now, "detected",
+                    self._tracer.mark(self.env.now, "detected",
                                       ("fe_takeover", self.host.name, self.host.name))
-                    self.markers.mark(self.env.now, "fe_takeover", self.host.name)
+                    self._tracer.mark(self.env.now, "fe_takeover", self.host.name)
             self.env.process(_takeover(), name="fe-takeover")
 
     def repair(self) -> None:
         self._primary_up = True
         self._functioning = True
-        self.markers.mark(self.env.now, "fe_repaired", self.host.name)
+        self._tracer.mark(self.env.now, "fe_repaired", self.host.name)

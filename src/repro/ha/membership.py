@@ -25,9 +25,8 @@ from repro.ha.memclient import SharedView
 from repro.net.message import Message
 from repro.net.network import ClusterNetwork
 from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import SimulationError
-from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 
 JOIN_MCAST = "membership.join"
@@ -72,7 +71,7 @@ class MembershipNetwork:
 class MembershipDaemon(NodeService):
     """One membership daemon per node."""
 
-    __slots__ = ("node_id", "mnet", "config", "markers", "_tracer",
+    __slots__ = ("node_id", "mnet", "config", "_tracer",
                  "_g_view_size", "_g_view_version", "_c_exclusions",
                  "shared_view", "inbox", "view", "version", "_hb_seen",
                  "_last_hb_sent", "_last_merge", "_pending", "_joining",
@@ -86,15 +85,13 @@ class MembershipDaemon(NodeService):
         node_id: int,
         mnet: MembershipNetwork,
         config: MembershipConfig = MembershipConfig(),
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         super().__init__(host)
         self.node_id = node_id
         self.mnet = mnet
         self.config = config
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
         self._tracer = tm.tracer
         m = tm.metrics
         self._g_view_size = m.gauge("memb_view_size", node=host.name)
@@ -187,7 +184,7 @@ class MembershipDaemon(NodeService):
         if self._pending is not None or target not in self.view:
             return
         self._c_exclusions.inc()
-        self.markers.mark(self.env.now, "detected", ("membership", self.node_id, target))
+        self._tracer.mark(self.env.now, "detected", ("membership", self.node_id, target))
         others = self.view - {self.node_id, target}
         self._pending = {
             "kind": "remove",
@@ -267,9 +264,9 @@ class MembershipDaemon(NodeService):
                           members=sorted(members), version=version,
                           dropped=sorted(dropped), added=sorted(added))
         if dropped:
-            self.markers.mark(now, "memb_excluded", sorted(dropped))
+            self._tracer.mark(now, "memb_excluded", sorted(dropped))
         if added - {self.node_id}:
-            self.markers.mark(now, "memb_added", sorted(added))
+            self._tracer.mark(now, "memb_added", sorted(added))
         if excluded:
             self._solicit_join()
 

@@ -2,10 +2,11 @@
 
 Three pillars (see docs/ARCHITECTURE.md, "Observability"):
 
-* :class:`Tracer` — an append-only stream of typed :class:`TraceEvent`
-  records (fault lifecycle, membership view changes, FME decisions,
-  server crash/restart, queue saturation, request outcomes), with
-  :class:`TracedMarkerLog` keeping the legacy MarkerLog surface alive.
+* :class:`Tracer` — the one log a run writes: the markers the template
+  fitter reads (kept even when telemetry is disabled) and typed
+  :class:`TraceEvent` records (membership view changes, server
+  crash/restart, queue saturation, request failures), in emission
+  order, with ``events`` and ``markers`` (:class:`Markers`) views.
 * :class:`MetricsHub` — labelled :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` instruments wired into the service hot paths, with
   a snapshot API.
@@ -78,8 +79,8 @@ from repro.obs.spans import (
     span_to_dict,
     spans_digest,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import TracedMarkerLog, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Markers, Tracer
 
 # The availability-accounting tier (recorder/attribution/budget/timeline)
 # sits ABOVE the core fitting layer, which itself imports the raw
@@ -98,7 +99,6 @@ _ACCOUNTING_EXPORTS = {
     "budget_from_records": "repro.obs.budget",
     "build_budget": "repro.obs.budget",
     "format_budget": "repro.obs.budget",
-    "merge_budget_reports": "repro.obs.budget",
     "FlightRecord": "repro.obs.recorder",
     "SCHEMA_VERSION": "repro.obs.recorder",
     "merge_records": "repro.obs.recorder",
@@ -139,7 +139,6 @@ __all__ = [
     "build_budget",
     "format_attribution",
     "format_budget",
-    "merge_budget_reports",
     "merge_records",
     "read_record",
     "record_flight",
@@ -150,7 +149,7 @@ __all__ = [
     "TraceEvent",
     "sanitize",
     "Tracer",
-    "TracedMarkerLog",
+    "Markers",
     "NULL_SPANS",
     "Span",
     "SpanRecorder",
@@ -178,7 +177,6 @@ __all__ = [
     "process_type",
     "subsystem_of_path",
     "Telemetry",
-    "NULL_TELEMETRY",
     "event_to_dict",
     "event_from_dict",
     "filter_events",

@@ -3,16 +3,16 @@
 The paper's contribution is *explaining* unavailability, not just
 measuring it.  :class:`StageAttributor` walks a recorded single-fault
 experiment (a :class:`~repro.obs.recorder.FlightRecord`, or a live
-:class:`~repro.faults.campaign.ExperimentTrace` plus its event stream)
-and partitions the experiment window ``[t_inject, t_end]`` into
-contiguous :class:`LossSlice` windows, each attributed to a
+:class:`~repro.faults.campaign.ExperimentTrace`) and partitions the
+experiment window ``[t_inject, t_end]`` into contiguous
+:class:`LossSlice` windows, each attributed to a
 ``(fault kind, template stage, component, cause)`` tuple:
 
 =====  =====================================  ===========================
 stage  cause                                  boundary source
 =====  =====================================  ===========================
 A      ``undetected-window`` /                injection -> first
-       ``undetected-fault``                   ``detected`` event
+       ``undetected-fault``                   ``detected`` marker
 B      ``reconfiguration-transient``          stabilization scan at the
                                               degraded tail level
 C      ``stable-degraded-capacity``           repair time
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.core.template import (
     FitConfig,
@@ -55,7 +55,7 @@ from repro.core.template import (
     stabilization_time,
 )
 from repro.faults.campaign import ExperimentTrace
-from repro.obs.events import EventKind, TraceEvent
+from repro.obs.events import EventKind
 from repro.obs.recorder import FlightRecord
 
 #: canonical cause name per template stage (budget rollups use the same
@@ -223,18 +223,14 @@ class StageAttributor:
     # -- entry points ------------------------------------------------------
     def attribute(self, record: FlightRecord) -> AttributionReport:
         """Attribute a recorded flight (the ``repro budget`` path)."""
-        return self.attribute_trace(record.to_trace(), events=record.events)
+        return self.attribute_trace(record.to_trace())
 
-    def attribute_trace(
-        self,
-        trace: ExperimentTrace,
-        events: Sequence[TraceEvent] = (),
-    ) -> AttributionReport:
+    def attribute_trace(self, trace: ExperimentTrace) -> AttributionReport:
         """Attribute a live (or replayed) experiment trace.
 
-        ``events`` refines the timeline when available: detection comes
-        from the first ``detected`` event, and reconfiguration events are
-        checked for consistency with the stage-B window.
+        Detection is the first ``detected`` marker after injection, and
+        reconfiguration markers are checked for consistency with the
+        stage-B window.
         """
         cfg = self.config
         fitcfg = cfg.fit
@@ -247,8 +243,8 @@ class StageAttributor:
 
         template = self._fitter.fit(trace)
 
-        # -- detection boundary (events first, markers as fallback) --------
-        t_detect = self._detect_time(trace, events)
+        # -- detection boundary --------------------------------------------
+        t_detect = trace.t_detect
         undetected = t_detect is None or t_detect > trace.t_repair
         if t_detect is not None and t_detect > trace.t_repair:
             notes.append(
@@ -289,8 +285,8 @@ class StageAttributor:
                              t_detect + d_b, trace.t_repair))
             checks.append(BoundaryCheck("B", d_b,
                                         template.stage("B").duration, tol))
-            self._check_reconfig_events(events, t_detect, t_detect + d_b,
-                                        trace.t_repair, notes)
+            self._check_reconfig_markers(trace, t_detect, t_detect + d_b,
+                                         notes)
         checks.insert(0, BoundaryCheck("A", d_a,
                                        template.stage("A").duration, tol))
 
@@ -348,15 +344,6 @@ class StageAttributor:
         )
 
     # -- internals ---------------------------------------------------------
-    def _detect_time(
-        self, trace: ExperimentTrace, events: Sequence[TraceEvent]
-    ) -> Optional[float]:
-        times = [e.time for e in events
-                 if e.kind == EventKind.DETECTED and e.time >= trace.t_inject]
-        if times:
-            return min(times)
-        return trace.t_detect  # marker-log fallback (live traces)
-
     def _window_loss(self, series, offered: float, t0: float, t1: float):
         """Integrate (offered, served, lost) request-seconds over [t0, t1)."""
         bucket = self.config.bucket
@@ -372,21 +359,20 @@ class StageAttributor:
             lost += max(off - n, 0.0)
         return offered_rs, served, lost
 
-    def _check_reconfig_events(
+    def _check_reconfig_markers(
         self,
-        events: Sequence[TraceEvent],
+        trace: ExperimentTrace,
         t_detect: float,
         b_end: float,
-        t_repair: float,
         notes: List[str],
     ) -> None:
         """Reconfiguration actions should land in (or right at) stage B."""
         slack = self.config.tolerance_buckets * self.config.fit.bucket
-        for e in events:
-            if e.kind in RECONFIG_KINDS and t_detect <= e.time <= t_repair:
-                if e.time > b_end + slack:
+        for t, label, _ in trace.markers.entries:
+            if label in RECONFIG_KINDS and t_detect <= t <= trace.t_repair:
+                if t > b_end + slack:
                     notes.append(
-                        f"reconfiguration event {e.kind!r} at {e.time:.1f}s "
+                        f"reconfiguration event {label!r} at {t:.1f}s "
                         f"falls after the stage-B window (ends "
                         f"{b_end:.1f}s)"
                     )

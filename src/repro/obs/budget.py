@@ -227,59 +227,9 @@ def budget_from_records(
     )
 
 
-def merge_budget_reports(reports: Sequence[BudgetReport]) -> BudgetReport:
-    """Deterministically merge per-shard budgets of one version.
-
-    A parallel campaign can budget each fault kind's records in its own
-    worker; this folds the shard reports back into one.  Merging is
-    keyed on the shard order given (cell order), never completion order:
-    lines are concatenated then re-sorted with a full ``(unavailability,
-    fault, stage)`` key so ties cannot depend on arrival order, measured
-    attributions concatenate in shard order, and a kind is only
-    ``missing`` if no shard budgeted it.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no budget reports given")
-    versions = {r.version for r in reports}
-    if len(versions) > 1:
-        raise ValueError(
-            f"budgets span multiple versions {sorted(versions)}; "
-            "merge one version at a time")
-    objectives = {r.objective for r in reports}
-    if len(objectives) > 1:
-        raise ValueError("budgets disagree on the availability objective")
-    offered = {r.offered_rate for r in reports}
-    if len(offered) > 1:
-        raise ValueError("budgets disagree on the offered rate")
-
-    lines: List[BudgetLine] = []
-    measured: List[AttributionReport] = []
-    for report in reports:
-        lines.extend(report.lines)
-        measured.extend(report.measured)
-    lines.sort(key=lambda l: (-l.unavailability, l.fault.value, l.stage))
-
-    budgeted = {line.fault for line in lines}
-    missing: List[FaultKind] = []
-    for report in reports:
-        for kind in report.missing_kinds:
-            if kind not in budgeted and kind not in missing:
-                missing.append(kind)
-    return BudgetReport(
-        version=reports[0].version,
-        objective=reports[0].objective,
-        offered_rate=reports[0].offered_rate,
-        lines=lines,
-        measured=measured,
-        missing_kinds=missing,
-    )
-
-
 def _catalog_for(version_name: str) -> FaultCatalog:
     """The fault catalog a version's world would carry (no simulation)."""
     from repro.experiments.configs import version as version_by_name
-    from repro.faults.faultload import table1_catalog
 
     try:
         spec = version_by_name(version_name)
@@ -287,11 +237,7 @@ def _catalog_for(version_name: str) -> FaultCatalog:
         raise ValueError(
             f"no fault catalog for recorded version {version_name!r}; "
             f"pass an explicit catalog") from exc
-    return spec.transform_catalog(table1_catalog(
-        n_nodes=spec.server_count,
-        disks_per_node=2,
-        with_frontend=spec.frontend,
-    ))
+    return spec.catalog()
 
 
 # -- rendering -------------------------------------------------------------

@@ -34,7 +34,6 @@ kind                   data fields
 ``server_crash``       ``node_id``
 ``queue_saturated``    ``queue``, ``action`` (reroute/dropped/qmon_failed)
 ``request_failed``     ``fid``, ``outcome``
-``request_ok``         ``fid``, ``latency`` (opt-in; see Telemetry)
 ``operator_reset``     ``fault``, ``target``
 ``span``               one causal span (see :mod:`repro.obs.spans`)
 =====================  ========================================================
@@ -76,7 +75,6 @@ class EventKind:
     SERVER_CRASH = "server_crash"
     QUEUE_SATURATED = "queue_saturated"
     REQUEST_FAILED = "request_failed"
-    REQUEST_OK = "request_ok"
     OPERATOR_RESET = "operator_reset"
     SPAN = "span"
 
@@ -129,7 +127,7 @@ def canonical(value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-#: marker label -> source attribution for facade-translated events
+#: marker label -> source attribution for translated markers
 _MARKER_SOURCES = {
     EventKind.FAULT_INJECTED: "injector",
     EventKind.FAULT_REPAIRED: "injector",
@@ -149,7 +147,7 @@ _MARKER_SOURCES = {
 
 
 def marker_event(time: float, label: str, data: Any) -> TraceEvent:
-    """Translate one MarkerLog entry into a structured TraceEvent.
+    """Translate one ``(time, label, data)`` marker into a TraceEvent.
 
     Known labels get typed payloads; unknown labels pass through with a
     generic ``{"value": ...}`` payload.

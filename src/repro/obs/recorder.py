@@ -44,7 +44,8 @@ from repro.faults.campaign import CampaignConfig, ExperimentTrace
 from repro.faults.types import FaultComponent, FaultKind
 from repro.obs.events import TraceEvent, sanitize
 from repro.obs.export import event_from_dict, event_to_dict
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.trace import Markers
+from repro.sim.series import ThroughputSeries
 
 #: Bump when the artifact layout changes; readers refuse newer schemas.
 SCHEMA_VERSION = 1
@@ -106,21 +107,19 @@ class FlightRecord:
         """Rebuild the :class:`ExperimentTrace` the analyses consume.
 
         The rebuilt trace is observationally identical to the live one:
-        the throughput series has the same timestamps, the marker log the
+        the throughput series has the same timestamps, the markers the
         same ``(time, label)`` pairs (payloads are the sanitized forms),
         so fitting and attribution reproduce the online results exactly.
         """
         series = ThroughputSeries(name=f"{self.version}:{self.fault}")
         for t in self.samples:
             series.record(t)
-        markers = MarkerLog()
-        for t, label, data in self.markers:
-            markers.mark(t, label, data)
         return ExperimentTrace(
             component=self.component,
             config=self.campaign,
             series=series,
-            markers=markers,
+            markers=Markers([(float(t), label, data)
+                             for t, label, data in self.markers]),
             t_inject=float(self.timeline["t_inject"]),
             t_repair=float(self.timeline["t_repair"]),
             t_end=float(self.timeline["t_end"]),
@@ -180,10 +179,6 @@ class FlightRecord:
     @property
     def duration(self) -> float:
         return float(self.timeline["t_end"])
-
-    def events_of(self, *kinds: str) -> List[TraceEvent]:
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
 
 
 def write_record(record: FlightRecord, dst: PathOrFile) -> None:

@@ -251,7 +251,7 @@ class SpanRecorder:
         self._trees.clear()
 
 
-#: Shared always-disabled recorder (mirrors NULL_TELEMETRY).
+#: Shared always-disabled recorder: it records nothing, so sharing is safe.
 NULL_SPANS = SpanRecorder(enabled=False)
 
 

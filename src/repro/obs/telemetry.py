@@ -5,7 +5,8 @@ One :class:`Telemetry` object travels with a
 hub, and (opt-in) a kernel profiler.  ``build_world`` creates an enabled
 bundle by default; pass ``Telemetry.disabled()`` for zero-overhead runs
 (every instrument degrades to a null object and the kernel keeps its
-monitor-free fast path).
+monitor-free fast path).  A disabled bundle's tracer still keeps the
+markers, which the model reads.
 """
 
 from __future__ import annotations
@@ -15,28 +16,16 @@ from typing import Optional
 from repro.obs.kernelprof import KernelProfiler, TimingProfiler
 from repro.obs.metrics import MetricsHub
 from repro.obs.spans import SpanRecorder
-from repro.obs.trace import TracedMarkerLog, Tracer
+from repro.obs.trace import Tracer
 
 
 class Telemetry:
     """Tracer + metrics registry + optional kernel profiler for one world.
 
-    ``trace_requests`` additionally records a ``request_ok`` event per
-    successful request — precise but memory-hungry; off by default
-    (successes are always *counted* in metrics, and failures are always
-    traced as discrete events).
-
     ``profile_time=True`` upgrades the kernel profiler to a
     :class:`~repro.obs.kernelprof.TimingProfiler` (wall-time attribution
     per event kind / process type / subsystem); it implies kernel
     profiling.
-
-    ``trace_max_events`` caps the tracer's in-memory retention (ring
-    buffer).  The drop count is exposed both as ``tracer.dropped`` and —
-    when metrics are enabled — as the ``trace_events_dropped`` counter in
-    the hub.  Unset (the default), nothing changes: the stream is
-    unbounded and no extra metric series is registered, so existing
-    digests are untouched.
 
     ``trace_spans=True`` turns on causal request tracing
     (:mod:`repro.obs.spans`): per-request span trees threaded through
@@ -47,26 +36,20 @@ class Telemetry:
     created, so the simulation is event-identical to an untraced run.
     """
 
-    __slots__ = ("enabled", "tracer", "metrics", "profiler", "trace_requests",
-                 "spans", "trace_spans")
+    __slots__ = ("enabled", "tracer", "metrics", "profiler", "spans",
+                 "trace_spans")
 
     def __init__(self, enabled: bool = True, profile_kernel: bool = False,
-                 trace_requests: bool = False, profile_time: bool = False,
-                 trace_max_events: Optional[int] = None,
-                 trace_spans: bool = False, span_sample: float = 1.0,
-                 span_seed: int = 0,
+                 profile_time: bool = False, trace_spans: bool = False,
+                 span_sample: float = 1.0, span_seed: int = 0,
                  span_max_requests: Optional[int] = None):
         self.enabled = enabled
         self.metrics = MetricsHub(enabled=enabled)
-        drop_counter = (self.metrics.counter("trace_events_dropped")
-                        if (enabled and trace_max_events is not None) else None)
-        self.tracer = Tracer(enabled=enabled, max_events=trace_max_events,
-                             drop_counter=drop_counter)
+        self.tracer = Tracer(enabled=enabled)
         profiler: Optional[KernelProfiler] = None
         if enabled and (profile_kernel or profile_time):
             profiler = TimingProfiler() if profile_time else KernelProfiler()
         self.profiler = profiler
-        self.trace_requests = bool(enabled and trace_requests)
         self.trace_spans = bool(enabled and trace_spans)
         self.spans = SpanRecorder(enabled=self.trace_spans,
                                   sample=span_sample, seed=span_seed,
@@ -86,11 +69,3 @@ class Telemetry:
             # untraced fast path (transport/fabric check it per send).
             self.spans.bind_clock(env)
             env.bind_spans(self.spans)
-
-    def marker_log(self) -> TracedMarkerLog:
-        """A MarkerLog that mirrors every mark into the tracer."""
-        return TracedMarkerLog(self.tracer)
-
-
-#: Shared do-nothing bundle for components constructed without telemetry.
-NULL_TELEMETRY = Telemetry.disabled()

@@ -120,13 +120,6 @@ def _marks_in(record: FlightRecord, t0: float, t1: float) -> List[str]:
     marks = []
     for label, key in _MARKS:
         t = record.timeline.get(key)
-        if key == "t_detect":
-            # Attribution uses the event stream for detection; the chart
-            # should mark the same instant.
-            events = record.events_of("detected")
-            after = [e.time for e in events
-                     if e.time >= record.timeline["t_inject"]]
-            t = min(after) if after else t
         if t is not None and t0 <= float(t) < t1:
             marks.append(label)
     return marks

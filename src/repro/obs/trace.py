@@ -1,60 +1,61 @@
-"""The structured tracer and its MarkerLog-compatible facade.
+"""The one log a run writes.
 
-:class:`Tracer` is the append-only stream of :class:`~repro.obs.events.TraceEvent`
-records.  Components emit through it directly; legacy marker-based code
-keeps working through :class:`TracedMarkerLog`, a drop-in
-:class:`~repro.sim.series.MarkerLog` whose ``mark`` calls are mirrored
-into the tracer as typed events.  The template fitter (which consumes the
-MarkerLog interface) therefore sees exactly what it always saw, while the
-exporters see the structured stream.
+:class:`Tracer` keeps, in emission order, the markers components record
+with :meth:`Tracer.mark` (the fault-lifecycle annotations -- injected,
+detected, repaired, reset -- that the 7-stage template fitter keys on)
+and the typed :class:`~repro.obs.events.TraceEvent` records they
+``emit``.  Markers are model input, so they are kept even when the
+tracer is disabled; ``emit`` is then a no-op after one attribute check,
+the guard-checked fast path.
 
-With ``enabled=False`` every ``emit`` returns immediately after one
-attribute check — the guard-checked fast path the kernel benchmark
-verifies.
+Readers get two views of the log: ``events``, the typed stream with each
+marker translated by :func:`~repro.obs.events.marker_event` (empty when
+disabled), and ``markers``, a read-only :class:`Markers` view of the
+``(time, label, data)`` triples.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import TraceEvent, marker_event, sanitize
-from repro.sim.series import MarkerLog
+
+
+class Markers:
+    """Read-only view of the markers of a log, in emission order."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: Sequence[Any]):
+        self._log = log
+
+    @property
+    def entries(self) -> List[Tuple[float, str, Any]]:
+        return [e for e in self._log if type(e) is tuple]
+
+    def all(self, label: str) -> List[Tuple[float, Any]]:
+        return [(t, d) for t, lbl, d in self.entries if lbl == label]
+
+    def first(self, label: str) -> Optional[float]:
+        """Earliest time of ``label``, or None if never marked."""
+        hits = self.all(label)
+        return min(t for t, _ in hits) if hits else None
 
 
 class Tracer:
-    """Append-only, typed telemetry stream.
+    """Append-only log of markers and typed telemetry events.
 
-    ``max_events`` bounds in-memory retention: when set, the stream
-    becomes a ring buffer — the oldest events are discarded as new ones
-    arrive, and ``dropped`` counts the casualties (long campaigns would
-    otherwise accumulate an unbounded list).  Subscribers still see
-    *every* event at emit time, so exporters that stream to disk lose
-    nothing; only the in-memory tail is capped.  ``drop_counter`` is an
-    optional Counter-shaped object (``inc()``) mirroring the drop count
-    into a metrics registry.
+    ``len(tracer)`` is the length of ``events``: 0 when disabled, even
+    if markers were kept, so never test a tracer for truth.
     """
 
-    __slots__ = ("enabled", "_events", "_env", "_subscribers", "_max_events",
-                 "dropped", "_drop_counter")
+    __slots__ = ("enabled", "_log", "_env", "_subscribers")
 
-    def __init__(self, enabled: bool = True, max_events: Optional[int] = None,
-                 drop_counter=None):
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be positive, got {max_events}")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._max_events = max_events
-        self._events: Any = (deque(maxlen=max_events) if max_events is not None
-                             else [])
+        self._log: List[Any] = []  # (time, label, data) markers and TraceEvents
         self._env = None
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-        self.dropped = 0
-        self._drop_counter = drop_counter
-
-    @property
-    def max_events(self) -> Optional[int]:
-        """Retention cap, or None for unbounded."""
-        return self._max_events
 
     # -- wiring ----------------------------------------------------------
     def bind_clock(self, env) -> None:
@@ -65,7 +66,16 @@ class Tracer:
         """Call ``fn(event)`` for every event emitted from now on."""
         self._subscribers.append(fn)
 
-    # -- emission --------------------------------------------------------
+    # -- recording -------------------------------------------------------
+    def mark(self, time: float, label: str, data: Any = None) -> None:
+        """Record one marker; kept even when the tracer is disabled."""
+        entry = (float(time), label, data)
+        self._log.append(entry)
+        if self.enabled and self._subscribers:
+            event = marker_event(*entry)
+            for fn in self._subscribers:
+                fn(event)
+
     def emit(self, kind: str, source: str = "", time: Optional[float] = None,
              **data: Any) -> Optional[TraceEvent]:
         """Record one event; no-op (returns None) when disabled."""
@@ -75,21 +85,7 @@ class Tracer:
             time = self._env.now if self._env is not None else 0.0
         event = TraceEvent(time=float(time), kind=kind, source=source,
                            data={k: sanitize(v) for k, v in data.items()})
-        return self._append(event)
-
-    def emit_marker(self, time: float, label: str, data: Any) -> Optional[TraceEvent]:
-        """Record a legacy marker as a structured event; no-op when disabled."""
-        if not self.enabled:
-            return None
-        return self._append(marker_event(time, label, data))
-
-    def _append(self, event: TraceEvent) -> TraceEvent:
-        buf = self._events
-        if self._max_events is not None and len(buf) == self._max_events:
-            self.dropped += 1
-            if self._drop_counter is not None:
-                self._drop_counter.inc()
-        buf.append(event)
+        self._log.append(event)
         for fn in self._subscribers:
             fn(event)
         return event
@@ -97,37 +93,20 @@ class Tracer:
     # -- access ----------------------------------------------------------
     @property
     def events(self) -> List[TraceEvent]:
-        return list(self._events)
+        if not self.enabled:
+            return []
+        return [marker_event(*e) if type(e) is tuple else e for e in self._log]
+
+    @property
+    def markers(self) -> Markers:
+        return Markers(self._log)
 
     def events_of(self, *kinds: str) -> List[TraceEvent]:
-        wanted = set(kinds)
-        return [e for e in self._events if e.kind in wanted]
+        return [e for e in self.events if e.kind in kinds]
 
     def first(self, kind: str) -> Optional[TraceEvent]:
-        for e in self._events:
-            if e.kind == kind:
-                return e
-        return None
+        hits = self.events_of(kind)
+        return hits[0] if hits else None
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-
-
-class TracedMarkerLog(MarkerLog):
-    """A MarkerLog whose marks are mirrored into a :class:`Tracer`.
-
-    Behaviourally identical to a plain MarkerLog for every query
-    (``entries``/``all``/``first``/``last``/``labels``); the only addition
-    is the side channel into the structured trace.
-    """
-
-    def __init__(self, tracer: Tracer):
-        super().__init__()
-        self._tracer = tracer
-
-    def mark(self, time: float, label: str, data: Any = None) -> None:
-        super().mark(time, label, data)
-        self._tracer.emit_marker(time, label, data)
+        return len(self._log) if self.enabled else 0

@@ -15,11 +15,10 @@ from typing import Optional
 
 from repro.hardware.host import Host, NodeService
 from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.press.cache import LruCache
 from repro.press.config import PressConfig
 from repro.sim.kernel import Event, SimulationError
-from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 from repro.workload.client import Request
 
@@ -27,7 +26,7 @@ from repro.workload.client import Request
 class IndepServer(NodeService):
     """One independent server process."""
 
-    __slots__ = ("node_id", "config", "trace", "markers", "_tracer",
+    __slots__ = ("node_id", "config", "trace", "_tracer",
                  "_c_hits", "_c_misses", "_c_evict", "_c_served", "_c_disk",
                  "main_q", "disk_q", "_running", "cache", "client_pending",
                  "requests_served", "pending_fetch")
@@ -40,15 +39,13 @@ class IndepServer(NodeService):
         node_id: int,
         config: PressConfig,
         trace,
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         super().__init__(host)
         self.node_id = node_id
         self.config = config
         self.trace = trace
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
         self._tracer = tm.tracer
         m, node = tm.metrics, host.name
         self._c_hits = m.counter("press_cache_hits", node=node)

@@ -31,13 +31,12 @@ from repro.hardware.host import Host, NodeService
 from repro.net.message import Message
 from repro.net.transport import CLOSED, Connection, ConnectionClosed
 from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.press.cache import CacheDirectory, LruCache
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Event, SimulationError
-from repro.sim.series import MarkerLog
 from repro.sim.store import Store
 from repro.workload.client import Request
 
@@ -93,7 +92,7 @@ class PeerLink:
 class PressServer(NodeService):
     """Cooperative PRESS on one node."""
 
-    __slots__ = ("node_id", "config", "trace", "fabric", "markers", "_tracer",
+    __slots__ = ("node_id", "config", "trace", "fabric", "_tracer",
                  "_spans", "_c_hits", "_c_misses", "_c_evict", "_c_served",
                  "_c_forwards", "_c_remote", "_c_disk", "_c_reroutes",
                  "_c_drops", "_c_qmon", "_c_excl", "_c_hb", "main_q", "ctl_q",
@@ -118,7 +117,6 @@ class PressServer(NodeService):
         config: PressConfig,
         trace,
         fabric: ClusterFabric,
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         super().__init__(host)
@@ -126,8 +124,7 @@ class PressServer(NodeService):
         self.config = config
         self.trace = trace
         self.fabric = fabric
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
         self._tracer = tm.tracer
         self._spans = tm.spans
         m, node = tm.metrics, host.name
@@ -289,7 +286,7 @@ class PressServer(NodeService):
         self._adopt_link(from_id, conn)
         self._enqueue_cache_sync(from_id)
         if rejoining and self._joined:
-            self.markers.mark(self.env.now, "reintegrated", from_id)
+            self._tracer.mark(self.env.now, "reintegrated", from_id)
 
     def _adopt_link(self, peer_id: int, conn: Connection) -> None:
         link = PeerLink(self, peer_id, conn)
@@ -797,8 +794,8 @@ class PressServer(NodeService):
         if link is None and not in_coop:
             return
         self._c_excl.inc()
-        self.markers.mark(self.env.now, "detected", (reason, self.node_id, peer_id))
-        self.markers.mark(self.env.now, "excluded", (self.node_id, peer_id))
+        self._tracer.mark(self.env.now, "detected", (reason, self.node_id, peer_id))
+        self._tracer.mark(self.env.now, "excluded", (self.node_id, peer_id))
         # Reconfiguration brings a re-warming burst (the excluded node's
         # cached files must be re-fetched): ride it out in warm-up mode so
         # the survivors shed to their disks instead of wedging each other.
@@ -851,7 +848,7 @@ class PressServer(NodeService):
                 self._adopt_link(m, conn)
                 self._enqueue_cache_sync(m)
         if self.links:
-            self.markers.mark(self.env.now, "rejoined", self.node_id)
+            self._tracer.mark(self.env.now, "rejoined", self.node_id)
 
     # -- membership reconciliation (Section 4.4) ---------------------------------
     def _reconcile_membership(self) -> None:
@@ -880,7 +877,7 @@ class PressServer(NodeService):
             self._adopt_link(peer_id, conn)
             self._enqueue_cache_sync(peer_id)
             if was_out:
-                self.markers.mark(self.env.now, "reintegrated", peer_id)
+                self._tracer.mark(self.env.now, "reintegrated", peer_id)
 
 
 def bootstrap_cluster(servers: List[PressServer]) -> None:

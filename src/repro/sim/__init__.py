@@ -27,7 +27,7 @@ from repro.sim.process import Process, Interrupt, ProcessOwner, KILLED
 from repro.sim.store import Store, StoreFullError
 from repro.sim.conditions import AnyOf, AllOf
 from repro.sim.rng import RngRegistry
-from repro.sim.series import ThroughputSeries, MarkerLog
+from repro.sim.series import ThroughputSeries
 
 __all__ = [
     "Environment",
@@ -46,5 +46,4 @@ __all__ = [
     "AllOf",
     "RngRegistry",
     "ThroughputSeries",
-    "MarkerLog",
 ]

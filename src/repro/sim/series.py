@@ -1,17 +1,18 @@
-"""Time-series recording for throughput timelines and event markers.
+"""Time-series recording for throughput timelines.
 
 Phase 1 of the paper's methodology measures "the system's behavior during
 the fault" as a throughput-vs-time curve annotated with fault lifecycle
 events (injected, detected, repaired, reset).  :class:`ThroughputSeries`
-collects completion timestamps; :class:`MarkerLog` collects the annotations
-that the 7-stage template fitter (:mod:`repro.core.template`) keys on.
+collects completion timestamps; the annotations that the 7-stage template
+fitter (:mod:`repro.core.template`) keys on are markers in the world's
+:class:`~repro.obs.trace.Tracer`.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,35 +74,3 @@ class ThroughputSeries:
         edges = start + bin_width * np.arange(nbins + 1)
         counts, _ = np.histogram(self.times, bins=edges)
         return edges[:-1], counts / bin_width
-
-
-class MarkerLog:
-    """Timestamped labels annotating an experiment timeline."""
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple[float, str, Any]] = []
-
-    def mark(self, time: float, label: str, data: Any = None) -> None:
-        self._entries.append((float(time), label, data))
-
-    @property
-    def entries(self) -> List[Tuple[float, str, Any]]:
-        return list(self._entries)
-
-    def all(self, label: str) -> List[Tuple[float, Any]]:
-        return [(t, d) for (t, lbl, d) in self._entries if lbl == label]
-
-    def first(self, label: str) -> Optional[float]:
-        """Earliest time of ``label``, or None if never marked."""
-        hits = self.all(label)
-        return min(t for t, _ in hits) if hits else None
-
-    def last(self, label: str) -> Optional[float]:
-        hits = self.all(label)
-        return max(t for t, _ in hits) if hits else None
-
-    def labels(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for _, lbl, _ in self._entries:
-            out[lbl] = out.get(lbl, 0) + 1
-        return out

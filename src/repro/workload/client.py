@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment, Event
 from repro.workload.stats import Outcome, RequestStats
@@ -114,7 +114,7 @@ class ClientPool:
     """The aggregate open-loop client population."""
 
     __slots__ = ("env", "trace", "router", "stats", "config", "rng",
-                 "_started", "_tracer", "_trace_ok", "_spans", "_next_req_id",
+                 "_started", "_tracer", "_spans", "_next_req_id",
                  "_c_issued", "_c_ok", "_h_latency", "_h_latency_expired",
                  "_c_fail")
 
@@ -135,9 +135,8 @@ class ClientPool:
         self.config = config
         self.rng = rng
         self._started = False
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
         self._tracer = tm.tracer
-        self._trace_ok = tm.trace_requests
         self._spans = tm.spans
         self._next_req_id = 0
         m = tm.metrics
@@ -214,10 +213,6 @@ class ClientPool:
             self._h_latency.observe(latency)
             spans.finish(wait, outcome="ok")
             spans.finish(req.ctx, outcome="ok")
-            if self._trace_ok:
-                # Opt-in: one event per served request is a lot of volume.
-                self._tracer.emit(EventKind.REQUEST_OK, source="clients",
-                                  fid=req.fid, latency=latency)
         else:
             req.expired = True
             spans.finish(wait, outcome="expired")

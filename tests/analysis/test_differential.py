@@ -48,12 +48,12 @@ class TestHashSeed:
         from types import SimpleNamespace
         from repro.analysis.differential import fingerprint
         from repro.sim.kernel import Environment
-        from repro.sim.series import MarkerLog
+        from repro.obs.trace import Tracer
 
-        env, markers = Environment(), MarkerLog()
+        env, tracer = Environment(), Tracer()
         for name in {f"n{i}" for i in range(8)}:
-            markers.mark(env.now, "probe", name)
-        print(json.dumps(fingerprint(SimpleNamespace(env=env, markers=markers))))
+            tracer.mark(env.now, "probe", name)
+        print(json.dumps(fingerprint(SimpleNamespace(env=env, markers=tracer.markers))))
     """)
 
     def fingerprint_under(self, hash_seed):
@@ -100,7 +100,7 @@ class LeakyWorld:
 
         env.process(client())
         env.run(until=10.0)
-        return fingerprint(SimpleNamespace(env=env, markers=telemetry.marker_log(),
+        return fingerprint(SimpleNamespace(env=env, markers=telemetry.tracer.markers,
                                            stats=stats, telemetry=telemetry))
 
 

@@ -36,12 +36,11 @@ class TornScenario:
     def run(self, telemetry, tiebreak_seed=None):
         env = Environment(tiebreak_seed=tiebreak_seed)
         telemetry.attach(env)
-        markers = telemetry.marker_log()
         counter = _load_torn_module().TornCounter(env)
         counter.start()
         env.run()
-        markers.mark(env.now, "count", counter.count)
-        return fingerprint(SimpleNamespace(env=env, markers=markers,
+        telemetry.tracer.mark(env.now, "count", counter.count)
+        return fingerprint(SimpleNamespace(env=env, markers=telemetry.tracer.markers,
                                            telemetry=telemetry))
 
 

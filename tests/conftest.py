@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Markers
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 
 
 @pytest.fixture
@@ -20,5 +21,12 @@ def rngs() -> RngRegistry:
 
 
 @pytest.fixture
-def markers() -> MarkerLog:
-    return MarkerLog()
+def telemetry() -> Telemetry:
+    """A disabled bundle: no events or metrics, but its tracer keeps marks."""
+    return Telemetry.disabled()
+
+
+@pytest.fixture
+def markers(telemetry) -> Markers:
+    """The markers of the ``telemetry`` fixture's tracer."""
+    return telemetry.tracer.markers

@@ -11,7 +11,8 @@ from repro.core.template import (
 )
 from repro.faults.campaign import CampaignConfig, ExperimentTrace
 from repro.faults.types import FaultComponent, FaultKind
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.trace import Tracer
+from repro.sim.series import ThroughputSeries
 
 
 def synth_series(segments, dt=0.02):
@@ -36,7 +37,7 @@ def synth_series(segments, dt=0.02):
 
 def make_trace(segments, t_inject, t_repair, t_end, markers=None,
                normal=100.0, offered=100.0, t_reset=None):
-    m = markers or MarkerLog()
+    m = markers if markers is not None else Tracer().markers
     return ExperimentTrace(
         component=FaultComponent(FaultKind.NODE_CRASH, "n1"),
         config=CampaignConfig(),
@@ -70,11 +71,11 @@ class TestFitting:
     def test_detected_fault_stage_boundaries(self):
         # normal 100 until 60; drop to 0 during 60..75 (detection at 75);
         # recover to 75 (one node lost) until repair at 150; back to 100.
-        markers = MarkerLog()
-        markers.mark(75.0, "detected", ("heartbeat", 2, 1))
+        tracer = Tracer()
+        tracer.mark(75.0, "detected", ("heartbeat", 2, 1))
         trace = make_trace(
             [(0, 60, 100), (60, 75, 0.0), (75, 150, 75.0), (150, 210, 100.0)],
-            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=markers,
+            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=tracer.markers,
         )
         tpl = TemplateFitter().fit(trace)
         assert tpl.stage("A").duration == pytest.approx(15.0)
@@ -94,12 +95,12 @@ class TestFitting:
         assert tpl.stage("C").throughput == pytest.approx(tpl.stage("A").throughput)
 
     def test_operator_reset_fills_F_and_G(self):
-        markers = MarkerLog()
-        markers.mark(65.0, "detected", ("x", 0, 1))
+        tracer = Tracer()
+        tracer.mark(65.0, "detected", ("x", 0, 1))
         trace = make_trace(
             [(0, 60, 100), (60, 65, 0.0), (65, 150, 60.0), (150, 200, 60.0),
              (210, 230, 50.0), (230, 260, 100.0)],
-            t_inject=60.0, t_repair=150.0, t_end=260.0, markers=markers,
+            t_inject=60.0, t_repair=150.0, t_end=260.0, markers=tracer.markers,
             t_reset=200.0,
         )
         tpl = TemplateFitter().fit(trace)
@@ -109,11 +110,11 @@ class TestFitting:
         assert tpl.stage("G").duration > 0.0
 
     def test_resolved_fills_supplied_durations(self):
-        markers = MarkerLog()
-        markers.mark(75.0, "detected", ("x", 0, 1))
+        tracer = Tracer()
+        tracer.mark(75.0, "detected", ("x", 0, 1))
         trace = make_trace(
             [(0, 60, 100), (60, 75, 0.0), (75, 150, 75.0), (150, 210, 100.0)],
-            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=markers,
+            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=tracer.markers,
         )
         tpl = TemplateFitter().fit(trace)
         resolved = tpl.resolved(mttr=300.0, operator_response=600.0, reset_duration=10.0)
@@ -147,11 +148,11 @@ class TestFitting:
         assert tpl.total_duration == pytest.approx(100.0)
 
     def test_fit_full_recovery_has_zero_EFG_cost(self):
-        markers = MarkerLog()
-        markers.mark(61.0, "detected", ("x", 0, 1))
+        tracer = Tracer()
+        tracer.mark(61.0, "detected", ("x", 0, 1))
         trace = make_trace(
             [(0, 60, 100), (60, 61, 0.0), (61, 150, 95.0), (150, 210, 100.0)],
-            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=markers,
+            t_inject=60.0, t_repair=150.0, t_end=210.0, markers=tracer.markers,
         )
         tpl = TemplateFitter().fit(trace)
         resolved = tpl.resolved(180.0, 600.0, 10.0)

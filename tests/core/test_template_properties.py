@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.template import TemplateFitter
-from repro.sim.series import MarkerLog
+from repro.obs.trace import Tracer
 from tests.core.test_template import make_trace
 
 NORMAL = 100.0
@@ -28,15 +28,15 @@ def test_detected_fault_round_trip(detect_delay, stall_level, degraded_level):
     t_detect = t_inject + detect_delay
     t_repair = t_inject + fault_len
     assume(t_detect < t_repair - 20.0)
-    markers = MarkerLog()
-    markers.mark(t_detect, "detected", ("x", 0, 1))
+    tracer = Tracer()
+    tracer.mark(t_detect, "detected", ("x", 0, 1))
     trace = make_trace(
         [(0, t_inject, NORMAL),
          (t_inject, t_detect, stall_level * NORMAL),
          (t_detect, t_repair, degraded_level * NORMAL),
          (t_repair, t_repair + 60.0, NORMAL)],
         t_inject=t_inject, t_repair=t_repair, t_end=t_repair + 60.0,
-        markers=markers,
+        markers=tracer.markers,
     )
     tpl = TemplateFitter().fit(trace)
     assert tpl.stage("A").duration == pytest.approx(detect_delay, abs=1e-6)
@@ -70,12 +70,12 @@ def test_flat_plateau_is_charged_the_operator_path(plateau, mttr, operator):
     """A post-repair plateau below the recovered level and not climbing
     must resolve to the operator-path stages, and the resolved template's
     cost must grow with both MTTR and the operator response."""
-    markers = MarkerLog()
-    markers.mark(70.0, "detected", ("x", 0, 1))
+    tracer = Tracer()
+    tracer.mark(70.0, "detected", ("x", 0, 1))
     trace = make_trace(
         [(0, 60, NORMAL), (60, 70, 0.0), (70, 180, plateau * NORMAL),
          (180, 280, plateau * NORMAL)],
-        t_inject=60.0, t_repair=180.0, t_end=280.0, markers=markers,
+        t_inject=60.0, t_repair=180.0, t_end=280.0, markers=tracer.markers,
     )
     tpl = TemplateFitter().fit(trace)
     assert not tpl.self_recovered

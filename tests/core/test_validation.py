@@ -11,7 +11,12 @@ from repro.core.validation import (
     validation_catalog,
 )
 from repro.core.model import ModelResult
-from repro.faults.types import FaultKind
+from repro.faults.faultload import FaultCatalog, FaultRate
+from repro.faults.injector import FaultInjector
+from repro.faults.types import FaultComponent, FaultKind
+from repro.hardware.host import Host
+from repro.obs.telemetry import Telemetry
+from repro.sim.series import ThroughputSeries
 
 
 class TestValidationCatalog:
@@ -32,33 +37,34 @@ class TestValidationCatalog:
         assert total < 0.6
 
 
+def fault_load_world(env, telemetry):
+    """The slice of a World that `_fault_load_driver` reads: one node, n1,
+    offered 100 req/s, and an empty throughput series."""
+
+    class W:
+        pass
+
+    class Stats:
+        series = ThroughputSeries()
+
+    world = W()
+    world.env = env
+    world.telemetry = telemetry
+    world.offered_rate = 100.0
+    world.injector = FaultInjector(env, {"n1": Host(env, "n1", 1)},
+                                   telemetry=telemetry)
+    world.default_target = lambda kind: "n1"
+    world.operator_reset = lambda: None
+    world.stats = Stats()
+    return world
+
+
 class TestFaultLoadDriver:
-    def test_serializes_faults_and_logs_them(self, env, markers):
+    def test_serializes_faults_and_logs_them(self, env, telemetry, markers):
         """Faults queue: a new fault starts only after the previous repair
         + recovery wait, per the paper's model assumption."""
-        from repro.faults.faultload import FaultCatalog, FaultRate
-        from repro.faults.injector import FaultInjector
-        from repro.hardware.host import Host
-        from repro.sim.series import ThroughputSeries
-
-        host = Host(env, "n1", 1)
         catalog = FaultCatalog([FaultRate(FaultKind.NODE_FREEZE, 50.0, 5.0, 1)])
-
-        class W:
-            pass
-
-        world = W()
-        world.env = env
-        world.markers = markers
-        world.offered_rate = 100.0
-        world.injector = FaultInjector(env, {"n1": host}, markers=markers)
-        world.default_target = lambda kind: "n1"
-        world.operator_reset = lambda: None
-
-        class Stats:
-            series = ThroughputSeries()
-
-        world.stats = Stats()
+        world = fault_load_world(env, telemetry)
 
         def feed():  # keep the rate "healthy" so no operator resets happen
             while True:
@@ -81,6 +87,24 @@ class TestFaultLoadDriver:
         for _, delta in events:
             active += delta
             assert 0 <= active <= 1
+
+    def test_operator_reset_marks_the_fault_component(self, env):
+        """With no throughput the operator resets after every repair; the
+        reset is marked with the fault's component, as a campaign marks it,
+        so its trace event names the fault and the target."""
+        telemetry = Telemetry()
+        world = fault_load_world(env, telemetry)
+        catalog = FaultCatalog([FaultRate(FaultKind.NODE_FREEZE, 50.0, 5.0, 1)])
+        env.process(_fault_load_driver(world, catalog, np.random.default_rng(5),
+                                       horizon=400.0, recovery_wait=5.0,
+                                       operator_threshold=0.5, log=[]))
+        env.run(until=400.0)
+        resets = telemetry.tracer.markers.all("operator_reset")
+        assert resets
+        assert {data for _, data in resets} == {
+            FaultComponent(FaultKind.NODE_FREEZE, "n1")}
+        for event in telemetry.tracer.events_of("operator_reset"):
+            assert event.data == {"fault": "node_freeze", "target": "n1"}
 
     def test_result_ratio(self):
         result = ValidationResult(

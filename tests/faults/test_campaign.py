@@ -6,7 +6,8 @@ from repro.faults.campaign import CampaignConfig, SingleFaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultKind
 from repro.hardware.host import Host
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.telemetry import Telemetry
+from repro.sim.series import ThroughputSeries
 
 
 class ScriptedWorld:
@@ -15,7 +16,8 @@ class ScriptedWorld:
     def __init__(self, env, normal_rate=100.0, faulty_rate=20.0,
                  recovers_alone=True):
         self.env = env
-        self.markers = MarkerLog()
+        self.telemetry = Telemetry.disabled()
+        self.markers = self.telemetry.tracer.markers
         self.version = "scripted"
         self.offered_rate = normal_rate
         self._normal = normal_rate
@@ -29,7 +31,7 @@ class ScriptedWorld:
 
         self.stats = Stats()
         host = Host(env, "n1", 1)
-        self.injector = FaultInjector(env, {"n1": host}, markers=self.markers)
+        self.injector = FaultInjector(env, {"n1": host}, telemetry=self.telemetry)
         env.process(self._serve(), name="scripted-server")
 
     def _rate(self):
@@ -107,8 +109,8 @@ class TestCampaign:
 
     def test_t_detect_uses_first_marker_after_injection(self, env, cfg):
         world = ScriptedWorld(env)
-        world.markers.mark(5.0, "detected", "stale")
+        world.telemetry.tracer.mark(5.0, "detected", "stale")
         trace = SingleFaultCampaign(world, cfg).run(FaultKind.NODE_FREEZE, "n1")
         assert trace.t_detect is None  # stale marker ignored
-        world.markers.mark(trace.t_inject + 3.0, "detected", "real")
+        world.telemetry.tracer.mark(trace.t_inject + 3.0, "detected", "real")
         assert trace.t_detect == pytest.approx(trace.t_inject + 3.0)

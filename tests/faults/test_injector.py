@@ -34,7 +34,7 @@ class DummyFrontend:
 
 
 @pytest.fixture
-def world(env, markers):
+def world(env, telemetry):
     net = ClusterNetwork(env)
     hosts = {}
     disks = {}
@@ -51,7 +51,7 @@ def world(env, markers):
         env, hosts, network=net, disks=disks,
         frontends={"fe0": fe},
         app_of=lambda h: h.services["press"],
-        markers=markers,
+        telemetry=telemetry,
     )
     return injector, hosts, disks, net, fe
 

@@ -9,9 +9,9 @@ from repro.sim.kernel import SimulationError
 
 
 @pytest.fixture
-def world(env, markers):
+def world(env, telemetry):
     hosts = {f"n{i}": Host(env, f"n{i}", i) for i in range(2)}
-    injector = FaultInjector(env, hosts, markers=markers)
+    injector = FaultInjector(env, hosts, telemetry=telemetry)
     return injector, hosts
 
 

@@ -23,11 +23,11 @@ class FakeBackend(NodeService):
 
 
 @pytest.fixture
-def world(env, markers):
+def world(env, telemetry):
     hosts = [Host(env, f"n{i}", i) for i in range(3)]
     backends = [FakeBackend(h) for h in hosts]
     fe_host = Host(env, "fe0", 100)
-    fe = FrontEnd(env, fe_host, backends, FrontEndConfig(), markers)
+    fe = FrontEnd(env, fe_host, backends, FrontEndConfig(), telemetry=telemetry)
     return hosts, backends, fe
 
 
@@ -78,12 +78,13 @@ class TestRouting:
 
 class TestConnectionMonitoring:
     @pytest.fixture
-    def cmon(self, env, markers):
+    def cmon(self, env, telemetry):
         hosts = [Host(env, f"n{i}", i) for i in range(2)]
         backends = [FakeBackend(h) for h in hosts]
         fe_host = Host(env, "fe0", 100)
         cfg = FrontEndConfig(mode=MonMode.CONNECTION)
-        return hosts, backends, FrontEnd(env, fe_host, backends, cfg, markers)
+        return hosts, backends, FrontEnd(env, fe_host, backends, cfg,
+                                         telemetry=telemetry)
 
     def test_detects_app_crash_fast(self, env, cmon):
         hosts, backends, fe = cmon
@@ -115,11 +116,11 @@ class TestFrontendFailure:
         assert fe.pick(Request(env, 0, 1)) in backends
         assert markers.first("fe_takeover") == pytest.approx(10.0)
 
-    def test_non_redundant_stays_down(self, env, markers):
+    def test_non_redundant_stays_down(self, env, telemetry):
         hosts = [Host(env, "n0", 0)]
         backends = [FakeBackend(hosts[0])]
         fe = FrontEnd(env, Host(env, "fe0", 100), backends,
-                      FrontEndConfig(redundant=False), markers)
+                      FrontEndConfig(redundant=False), telemetry=telemetry)
         fe.fail()
         env.run(until=60)
         assert fe.pick(Request(env, 0, 1)) is None

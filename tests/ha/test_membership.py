@@ -15,14 +15,14 @@ from repro.sim.kernel import SimulationError
 
 
 @pytest.fixture
-def cluster(env, markers):
+def cluster(env, telemetry):
     net = ClusterNetwork(env)
     mnet = MembershipNetwork(net)
     hosts, daemons = [], []
     for i in range(4):
         h = Host(env, f"n{i}", i)
         net.attach(h)
-        d = MembershipDaemon(h, i, mnet, MembershipConfig(), markers)
+        d = MembershipDaemon(h, i, mnet, MembershipConfig(), telemetry=telemetry)
         d.start()
         hosts.append(h)
         daemons.append(d)

@@ -10,14 +10,14 @@ from repro.hardware.host import Host
 from repro.net.network import ClusterNetwork
 
 
-def build(env, n=5, markers=None):
+def build(env, n=5, telemetry=None):
     net = ClusterNetwork(env)
     mnet = MembershipNetwork(net)
     hosts, daemons = [], []
     for i in range(n):
         h = Host(env, f"n{i}", i)
         net.attach(h)
-        d = MembershipDaemon(h, i, mnet, MembershipConfig(), markers)
+        d = MembershipDaemon(h, i, mnet, MembershipConfig(), telemetry=telemetry)
         d.start()
         hosts.append(h)
         daemons.append(d)
@@ -93,8 +93,8 @@ class TestConcurrentEvents:
         assert consistent(daemons, [0, 1, 2, 3, 4])
         assert sorted(daemons[0].view) == [0, 1, 2, 3, 4]
 
-    def test_view_versions_strictly_increase_per_install(self, env, markers):
-        net, hosts, daemons = build(env, markers=markers)
+    def test_view_versions_strictly_increase_per_install(self, env, telemetry):
+        net, hosts, daemons = build(env, telemetry=telemetry)
         seen = {d.node_id: [d.version] for d in daemons}
 
         def snapshot():

@@ -96,14 +96,15 @@ class ProbeApp(NodeService):
 
 
 @pytest.fixture
-def node(env, markers):
+def node(env, telemetry):
     host = Host(env, "n1", 1)
     Disk(env, host, 0, DiskParams(seek_time=0.001, jitter=0.0))
     Disk(env, host, 1, DiskParams(seek_time=0.001, jitter=0.0))
     app = ProbeApp(host)
     fme = FmeDaemon(host, app, FmeConfig(probe_interval=2.0, probe_timeout=0.5,
                                          confirm_delay=0.2, reboot_poll=1.0,
-                                         reboot_delay=1.0), markers)
+                                         reboot_delay=1.0),
+                    telemetry=telemetry)
     host.start_all()
     return host, app, fme
 

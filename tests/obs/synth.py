@@ -9,7 +9,8 @@ from repro.faults.campaign import CampaignConfig, ExperimentTrace
 from repro.faults.types import FaultComponent, FaultKind
 from repro.obs.events import TraceEvent
 from repro.obs.recorder import FlightRecord
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.trace import Tracer
+from repro.sim.series import ThroughputSeries
 
 
 def synth_series(segments):
@@ -35,7 +36,7 @@ def make_trace(segments, t_inject, t_repair, t_end, markers=None,
         component=FaultComponent(kind, "n1"),
         config=config or CampaignConfig(),
         series=synth_series(segments),
-        markers=markers or MarkerLog(),
+        markers=markers if markers is not None else Tracer().markers,
         t_inject=t_inject,
         t_repair=t_repair,
         t_end=t_end,
@@ -69,11 +70,11 @@ def standard_detected_record(normal=100.0, offered=100.0):
     reconfiguration transient, degraded at 70 until repair at 150, a
     re-integration transient, back to normal until 240.
     """
-    markers = MarkerLog()
+    tracer = Tracer()
     marker, event = detected_at(75.0)
-    markers.mark(*marker[:2], marker[2])
+    tracer.mark(*marker[:2], marker[2])
     segments = [(0, 60, normal), (60, 75, 1.0), (75, 85, 40.0),
                 (85, 150, 70.0), (150, 160, 85.0), (160, 240, normal)]
     trace = make_trace(segments, t_inject=60.0, t_repair=150.0, t_end=240.0,
-                       markers=markers, normal=normal, offered=offered)
+                       markers=tracer.markers, normal=normal, offered=offered)
     return make_record(trace, events=[event])

@@ -9,7 +9,7 @@ from repro.obs.attribution import (
     AttributionConfig,
     StageAttributor,
 )
-from repro.sim.series import MarkerLog
+from repro.obs.trace import Tracer
 
 from tests.obs.synth import detected_at, make_record, make_trace, standard_detected_record
 
@@ -89,12 +89,12 @@ class TestUndetectedFault:
         assert a.cause == "undetected-fault"
 
     def test_detection_after_repair_is_noted(self):
-        markers = MarkerLog()
+        tracer = Tracer()
         marker, event = detected_at(95.0)
-        markers.mark(marker[0], marker[1], marker[2])
+        tracer.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (60, 90, 70.0), (90, 180, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=90.0,
-                           t_end=180.0, markers=markers)
+                           t_end=180.0, markers=tracer.markers)
         report = attribute(make_record(trace, events=[event]))
         assert [s.stage for s in report.slices][0] == "A"
         assert any("after repair" in n for n in report.notes)
@@ -113,13 +113,13 @@ class TestNoOperatorReset:
     def test_flat_degraded_plateau_becomes_stage_e(self):
         # After repair the service plateaus at 60% of normal and never
         # climbs: not self-recovered, stage E with the operator cause.
-        markers = MarkerLog()
+        tracer = Tracer()
         marker, event = detected_at(65.0)
-        markers.mark(marker[0], marker[1], marker[2])
+        tracer.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (60, 65, 1.0), (65, 120, 70.0),
                     (120, 240, 60.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=240.0, markers=markers)
+                           t_end=240.0, markers=tracer.markers)
         report = attribute(make_record(trace, events=[event]))
         e = [s for s in report.slices if s.stage == "E"]
         assert e and e[-1].cause == "stable-suboptimal-awaiting-operator"
@@ -128,9 +128,9 @@ class TestNoOperatorReset:
 
 class TestOperatorReset:
     def _record(self):
-        markers = MarkerLog()
+        tracer = Tracer()
         marker, event = detected_at(65.0)
-        markers.mark(marker[0], marker[1], marker[2])
+        tracer.mark(marker[0], marker[1], marker[2])
         # reconfiguration transient, degraded through repair, flat
         # suboptimal until the operator resets at 180; 10 s outage;
         # re-warm until normal at 220.
@@ -138,7 +138,7 @@ class TestOperatorReset:
                     (75, 120, 70.0), (120, 130, 85.0), (130, 180, 60.0),
                     (190, 220, 80.0), (220, 300, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=300.0, markers=markers, t_reset=180.0)
+                           t_end=300.0, markers=tracer.markers, t_reset=180.0)
         return make_record(trace, events=[event])
 
     def test_full_stage_ladder(self):
@@ -175,12 +175,12 @@ class TestZeroThroughputWindows:
         assert report.coverage >= 0.95
 
     def test_zero_throughput_with_detection(self):
-        markers = MarkerLog()
+        tracer = Tracer()
         marker, event = detected_at(70.0)
-        markers.mark(marker[0], marker[1], marker[2])
+        tracer.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (120, 130, 80.0), (130, 220, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=220.0, markers=markers)
+                           t_end=220.0, markers=tracer.markers)
         report = attribute(make_record(trace, events=[event]))
         # B's target level is ~0; the scan must place boundaries without
         # dividing by zero and keep the partition exact.

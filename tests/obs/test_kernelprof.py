@@ -3,7 +3,10 @@
 import pytest
 
 from repro.obs.kernelprof import KernelProfiler, callback_owner
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.faults.injector import FaultInjector
+from repro.faults.types import FaultKind
+from repro.hardware.host import Host
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 
 
@@ -120,21 +123,28 @@ class TestTelemetry:
         tm.metrics.counter("x").inc()
         assert tm.metrics.snapshot() == []
         assert tm.profiler is None
-        assert not tm.trace_requests
 
     def test_profiler_requires_enabled(self):
         assert Telemetry(enabled=False, profile_kernel=True).profiler is None
 
-    def test_marker_log_mirrors_into_tracer(self):
+    def test_marks_go_into_the_bundle_tracer(self):
         tm = Telemetry()
-        log = tm.marker_log()
-        log.mark(1.0, "detected", ("heartbeat", 0, 1))
+        tm.tracer.mark(1.0, "detected", ("heartbeat", 0, 1))
         assert len(tm.tracer) == 1
         assert tm.tracer.first("detected").data["mechanism"] == "heartbeat"
+        assert tm.tracer.markers.first("detected") == 1.0
 
-    def test_null_telemetry_shared(self):
-        assert not NULL_TELEMETRY.enabled
-        assert NULL_TELEMETRY.tracer.emit("x") is None
+    def test_components_without_a_bundle_share_no_markers(self):
+        """Each component built without telemetry keeps its own markers:
+        a shared null bundle would collect every such component's."""
+        env = Environment()
+        hosts = {"n1": Host(env, "n1", 1)}
+        a, b = FaultInjector(env, hosts), FaultInjector(env, hosts)
+        a.repair(a.inject(FaultKind.NODE_CRASH, "n1"))
+        assert [label for _, label, _ in a._tracer.markers.entries] == [
+            "fault_injected", "fault_repaired"]
+        assert b._tracer.markers.entries == []
+        assert Telemetry.disabled().tracer.markers.entries == []
 
 
 class TestMonitorLifecycle:

@@ -1,21 +1,15 @@
-"""Deterministic merge helpers behind the parallel executor.
+"""The deterministic merge helper behind the parallel executor.
 
 ``merge_records`` keys per-cell flight records by fault preserving cell
-order; ``merge_budget_reports`` folds per-shard budgets with a
-total-order sort key.  Both must reject inputs that mix campaigns.
+order, and must reject inputs that mix campaigns.
 """
 
 import pytest
 
-from repro.core.model import EnvironmentParams
-from repro.faults.faultload import HOUR, MONTH, FaultCatalog, FaultRate
 from repro.faults.types import FaultKind
-from repro.obs.budget import budget_from_records, merge_budget_reports
 from repro.obs.recorder import merge_records
 
 from tests.obs.synth import make_record, make_trace
-
-ENV = EnvironmentParams(operator_response=600.0, reset_duration=10.0)
 
 SEGMENTS = [(0, 60, 100.0), (60, 75, 1.0), (75, 150, 70.0), (150, 240, 100.0)]
 
@@ -55,74 +49,3 @@ class TestMergeRecords:
                    record_for(FaultKind.NODE_CRASH)]
         with pytest.raises(ValueError, match="duplicate"):
             merge_records(records)
-
-
-def shard_for(kind, count=4):
-    catalog = FaultCatalog([FaultRate(kind=kind, mttf=MONTH, mttr=HOUR,
-                                      count=count)])
-    return budget_from_records([record_for(kind)], environment=ENV,
-                               catalog=catalog)
-
-
-class TestMergeBudgetReports:
-    def test_merged_totals_are_sums(self):
-        a = shard_for(FaultKind.NODE_CRASH)
-        b = shard_for(FaultKind.APP_CRASH)
-        merged = merge_budget_reports([a, b])
-        assert merged.total_unavailability == pytest.approx(
-            a.total_unavailability + b.total_unavailability)
-        assert len(merged.lines) == len(a.lines) + len(b.lines)
-        assert len(merged.measured) == 2
-
-    def test_merge_order_invariant(self):
-        a = shard_for(FaultKind.NODE_CRASH)
-        b = shard_for(FaultKind.APP_CRASH)
-        ab = merge_budget_reports([a, b])
-        ba = merge_budget_reports([b, a])
-        # lines sort under a total order, so shard arrival order cannot
-        # change the table (measured attributions do keep shard order)
-        assert [l.to_dict() for l in ab.lines] == [l.to_dict() for l in ba.lines]
-
-    def test_lines_sorted_by_contribution(self):
-        merged = merge_budget_reports([shard_for(FaultKind.NODE_CRASH),
-                                       shard_for(FaultKind.APP_CRASH)])
-        u = [l.unavailability for l in merged.lines]
-        assert u == sorted(u, reverse=True)
-
-    def test_missing_only_if_missing_everywhere(self):
-        # shard A budgets NODE_CRASH but its catalog also lists APP_CRASH
-        # (no record -> missing there); shard B budgets APP_CRASH.
-        catalog_a = FaultCatalog([
-            FaultRate(FaultKind.NODE_CRASH, MONTH, HOUR, 4),
-            FaultRate(FaultKind.APP_CRASH, MONTH, HOUR, 4),
-        ])
-        a = budget_from_records([record_for(FaultKind.NODE_CRASH)],
-                                environment=ENV, catalog=catalog_a)
-        assert FaultKind.APP_CRASH in a.missing_kinds
-        b = shard_for(FaultKind.APP_CRASH)
-        merged = merge_budget_reports([a, b])
-        assert FaultKind.APP_CRASH not in merged.missing_kinds
-
-    def test_rejects_empty_and_mixed(self):
-        with pytest.raises(ValueError, match="no budget"):
-            merge_budget_reports([])
-        a = shard_for(FaultKind.NODE_CRASH)
-        other = budget_from_records(
-            [record_for(FaultKind.APP_CRASH, version="OTHER")],
-            environment=ENV,
-            catalog=FaultCatalog([FaultRate(FaultKind.APP_CRASH, MONTH,
-                                            HOUR, 4)]))
-        with pytest.raises(ValueError, match="multiple versions"):
-            merge_budget_reports([a, other])
-
-    def test_rejects_disagreeing_objectives(self):
-        a = budget_from_records([record_for(FaultKind.NODE_CRASH)],
-                                environment=ENV, objective=0.999,
-                                catalog=FaultCatalog([FaultRate(
-                                    FaultKind.NODE_CRASH, MONTH, HOUR, 4)]))
-        b = budget_from_records([record_for(FaultKind.APP_CRASH)],
-                                environment=ENV, objective=0.99,
-                                catalog=FaultCatalog([FaultRate(
-                                    FaultKind.APP_CRASH, MONTH, HOUR, 4)]))
-        with pytest.raises(ValueError, match="objective"):
-            merge_budget_reports([a, b])

@@ -85,4 +85,4 @@ class TestReplay:
         write_record(record, path)
         replayed = read_record(path)
         assert replayed.events == record.events
-        assert replayed.events_of("detected")
+        assert [e for e in replayed.events if e.kind == "detected"]

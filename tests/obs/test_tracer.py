@@ -1,10 +1,20 @@
-"""Tracer, marker translation, and the MarkerLog facade equivalence."""
+"""The tracer as the one log of a run: markers and typed events in
+emission order, its two views, and marker translation."""
 
+import hashlib
+import io
+
+from repro.analysis.differential import fingerprint
+from repro.core.quantify import QuantifyConfig, run_single_fault
+from repro.experiments.configs import version
 from repro.faults.types import FaultComponent, FaultKind
-from repro.obs.events import EventKind, KNOWN_KINDS, marker_event, sanitize
-from repro.obs.trace import TracedMarkerLog, Tracer
+from repro.obs.events import EventKind, KNOWN_KINDS, canonical, marker_event, sanitize
+from repro.obs.export import jsonl_subscriber
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Tracer
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
+
+from tests.sim.test_event_sequence import WINDOWS
 
 
 class TestTracer:
@@ -20,7 +30,7 @@ class TestTracer:
     def test_disabled_is_inert(self):
         tr = Tracer(enabled=False)
         assert tr.emit("server_start", time=0.0) is None
-        assert tr.emit_marker(0.0, "detected", None) is None
+        assert tr.events == []
         assert len(tr) == 0
 
     def test_bound_clock_stamps_events(self):
@@ -49,12 +59,6 @@ class TestTracer:
                      kind_enum=FaultKind.NODE_CRASH)
         assert ev.data["members"] == [2, 0, 1]
         assert ev.data["kind_enum"] == "node_crash"
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.emit("server_start", time=0.0)
-        tr.clear()
-        assert len(tr) == 0
 
 
 class TestSanitize:
@@ -118,8 +122,8 @@ class TestMarkerEvent:
         assert EventKind.MEMB_VIEW in KNOWN_KINDS
 
 
-class TestTracedMarkerLogFacade:
-    """The facade must be query-for-query identical to a plain MarkerLog."""
+class TestOneLog:
+    """Markers and typed events share one list, in emission order."""
 
     MARKS = [
         (1.0, "fault_injected", FaultComponent(FaultKind.NODE_CRASH, "n1")),
@@ -131,126 +135,89 @@ class TestTracedMarkerLogFacade:
         (40.0, "reintegrated", 1),
     ]
 
-    def _both(self):
-        plain, traced = MarkerLog(), TracedMarkerLog(Tracer())
+    def test_disabled_tracer_keeps_every_mark(self):
+        tr = Tracer(enabled=False)
         for t, label, data in self.MARKS:
-            plain.mark(t, label, data)
-            traced.mark(t, label, data)
-        return plain, traced
-
-    def test_entries_identical(self):
-        plain, traced = self._both()
-        assert traced.entries == plain.entries
-
-    def test_queries_identical(self):
-        plain, traced = self._both()
-        for label in ("detected", "excluded", "fault_injected", "missing"):
-            assert traced.all(label) == plain.all(label)
-            assert traced.first(label) == plain.first(label)
-            assert traced.last(label) == plain.last(label)
-        assert traced.labels() == plain.labels()
-
-    def test_marks_mirrored_into_tracer(self):
-        _, traced = self._both()
-        events = traced._tracer.events
-        assert len(events) == len(self.MARKS)
-        assert [e.kind for e in events] == [label for _, label, _ in self.MARKS]
-        assert events[0].data == {"fault": "node_crash", "target": "n1"}
-
-    def test_disabled_tracer_keeps_facade_working(self):
-        traced = TracedMarkerLog(Tracer(enabled=False))
-        traced.mark(1.0, "detected", ("heartbeat", 0, 1))
-        assert traced.first("detected") == 1.0
-        assert len(traced._tracer) == 0
-
-
-class TestRingBuffer:
-    """max_events caps in-memory retention without losing subscriber data."""
-
-    def test_unbounded_by_default(self):
-        tr = Tracer()
-        assert tr.max_events is None
-        for i in range(100):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 100
-        assert tr.dropped == 0
-
-    def test_cap_drops_oldest(self):
-        tr = Tracer(max_events=3)
-        for i in range(5):
-            tr.emit("server_start", time=float(i), node_id=i)
-        assert tr.max_events == 3
-        assert len(tr) == 3
-        assert [e.data["node_id"] for e in tr.events] == [2, 3, 4]
-        assert tr.dropped == 2
-
-    def test_under_cap_drops_nothing(self):
-        tr = Tracer(max_events=10)
-        for i in range(10):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 10
-        assert tr.dropped == 0
-
-    def test_subscribers_see_every_event_beyond_cap(self):
-        tr = Tracer(max_events=2)
-        seen = []
-        tr.subscribe(seen.append)
-        for i in range(6):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 2
-        assert [e.data["node_id"] for e in seen] == list(range(6))
-
-    def test_drop_counter_mirrors_drops(self):
-        from repro.obs.metrics import MetricsHub
-
-        hub = MetricsHub()
-        tr = Tracer(max_events=2, drop_counter=hub.counter("trace_events_dropped"))
-        for i in range(5):
-            tr.emit("server_start", node_id=i)
-        assert tr.dropped == 3
-        assert hub.value("trace_events_dropped") == 3.0
-
-    def test_nonpositive_cap_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-        with pytest.raises(ValueError):
-            Tracer(max_events=-5)
-
-    def test_queries_work_on_capped_stream(self):
-        tr = Tracer(max_events=4)
-        for i in range(8):
-            tr.emit("server_start" if i % 2 else "server_crash", node_id=i)
-        assert [e.data["node_id"] for e in tr.events_of("server_start")] == [5, 7]
-        assert tr.first("server_crash").data["node_id"] == 4
-        tr.clear()
+            tr.mark(t, label, data)
+        tr.emit("server_start", time=0.0)
+        assert tr.markers.entries == self.MARKS
+        assert tr.events == []
         assert len(tr) == 0
 
+    def test_marks_and_emits_come_back_in_emission_order(self):
+        tr = Tracer()
+        seen, at_call = [], []
+        tr.subscribe(seen.append)
+        expected = []
+        for i, (t, label, data) in enumerate(self.MARKS):
+            tr.mark(t, label, data)
+            expected.append(marker_event(t, label, data))
+            at_call.append(list(seen))
+            ev = tr.emit("server_start", source="n0", time=t, node_id=i)
+            expected.append(ev)
+            at_call.append(list(seen))
+        assert tr.events == expected
+        assert len(tr) == len(expected)
+        assert seen == expected
+        # each subscriber call happened at its mark or emit, not later
+        assert at_call == [expected[:n + 1] for n in range(len(expected))]
+        assert tr.events[0].data == {"fault": "node_crash", "target": "n1"}
 
-class TestTelemetryRingBufferWiring:
-    def test_trace_max_events_registers_drop_metric(self):
-        from repro.obs.telemetry import Telemetry
+    def test_markers_view_entries(self):
+        tr = Tracer()
+        for i, (t, label, data) in enumerate(self.MARKS):
+            tr.mark(t, label, data)
+            tr.emit("server_start", time=t, node_id=i)
+        assert tr.markers.entries == self.MARKS
+        assert not hasattr(tr.markers, "mark")
 
-        tm = Telemetry(trace_max_events=2)
-        assert tm.tracer.max_events == 2
-        assert tm.metrics.get("trace_events_dropped") is not None
-        for i in range(5):
-            tm.tracer.emit("server_start", node_id=i)
-        assert tm.tracer.dropped == 3
-        assert tm.metrics.value("trace_events_dropped") == 3.0
+    def test_markers_view_queries(self):
+        tr = Tracer()
+        for t, label, data in self.MARKS:
+            tr.mark(t, label, data)
+        for label in ("detected", "excluded", "fault_injected", "missing"):
+            want = [(t, d) for t, lb, d in self.MARKS if lb == label]
+            assert tr.markers.all(label) == want
+            assert tr.markers.first(label) == (min(t for t, _ in want) if want else None)
 
-    def test_default_registers_no_drop_metric(self):
-        from repro.obs.telemetry import Telemetry
+    def test_markers_all_preserves_payloads(self):
+        tr = Tracer()
+        tr.mark(1.0, "x", {"k": 1})
+        tr.emit("server_start", time=1.5)
+        tr.mark(2.0, "x", ("a", 2))
+        assert tr.markers.all("x") == [(1.0, {"k": 1}), (2.0, ("a", 2))]
 
-        tm = Telemetry()
-        assert tm.tracer.max_events is None
-        assert tm.metrics.get("trace_events_dropped") is None
+    def test_markers_first_is_earliest(self):
+        tr = Tracer()
+        tr.mark(3.0, "detected", "a")
+        tr.emit("server_start", time=1.5)
+        tr.mark(1.0, "detected", "b")
+        tr.mark(2.0, "other")
+        assert tr.markers.entries == [(3.0, "detected", "a"), (1.0, "detected", "b"),
+                                      (2.0, "other", None)]
+        assert tr.markers.first("detected") == 1.0
+        assert tr.markers.first("missing") is None
 
-    def test_disabled_bundle_ignores_cap(self):
-        from repro.obs.telemetry import Telemetry
 
-        tm = Telemetry(enabled=False, trace_max_events=2)
-        assert tm.tracer.emit("server_start") is None
-        assert tm.tracer.dropped == 0
-        assert tm.metrics.snapshot() == []
+class TestPinnedStream:
+    """FME node_freeze over the 40-s event-sequence windows under
+    ``Telemetry()``: the fingerprint's trace component and the JSONL a
+    subscriber streams, pinned.  Translating markers when ``events`` is
+    read, not when they are marked, must not reorder or change an event.
+    Both digests were derived on the tracer that translated each marker
+    as it was marked."""
+
+    TRACE_SHA256 = "a917de4b19c0f22093edbecf5766c0b838be4baa1922659d0e8aa967381af3bd"
+    JSONL_SHA256 = "54ed1b6fe1855e396e900baab48aa9d08ae947fa7eeb6286fe50c65931b8fecc"
+
+    def test_fme_node_freeze_stream(self):
+        telemetry = Telemetry()
+        sink = io.StringIO()
+        telemetry.tracer.subscribe(jsonl_subscriber(sink))
+        trace, world = run_single_fault(version("FME"), FaultKind.NODE_FREEZE,
+                                        QuantifyConfig(seed=0, campaign=WINDOWS),
+                                        telemetry=telemetry)
+        fp = fingerprint(world, trace)
+        assert len(fp["trace"]) == sink.getvalue().count("\n") == 357
+        assert hashlib.sha256(canonical(fp["trace"])).hexdigest() == self.TRACE_SHA256
+        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == self.JSONL_SHA256

@@ -8,7 +8,6 @@ from repro.net.network import ClusterNetwork
 from repro.press.fabric import ClusterFabric
 from repro.press.server import PressServer
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.trace import SyntheticTrace, TraceConfig
 from tests.press.test_press_servers import FAST
 
@@ -25,7 +24,7 @@ def setup(env):
         net.attach(host)
         Disk(env, host, 0, DiskParams(seek_time=0.001, jitter=0.0))
         Disk(env, host, 1, DiskParams(seek_time=0.001, jitter=0.0))
-        srv = PressServer(host, i, FAST, trace, fabric, MarkerLog())
+        srv = PressServer(host, i, FAST, trace, fabric)
         srv.start()
         servers.append(srv)
     return net, fabric, servers

@@ -10,13 +10,13 @@ from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host
 from repro.net.message import Message
 from repro.net.network import ClusterNetwork
+from repro.obs.telemetry import Telemetry
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.press.indep import IndepServer
 from repro.press.server import PressServer, bootstrap_cluster
 from repro.sim.kernel import SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import Request
 from repro.workload.trace import SyntheticTrace, TraceConfig
 
@@ -39,7 +39,7 @@ FAST = PressConfig(
 
 def build_cluster(env, n=3, config=FAST, n_files=100):
     rngs = RngRegistry(7)
-    markers = MarkerLog()
+    telemetry = Telemetry.disabled()
     net = ClusterNetwork(env)
     fabric = ClusterFabric(env, net)
     trace = SyntheticTrace(TraceConfig(n_files=n_files, file_size=1000), rngs.stream("t"))
@@ -49,11 +49,11 @@ def build_cluster(env, n=3, config=FAST, n_files=100):
         net.attach(host)
         Disk(env, host, 0, DiskParams(seek_time=0.002, jitter=0.0))
         Disk(env, host, 1, DiskParams(seek_time=0.002, jitter=0.0))
-        srv = PressServer(host, i, config, trace, fabric, markers)
+        srv = PressServer(host, i, config, trace, fabric, telemetry=telemetry)
         srv.start()
         servers.append(srv)
     bootstrap_cluster(servers)
-    return servers, net, fabric, markers, trace
+    return servers, net, fabric, telemetry.tracer.markers, trace
 
 
 def submit(env, server, fid):

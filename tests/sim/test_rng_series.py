@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.sim.series import ThroughputSeries
 
 
 class TestRng:
@@ -138,26 +138,3 @@ class TestThroughputSeries:
         s.record(1.0)
         _edges, rates = s.bucketize(1.0, 100.0, 105.0)
         assert np.all(rates == 0.0)
-
-
-class TestMarkerLog:
-    def test_first_and_last(self):
-        m = MarkerLog()
-        m.mark(3.0, "detected", "a")
-        m.mark(1.0, "detected", "b")
-        m.mark(2.0, "other")
-        assert m.first("detected") == 1.0
-        assert m.last("detected") == 3.0
-        assert m.first("missing") is None
-
-    def test_all_preserves_payloads(self):
-        m = MarkerLog()
-        m.mark(1.0, "x", {"k": 1})
-        assert m.all("x") == [(1.0, {"k": 1})]
-
-    def test_labels_histogram(self):
-        m = MarkerLog()
-        m.mark(1, "a")
-        m.mark(2, "a")
-        m.mark(3, "b")
-        assert m.labels() == {"a": 2, "b": 1}
