@@ -526,24 +526,13 @@ class _Visitor(ast.NodeVisitor):
 
         # REP013: span-aware code must thread ctx through every hop.  A
         # **kwargs splat may carry ctx, so it counts as passing it.
-        if self._span_scope[-1]:
-            has_ctx = any(kw.arg == "ctx" or kw.arg is None
-                          for kw in node.keywords)
-            if not has_ctx:
-                ctor = attr
-                if ctor == "Message":
-                    self._emit("REP013", node,
-                               "Message built without ctx= in span-aware "
-                               "code; the trace loses this hop — pass "
-                               "ctx=... (ctx=None for untraced traffic)")
-                elif isinstance(func, ast.Attribute) and attr == "process":
-                    recv = _dotted_name(func.value)
-                    if recv is not None and recv.endswith("env"):
-                        self._emit("REP013", node,
-                                   "env.process() spawned without ctx= in "
-                                   "span-aware code; the child's spans "
-                                   "re-root — pass ctx=... (ctx=None for "
-                                   "untraced work)")
+        if self._span_scope[-1] and attr == "Message" \
+                and not any(kw.arg == "ctx" or kw.arg is None
+                            for kw in node.keywords):
+            self._emit("REP013", node,
+                       "Message built without ctx= in span-aware "
+                       "code; the trace loses this hop — pass "
+                       "ctx=... (ctx=None for untraced traffic)")
         self.generic_visit(node)
 
     # -- REP011 ----------------------------------------------------------

@@ -171,17 +171,16 @@ RULES: Dict[str, Rule] = {
             id="REP013",
             name="trace-context-loss",
             severity=Severity.ERROR,
-            summary="message built or process spawned without trace context "
-                    "in span-aware code",
+            summary="message built without trace context in span-aware code",
             rationale=(
                 "Causal tracing threads a ctx through every hop of a "
-                "request's path.  Code that already handles spans (takes a "
-                "ctx parameter or opens spans) but constructs a Message or "
-                "spawns an env.process without passing ctx= silently cuts "
-                "the trace: downstream spans re-root or vanish, and the "
-                "critical-path / blame reports under-attribute that hop. "
-                "Pass ctx=... explicitly (ctx=None is fine for genuinely "
-                "untraced traffic)."
+                "request's path, and a message is the only carrier that "
+                "crosses nodes.  Code that already handles spans (takes a "
+                "ctx parameter or opens spans) but constructs a Message "
+                "without passing ctx= silently cuts the trace: downstream "
+                "spans vanish, and the critical-path / blame reports "
+                "under-attribute that hop.  Pass ctx=... explicitly "
+                "(ctx=None is fine for genuinely untraced traffic)."
             ),
             sim_only=True,
         ),

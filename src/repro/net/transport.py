@@ -15,7 +15,7 @@ Semantics chosen to reproduce the paper's fault propagation:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro.sim.kernel import Environment
 from repro.sim.process import Interrupt, Process
@@ -80,10 +80,9 @@ class Connection:
             return
         self.open = False
         for ep in self._endpoints.values():
-            # iterate a copy: interrupt() mutates _senders
-            for proc in list(ep._senders):
+            # Each interrupted send leaves _senders as it raises.
+            for proc in ep._senders:
                 proc.interrupt("connection reset")
-            ep._senders.clear()
             ep.buffer.clear()
             ep.buffer.force_put(CLOSED)
 
@@ -98,30 +97,19 @@ class Endpoint:
         self.host = host
         self.peer = peer
         self.buffer: Optional[Store] = None  # this side's receive buffer
-        self._senders: Set[Process] = set()
+        # Processes with a send in flight, in the order they began it.
+        self._senders: Dict[Process, None] = {}
 
     # -- sending ------------------------------------------------------------
-    def send(self, msg: Any, size: int = 128, owner=None) -> Process:
-        """Start a send; the returned process-event succeeds when the
-        message is accepted by the peer's receive buffer and *fails* with
-        :class:`ConnectionClosed` if the connection is reset first."""
-        proc = self.conn.env.process(
-            self._send_body(msg, size), owner=owner, name=f"send->{self.peer.name}"
-        )
-        self._senders.add(proc)
+    def send(self, msg: Any, size: int, proc: Process):
+        """Send ``msg`` from the sending process ``proc``, which runs this
+        generator with ``yield from``.
 
-        def _cleanup(evt) -> None:
-            self._senders.discard(proc)
-            if evt.ok is False:
-                # A send abandoned by connection teardown is expected noise;
-                # mark it handled so an already-gone waiter doesn't turn it
-                # into an unhandled simulation failure.
-                evt._defused = True
-
-        proc.add_callback(_cleanup)
-        return proc
-
-    def _send_body(self, msg: Any, size: int):
+        Returns when the message is accepted by the peer's receive buffer,
+        and raises :class:`ConnectionClosed` if the connection is reset
+        first.  ``proc`` is registered with the endpoint while the send is
+        in flight, so :meth:`Connection.reset` can interrupt it.
+        """
         env = self.conn.env
         net = self.conn.net
         # Wire span for traced messages: transfer time + unreachable
@@ -134,6 +122,7 @@ class Endpoint:
                                dst=self.peer.name,
                                kind=getattr(msg, "kind", None))
         peer = self.peer  # never rebound after connect; skip the lookups
+        self._senders[proc] = None
         try:
             while True:
                 if not self.conn.open:
@@ -153,6 +142,7 @@ class Endpoint:
         except Interrupt:
             raise ConnectionClosed(f"to {self.peer.name}") from None
         finally:
+            self._senders.pop(proc, None)
             # Reset/kill while in flight: close the hop at abort time.
             if span is not None and span.t1 is None:
                 spans.finish(span, outcome="reset")

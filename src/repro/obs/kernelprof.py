@@ -7,8 +7,9 @@ opt-in path; with no monitor attached the kernel pays a single
 
 The profiler counts events processed, tracks the scheduler-queue
 high-water mark, and attributes each event to the *owner* of its
-callbacks (the Process name for coroutine resumptions — e.g.
-``n0.main`` or ``client-req`` — or the function's qualname for bare
+callbacks (the ``name`` of a bound method's object — the Process name
+for coroutine resumptions, e.g. ``n0.main``, or ``client-req`` for a
+client request's steps — or the function's qualname for bare
 callbacks), which is what ``repro profile`` reports.
 
 :class:`TimingProfiler` extends the counting profiler with wall-clock
@@ -56,12 +57,18 @@ def _callback_code(cb):
     """The code object that will actually run when ``cb`` fires.
 
     For a Process resumption the interesting code is the *generator
-    body* (``n0.main`` lives in press/server.py, not sim/process.py);
-    for plain functions and bound methods it is the function itself.
+    body* (``n0.main`` lives in press/server.py, not sim/process.py),
+    followed through ``yield from`` to the innermost generator (a send
+    in net/transport.py run by ``n0.snd1``); for plain functions and
+    bound methods it is the function itself.
     """
     bound_self = getattr(cb, "__self__", None)
     gen = getattr(bound_self, "_generator", None) if bound_self is not None else None
     if gen is not None:
+        inner = getattr(gen, "gi_yieldfrom", None)
+        while inner is not None and hasattr(inner, "gi_code"):
+            gen = inner
+            inner = getattr(gen, "gi_yieldfrom", None)
         code = getattr(gen, "gi_code", None)
         if code is not None:
             return code

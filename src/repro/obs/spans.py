@@ -9,9 +9,9 @@ A :class:`Span` is one timed hop of one request (queueing in the main
 queue, CPU service, a cooperative peer fetch, a disk read, a network
 transfer, timeout wait).  Spans form a tree per request, rooted at the
 client's ``request`` span and threaded through the cluster by a trace
-context — the parent :class:`Span` object itself — carried on
-:class:`~repro.net.message.Message.ctx` and captured at kernel
-process-spawn points (:meth:`repro.sim.kernel.Environment.process`).
+context — the parent :class:`Span` object itself — carried on the
+request (``Request.ctx``) and on :class:`~repro.net.message.Message.ctx`,
+and passed explicitly to every span-opening call.
 
 Determinism contract (the PR-6 oracle extends to spans):
 

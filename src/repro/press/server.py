@@ -37,6 +37,7 @@ from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Event, SimulationError
+from repro.sim.process import Interrupt
 from repro.sim.store import Store
 from repro.workload.client import Request
 
@@ -552,9 +553,9 @@ class PressServer(NodeService):
 
     def _blocking_enqueue(self, link: PeerLink, msg: Message):
         """Enqueue with the OS send timeout; returns True if accepted."""
-        put_ev = link.send_q.put(msg)
-        if put_ev.triggered:
+        if link.send_q.try_put(msg):
             return True
+        put_ev = link.send_q.put(msg)
         deadline = self.env.timeout(self.config.send_block_timeout)
         yield AnyOf(self.env, [put_ev, deadline])
         if put_ev.triggered:
@@ -624,14 +625,32 @@ class PressServer(NodeService):
     # helper threads
     # ------------------------------------------------------------------
     def _send_loop(self, link: PeerLink):
+        env = self.env
         while True:
             msg = yield link.send_q.get()
             link.in_flight = True
             try:
-                yield link.endpoint.send(msg, size=msg.size, owner=self.group)
-            except ConnectionClosed:
-                self.ctl_q.force_put(Message("conn_closed", link.peer_id, self.node_id))
-                return
+                try:
+                    yield from link.endpoint.send(msg, msg.size, link.sender)
+                    closed = False
+                except ConnectionClosed:
+                    closed = True
+                # End the send one same-instant hop after it returns or
+                # raises: what is queued for this instant before the hop
+                # still sees it in flight (tests/sim/test_event_sequence.py
+                # pins the slot).
+                hop = env.event().succeed()
+                while True:
+                    try:
+                        yield hop
+                        break
+                    except Interrupt:
+                        # A reset held by a freeze and replayed after the
+                        # send it was aimed at had ended: nothing to abort.
+                        pass
+                if closed:
+                    self.ctl_q.force_put(Message("conn_closed", link.peer_id, self.node_id))
+                    return
             finally:
                 link.in_flight = False
                 if msg.kind == "fwd_req":

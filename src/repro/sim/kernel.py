@@ -196,7 +196,7 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_urgent", "_normal", "_withdrawn",
                  "_seq", "_processed", "_tiebreak_seed", "_monitor",
-                 "_spans", "_spawn_ctx")
+                 "_spans")
 
     def __init__(self, initial_time: float = 0.0, monitor=None,
                  tiebreak_seed: Optional[int] = None):
@@ -222,16 +222,9 @@ class Environment:
         # pays one `is not None` check per scheduled and per processed
         # event; with no monitor attached no hook is called.
         self._monitor = monitor
-        # Causal-tracing hooks (see repro.obs.spans).  `_spans` is the
-        # world's SpanRecorder when request tracing is on (bound by
-        # Telemetry.attach), else None.  `_spawn_ctx` is the trace
-        # context of the most recently resumed process: process() reads
-        # it so children spawned from a traced scope inherit the parent
-        # span without explicit plumbing.  Process._resume publishes it
-        # only while a recorder is bound, so both stay None when tracing
-        # is off and recording cannot perturb an untraced run.
+        # The world's SpanRecorder when request tracing is on (bound by
+        # Telemetry.attach), else None; see repro.obs.spans.
         self._spans = None
-        self._spawn_ctx = None
 
     @property
     def now(self) -> float:
@@ -332,18 +325,9 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator, owner=None, name: Optional[str] = None,
-                ctx=None):
-        """Spawn a generator coroutine as a :class:`~repro.sim.process.Process`.
-
-        ``ctx`` attaches a trace context (a :class:`~repro.obs.spans.Span`)
-        to the process; when omitted, the spawning process's context is
-        captured, so e.g. a retry spawned from a traced request scope
-        parents its spans under the original request.
-        """
-        if ctx is None:
-            ctx = self._spawn_ctx
-        return Process(self, generator, owner, name, ctx)
+    def process(self, generator, owner=None, name: Optional[str] = None):
+        """Spawn a generator coroutine as a :class:`~repro.sim.process.Process`."""
+        return Process(self, generator, owner, name)
 
     def any_of(self, events: Iterable[Event]):
         return AnyOf(self, list(events))

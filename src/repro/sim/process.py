@@ -140,7 +140,7 @@ class Process(Event):
     killed (value = :data:`KILLED`).
     """
 
-    __slots__ = ("_generator", "owner", "name", "_target", "ctx", "_resume_cb")
+    __slots__ = ("_generator", "owner", "name", "_target", "_resume_cb")
 
     def __init__(
         self,
@@ -148,7 +148,6 @@ class Process(Event):
         generator,
         owner: Optional[ProcessOwner] = None,
         name: Optional[str] = None,
-        ctx=None,
     ):
         if not hasattr(generator, "send"):
             raise TypeError(f"process body must be a generator, got {generator!r}")
@@ -156,11 +155,6 @@ class Process(Event):
         self._generator = generator
         self.owner = owner
         self.name = name or getattr(generator, "__name__", "process")
-        #: trace context (repro.obs.spans.Span) this process runs under;
-        #: published to env._spawn_ctx on every resume while a span
-        #: recorder is bound, so child spawns inherit it (see
-        #: Environment.process).  Always None when request tracing is off.
-        self.ctx = ctx
         self._target: Optional[Event] = None
         # The trampoline, bound once rather than on every yield.  It makes
         # the process a reference cycle, so it is dropped (None) as soon as
@@ -197,13 +191,6 @@ class Process(Event):
             # crashed: drop silently (kill() will fire shortly/has fired)
             return
         self._target = None
-        env = self.env
-        if env._spans is not None:
-            # Publish this process's trace context for the duration of the
-            # resume: spawns inside the generator body capture it.  A plain
-            # store (no save/restore) suffices — the next resume overwrites
-            # it, and it is read only synchronously inside spawn calls.
-            env._spawn_ctx = self.ctx
         try:
             if event._ok:
                 nxt = self._generator.send(event._value)
@@ -221,7 +208,7 @@ class Process(Event):
             return
         if not isinstance(nxt, Event):
             raise SimulationError(f"process {self.name!r} yielded non-event {nxt!r}")
-        if nxt.env is not env:
+        if nxt.env is not self.env:
             raise SimulationError("yielded event belongs to a different Environment")
         self._target = nxt
         callbacks = nxt.callbacks
@@ -239,7 +226,13 @@ class Process(Event):
 
     # -- external control ---------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the generator (urgent priority)."""
+        """Throw :class:`Interrupt` into the generator (urgent priority).
+
+        The process is detached from the event it waits on first.  While
+        its owner is frozen the interrupt is held like any delivery; on
+        thaw it detaches again, from whatever the process waits on by
+        then (a delivery held before it may have moved the process on).
+        """
         if not self.is_alive:
             return
         ev = Event(self.env)
@@ -251,6 +244,10 @@ class Process(Event):
             if self._target is not None:
                 self._target.remove_callback(self._resume_cb)
                 self._detach_from_target()
+            if self.owner is not None and self.owner._frozen:
+                evt._defused = True
+                self.owner.park(lambda: _deliver(evt))
+                return
             self._resume(evt)
 
         ev.add_callback(_deliver)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.obs.events import EventKind
 from repro.obs.telemetry import Telemetry
 from repro.sim.conditions import AnyOf
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, Timeout
 from repro.workload.stats import Outcome, RequestStats
 from repro.workload.trace import SyntheticTrace
 
@@ -162,61 +162,26 @@ class ClientPool:
 
     # -- generation ------------------------------------------------------------
     def _arrivals(self):
+        env = self.env
+        arrival = self._next_arrival()
         while True:
-            mean_gap = 1.0 / self.config.rate_at(self.env.now)
-            yield self.env.timeout(float(self.rng.exponential(mean_gap)))
+            yield arrival
             fid = self.trace.sample_file()
-            req = Request(self.env, fid, self.trace.file_size(fid))
+            req = Request(env, fid, self.trace.file_size(fid))
             self._next_req_id += 1
             req.req_id = self._next_req_id
-            self.stats.record_issue(self.env.now)
+            self.stats.record_issue(env.now)
             self._c_issued.inc()
             req.ctx = self._spans.root(req.req_id, "request", "clients",
                                        fid=fid)
-            self.env.process(self._issue(req), name="client-req", ctx=req.ctx)
+            # The next arrival is scheduled before the request's first
+            # step runs: tests/sim/test_event_sequence.py pins this order.
+            arrival = self._next_arrival()
+            _RequestSteps(self, req).connect()
 
-    # -- per-request lifecycle ----------------------------------------------------
-    def _issue(self, req: Request):
-        cfg = self.config
-        spans = self._spans
-        conn = spans.start("connect", "network", "clients", ctx=req.ctx)
-        backend = self.router.pick(req)
-        if backend is None:
-            # No route (front-end dead): SYNs vanish, client gives up at 2 s.
-            yield self.env.timeout(cfg.connect_timeout)
-            spans.finish(conn, outcome="no_route")
-            self._fail(req, Outcome.CONNECT_TIMEOUT)
-            return
-        yield self.env.timeout(cfg.network_rtt)  # SYN -> SYN-ACK attempt
-        if not backend.host.pingable:
-            yield self.env.timeout(cfg.connect_timeout)
-            spans.finish(conn, outcome="syn_timeout")
-            self._fail(req, Outcome.CONNECT_TIMEOUT)
-            return
-        if not backend.listening:
-            spans.finish(conn, outcome="rst")
-            self._fail(req, Outcome.REFUSED)  # RST comes back immediately
-            return
-        if not backend.try_accept(req):
-            spans.finish(conn, outcome="backlog")
-            self._fail(req, Outcome.REFUSED)  # listen backlog overflow
-            return
-        spans.finish(conn, outcome="established")
-        wait = spans.start("await_reply", "wait", "clients", ctx=req.ctx)
-        deadline = self.env.timeout(cfg.request_timeout)
-        yield AnyOf(self.env, [req.response, deadline])
-        if req.response.triggered:
-            deadline.cancel()  # nobody waits on it any more
-            latency = self.env.now - req.created
-            self.stats.record_success(self.env.now, latency)
-            self._c_ok.inc()
-            self._h_latency.observe(latency)
-            spans.finish(wait, outcome="ok")
-            spans.finish(req.ctx, outcome="ok")
-        else:
-            req.expired = True
-            spans.finish(wait, outcome="expired")
-            self._fail(req, Outcome.REQUEST_TIMEOUT)
+    def _next_arrival(self) -> Timeout:
+        mean_gap = 1.0 / self.config.rate_at(self.env.now)
+        return self.env.timeout(float(self.rng.exponential(mean_gap)))
 
     def _fail(self, req: Request, outcome: Outcome) -> None:
         req.expired = True
@@ -229,3 +194,84 @@ class ClientPool:
         self._spans.finish(req.ctx, outcome=outcome.value)
         self._tracer.emit(EventKind.REQUEST_FAILED, source="clients",
                           fid=req.fid, outcome=outcome.value)
+
+
+class _RequestSteps:
+    """One request's lifecycle, run as event callbacks rather than a process.
+
+    Each wait (the SYN round trip, a connect timeout, the reply or its
+    deadline) carries the next step as a bound method of this object, so
+    a request costs no process bootstrap or completion event.  ``name``
+    is what :func:`repro.obs.kernelprof.callback_owner` reports for these
+    callbacks.
+    """
+
+    __slots__ = ("pool", "req", "backend", "conn", "wait", "deadline")
+
+    name = "client-req"
+
+    def __init__(self, pool: ClientPool, req: Request):
+        self.pool = pool
+        self.req = req
+
+    def connect(self) -> None:
+        pool = self.pool
+        req = self.req
+        cfg = pool.config
+        self.conn = pool._spans.start("connect", "network", "clients",
+                                      ctx=req.ctx)
+        self.backend = backend = pool.router.pick(req)
+        if backend is None:
+            # No route (front-end dead): SYNs vanish, client gives up at 2 s.
+            pool.env.timeout(cfg.connect_timeout).add_callback(self._no_route)
+        else:  # SYN -> SYN-ACK attempt
+            pool.env.timeout(cfg.network_rtt).add_callback(self._syn_ack)
+
+    def _no_route(self, _event: Event) -> None:
+        self.pool._spans.finish(self.conn, outcome="no_route")
+        self.pool._fail(self.req, Outcome.CONNECT_TIMEOUT)
+
+    def _syn_ack(self, _event: Event) -> None:
+        pool = self.pool
+        req = self.req
+        backend = self.backend
+        spans = pool._spans
+        env = pool.env
+        if not backend.host.pingable:
+            env.timeout(pool.config.connect_timeout).add_callback(
+                self._syn_timeout)
+            return
+        if not backend.listening:
+            spans.finish(self.conn, outcome="rst")
+            pool._fail(req, Outcome.REFUSED)  # RST comes back immediately
+            return
+        if not backend.try_accept(req):
+            spans.finish(self.conn, outcome="backlog")
+            pool._fail(req, Outcome.REFUSED)  # listen backlog overflow
+            return
+        spans.finish(self.conn, outcome="established")
+        self.wait = spans.start("await_reply", "wait", "clients", ctx=req.ctx)
+        self.deadline = deadline = env.timeout(pool.config.request_timeout)
+        AnyOf(env, [req.response, deadline]).add_callback(self._reply)
+
+    def _syn_timeout(self, _event: Event) -> None:
+        self.pool._spans.finish(self.conn, outcome="syn_timeout")
+        self.pool._fail(self.req, Outcome.CONNECT_TIMEOUT)
+
+    def _reply(self, _event: Event) -> None:
+        pool = self.pool
+        req = self.req
+        spans = pool._spans
+        if req.response.triggered:
+            self.deadline.cancel()  # nobody waits on it any more
+            now = pool.env.now
+            latency = now - req.created
+            pool.stats.record_success(now, latency)
+            pool._c_ok.inc()
+            pool._h_latency.observe(latency)
+            spans.finish(self.wait, outcome="ok")
+            spans.finish(req.ctx, outcome="ok")
+        else:
+            req.expired = True
+            spans.finish(self.wait, outcome="expired")
+            pool._fail(req, Outcome.REQUEST_TIMEOUT)

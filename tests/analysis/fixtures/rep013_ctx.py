@@ -2,13 +2,12 @@
 
 A function is span-aware when it takes a ``ctx`` parameter or binds the
 result of a span-opening call; inside one, every Message construction
-and env.process spawn must pass ctx= (ctx=None is an explicit opt-out).
+must pass ctx= (ctx=None is an explicit opt-out).
 """
 
 
 def bad_ctx_param(env, req, ctx):
     msg = Message("fwd_req", 1, 2, {"fid": req.fid})  # BAD REP013
-    env.process(serve(req))  # BAD REP013
     return msg
 
 
@@ -21,13 +20,12 @@ def bad_span_opener(env, spans, req):
 
 def bad_self_recorder(self, req):
     fetch = self._spans.start("disk", "disk", "n1", ctx=req.ctx)
-    self.env.process(self._disk_loop())  # BAD REP013
-    return fetch
+    msg = Message("disk_read", 1, 1)  # BAD REP013
+    return fetch, msg
 
 
 def good_threads_ctx(env, req, ctx):
     msg = Message("fwd_req", 1, 2, {"fid": req.fid}, ctx=ctx)  # GOOD
-    env.process(serve(req), ctx=ctx)  # GOOD
     return msg
 
 
@@ -41,7 +39,6 @@ def good_splat(env, req, ctx, kw):
 
 def good_not_span_scope(env, req):
     msg = Message("cache_sync", 1, 2, {"fids": []})  # GOOD: no spans here
-    env.process(serve(req))  # GOOD: not span-aware
     return msg
 
 
@@ -60,10 +57,6 @@ def good_nested_scope(env, spans, req):
 
     spans.finish(span)
     return _later
-
-
-def good_non_env_process(ctx, pool, item):
-    return pool.process(item)  # GOOD: not an env spawn
 
 
 class GoodNestedHelper:

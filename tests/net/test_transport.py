@@ -24,14 +24,14 @@ class TestDelivery:
 
         def sender():
             for i in range(5):
-                yield conn.endpoint(a).send(i)
+                yield from conn.endpoint(a).send(i, 128, proc)
 
         def receiver():
             while len(received) < 5:
                 msg = yield conn.endpoint(b).recv()
                 received.append(msg)
 
-        env.process(sender())
+        proc = env.process(sender())
         env.process(receiver())
         env.run(until=1)
         assert received == [0, 1, 2, 3, 4]
@@ -42,10 +42,10 @@ class TestDelivery:
 
         def sender():
             for i in range(6):
-                yield conn.endpoint(a).send(i)
+                yield from conn.endpoint(a).send(i, 128, proc)
                 done.append((env.now, i))
 
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=5)
         # Window of 4: the 5th message blocks until the reader drains.
         assert len(done) == 4
@@ -63,11 +63,11 @@ class TestDelivery:
         done = []
 
         def sender():
-            yield conn.endpoint(a).send("x")
+            yield from conn.endpoint(a).send("x", 128, proc)
             done.append(env.now)
 
         b.freeze()
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=5)
         assert done == []
         b.unfreeze()
@@ -79,11 +79,11 @@ class TestDelivery:
         done = []
 
         def sender():
-            yield conn.endpoint(a).send("x")
+            yield from conn.endpoint(a).send("x", 128, proc)
             done.append(env.now)
 
         net.link(a).up = False
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=3)
         assert done == []
         net.link(a).up = True
@@ -99,12 +99,12 @@ class TestReset:
         def sender():
             b.freeze()
             try:
-                yield conn.endpoint(a).send("x")
+                yield from conn.endpoint(a).send("x", 128, proc)
                 outcome.append("sent")
             except ConnectionClosed:
                 outcome.append("closed")
 
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=1)
         conn.reset()
         env.run(until=2)
@@ -128,9 +128,9 @@ class TestReset:
         net, a, b, conn = setup
 
         def sender():
-            yield conn.endpoint(a).send("data")
+            yield from conn.endpoint(a).send("data", 128, proc)
 
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=1)
         conn.reset()
         got = []
@@ -150,26 +150,50 @@ class TestReset:
 
         def sender():
             try:
-                yield conn.endpoint(a).send("x")
+                yield from conn.endpoint(a).send("x", 128, proc)
             except ConnectionClosed:
                 outcome.append("closed")
 
-        env.process(sender())
+        proc = env.process(sender())
         env.run(until=1)
         assert outcome == ["closed"]
+
+    def test_reset_during_send_raises_in_sender(self, env, setup):
+        net, a, b, conn = setup
+        ep = conn.endpoint(a)
+        outcome = []
+
+        def sender():
+            try:
+                yield from ep.send("x", 128, proc)
+                outcome.append("sent")
+            except ConnectionClosed:
+                outcome.append(("closed", env.now))
+
+        proc = env.process(sender())
+        halfway = net.transfer_time(128) / 2
+        env.run(until=halfway)
+        assert list(ep._senders) == [proc]  # registered while in flight
+        conn.reset()
+        env.run(until=1)
+        assert outcome == [("closed", halfway)]
+        assert not ep._senders
+
+    def test_completed_send_leaves_no_sender(self, env, setup):
+        net, a, b, conn = setup
+        ep = conn.endpoint(a)
+
+        def sender():
+            yield from ep.send("x", 128, proc)
+
+        proc = env.process(sender())
+        env.run(until=1)
+        assert proc.ok and not ep._senders
 
     def test_reset_idempotent(self, env, setup):
         _, _, _, conn = setup
         conn.reset()
         conn.reset()
-
-    def test_abandoned_send_failure_is_defused(self, env, setup):
-        net, a, b, conn = setup
-        b.freeze()
-        conn.endpoint(a).send("x")  # nobody ever waits on this event
-        env.run(until=1)
-        conn.reset()
-        env.run(until=2)  # must not raise an unhandled ConnectionClosed
 
     def test_peer_of(self, setup):
         net, a, b, conn = setup

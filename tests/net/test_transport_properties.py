@@ -30,7 +30,7 @@ def test_fifo_delivery_under_any_window(n_msgs, window, consumer_delay):
 
     def sender():
         for i in range(n_msgs):
-            yield conn.endpoint(a).send(i)
+            yield from conn.endpoint(a).send(i, 128, proc)
 
     def receiver():
         while len(received) < n_msgs:
@@ -39,7 +39,7 @@ def test_fifo_delivery_under_any_window(n_msgs, window, consumer_delay):
             if consumer_delay:
                 yield env.timeout(consumer_delay)
 
-    env.process(sender())
+    proc = env.process(sender())
     env.process(receiver())
     env.run(until=60.0)
     assert received == list(range(n_msgs))
@@ -58,7 +58,7 @@ def test_no_loss_across_a_transient_outage(n_msgs, outage_at, outage_len):
 
     def sender():
         for i in range(n_msgs):
-            yield conn.endpoint(a).send(i)
+            yield from conn.endpoint(a).send(i, 128, proc)
 
     def receiver():
         while len(received) < n_msgs:
@@ -71,7 +71,7 @@ def test_no_loss_across_a_transient_outage(n_msgs, outage_at, outage_len):
         yield env.timeout(outage_len)
         net.link(b).up = True
 
-    env.process(sender())
+    proc = env.process(sender())
     env.process(receiver())
     env.process(outage())
     env.run(until=outage_at + outage_len + 30.0)
@@ -87,7 +87,7 @@ def test_reset_is_always_terminal_for_the_reader(reset_after):
     def sender():
         try:
             for i in range(20):
-                yield conn.endpoint(a).send(i)
+                yield from conn.endpoint(a).send(i, 128, proc)
         except ConnectionClosed:
             pass
 
@@ -103,7 +103,7 @@ def test_reset_is_always_terminal_for_the_reader(reset_after):
             yield env.timeout(0.0005)
         conn.reset()
 
-    env.process(sender())
+    proc = env.process(sender())
     env.process(receiver())
     env.process(resetter())
     env.run(until=10.0)

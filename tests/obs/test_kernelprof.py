@@ -261,6 +261,33 @@ class TestSubsystemAttribution:
 
         assert callback_subsystem(FakeProc().resume) == "press"
 
+    def test_callback_subsystem_follows_yield_from(self):
+        from repro.obs.kernelprof import TimingProfiler, callback_subsystem
+
+        # A press process that delegates to a net generator with
+        # `yield from` (a send loop running Endpoint.send) is charged to
+        # net while the delegate is suspended, to press otherwise.
+        ns = {}
+        exec(compile("def send(env):\n    yield env.timeout(1.0)\n",
+                     "/x/src/repro/net/transport.py", "exec"), ns)
+        exec(compile("def loop(env, send):\n"
+                     "    while True:\n"
+                     "        yield from send(env)\n"
+                     "        yield env.timeout(0.5)\n",
+                     "/x/src/repro/press/server.py", "exec"), ns)
+        env = Environment()
+        profiler = TimingProfiler()
+        env.set_monitor(profiler)
+        proc = env.process(ns["loop"](env, ns["send"]), name="n0.snd1")
+        env.run(until=0.25)
+        assert callback_subsystem(proc._resume_cb) == "net"
+        env.run(until=1.25)
+        assert callback_subsystem(proc._resume_cb) == "press"
+        env.run(until=10.0)
+        assert profiler.count_by_kind["Timeout"] > 0
+        assert "net" in profiler.time_by_subsystem
+        assert "press" in profiler.time_by_subsystem
+
     def test_callback_subsystem_plain_function(self):
         from repro.obs.kernelprof import callback_subsystem
 

@@ -213,6 +213,71 @@ class TestReconfiguration:
         assert 2 in servers[0].coop
 
 
+class TestSendLoop:
+    def _quiet_link(self, env):
+        servers, net, *_ = build_cluster(env)
+        env.run(until=2.0)
+        link = servers[0].links[1]
+        assert not link.in_flight and link.send_q.level == 0
+        msg = Message("cache_sync", 0, 1, {"fids": [], "load": 0})
+        return servers, net, link, msg
+
+    def test_send_ends_one_hop_after_delivery(self, env):
+        # The loop clears in_flight one same-instant hop after the peer's
+        # buffer accepts the message: a callback queued at the delivery
+        # instant ahead of that hop still sees the send in flight, and one
+        # queued after it does not.
+        servers, net, link, msg = self._quiet_link(env)
+        seen = []
+
+        def after_hop(_):
+            seen.append(("after", link.in_flight))
+
+        def ahead_of_hop(_):
+            seen.append(("ahead", link.in_flight))
+            env.event().succeed().add_callback(after_hop)
+
+        def at_delivery(_):
+            # Fires right after the transfer, while the accepting put is
+            # still queued; queues its check behind that put.
+            seen.append(("delivery", link.in_flight))
+            env.event().succeed().add_callback(ahead_of_hop)
+
+        assert link.send_q.try_put(msg)
+        # Created once the loop has taken msg and started its transfer.
+        env.event().succeed().add_callback(
+            lambda _: env.timeout(net.transfer_time(msg.size)).add_callback(at_delivery))
+        env.run(until=3.0)
+        assert seen == [("delivery", True), ("ahead", True), ("after", False)]
+
+    @pytest.mark.parametrize("freeze_at", ["transfer", "delivery"])
+    def test_reset_held_by_a_freeze_does_not_kill_the_loop(self, env, freeze_at):
+        # The node freezes mid-transfer or as the peer accepts the message;
+        # the held wait then ends (its delivery is held) and the connection
+        # is reset (the interrupt is held behind it).  On thaw the send
+        # raises ConnectionClosed or returns, and the interrupt, replayed
+        # after the send ended, must neither escape the loop nor resume it
+        # a second time.
+        servers, net, link, msg = self._quiet_link(env)
+        freeze = servers[0].host.freeze
+        assert link.send_q.try_put(msg)
+        if freeze_at == "transfer":
+            env.run(until=env.now + net.transfer_time(msg.size) / 2)
+            freeze()
+        else:
+            env.event().succeed().add_callback(
+                lambda _: env.timeout(net.transfer_time(msg.size)).add_callback(
+                    lambda _: freeze()))
+        env.run(until=env.now + 0.5)
+        assert link.in_flight
+        link.conn.reset()
+        env.run(until=env.now + 0.1)
+        servers[0].host.unfreeze()
+        env.run(until=env.now + 1.0)
+        assert not link.in_flight
+        assert 1 not in servers[0].coop
+
+
 class TestUnhandledItems:
     """Each PRESS dispatcher fails the run on an item it has no branch
     for, naming the host and the item: a dropped peer message must not

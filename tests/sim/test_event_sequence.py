@@ -9,23 +9,42 @@ their processed events must hash, in order, to the recorded digest:
   crash and the restart;
 * FME ``node_freeze``, observability off: thaw replays, interrupts, the
   membership and FME daemons;
-* INDEP ``node_crash`` with span tracing on: trace contexts inherited
-  through process spawns.
+* INDEP ``node_crash`` with span tracing on: trace contexts carried on
+  requests and messages.
 
 A kernel change that adds, drops or reorders an event fails here, not
 only in the benchmark's fingerprint check (which, like the markers,
 cannot see a reorder of same-instant events).
 
-The constants were derived on the heap-only kernel that preceded the
-same-instant lanes and the withdrawal of client request deadlines, by a
-monitor that skipped each client deadline coming due after its
-``AnyOf`` had already fired on ``req.response`` (the deadlines
-``ClientPool`` now withdraws; their one callback did nothing).  The
-digest is that filtered sequence, and ``processed`` is that kernel's
-count minus the skipped deadlines (COOP: 94,600 - 2,968; FME:
-113,877 - 3,331; INDEP: 17,306 - 894).  ``scheduled``, the clock and the
-markers are that kernel's own values: a withdrawn deadline was still
-scheduled.
+The constants were derived on the code that still ran each client
+request and each peer send as a process of its own, by a monitor that
+skipped the events the process-free request and send no longer
+schedule:
+
+* each ``client-req`` process's bootstrap and completion (nothing
+  waited on the completion);
+* each ``send->n*`` process's bootstrap; the send loop now runs the
+  send's first step where the bootstrap ran;
+* the completion of a send process nobody waited on any more (its send
+  loop had been killed);
+* each ``StorePut`` on a PRESS send queue that ran no callback (a put
+  admitted at once, which ``try_put`` now makes without an event).
+
+A send process's completion that its send loop waited on is counted as
+the ``Event`` of the loop's completion hop, which takes its slot, and a
+send process's callbacks are credited to its send loop (``send->n2`` of
+``n0`` as ``n0.snd2``); ``client-req`` keeps its name as the owner of the
+request's callbacks.  The digest is that filtered sequence, and
+``processed`` and ``scheduled`` are that code's counts minus the skipped
+events, all of which were scheduled and processed at the instant they
+were due (COOP: 91,632 - 13,459 processed and 95,652 - 13,459
+scheduled, of them 4,826 + 4,446 client, 4,184 send bootstraps and 3
+unwaited completions; FME: 110,546 - 15,666 and 115,071 - 15,666, of
+them 4,826 + 4,815 client and 6,025 send bootstraps; INDEP: 16,412 -
+2,582 and 17,626 - 2,582, all client).  The clock and the markers are
+that code's own values.  The earlier derivation, on the heap-only kernel
+before the same-instant lanes and the withdrawn client deadlines, is in
+``CHANGES.md``.
 """
 
 import dataclasses
@@ -51,25 +70,25 @@ WINDOWS = CampaignConfig(
 #: (version, fault, span tracing on) -> pinned outcome and EventOrderDigest
 CELLS = {
     ("COOP", FaultKind.NODE_CRASH, False): {
-        "processed": 91632,
-        "scheduled": 95652,
+        "processed": 78173,
+        "scheduled": 82193,
         "now": 40.0,
         "markers_sha256": "477ef1249feee98370d4f9503993d4de3fa3f02f21f561fd7845b9556517e9b3",
-        "order_sha256": "aa7fb479f9b60fa333886b93781e038025dca1d9d4a0c4827f37ab01db59106b",
+        "order_sha256": "2ece6f8b1f3279cabbb6943e70811318a7bce12aff5773b8ff89e8a99ea8615e",
     },
     ("FME", FaultKind.NODE_FREEZE, False): {
-        "processed": 110546,
-        "scheduled": 115071,
+        "processed": 94880,
+        "scheduled": 99405,
         "now": 40.0,
         "markers_sha256": "5b9c41c83000866dc79a72ddb25452f52b6e5a5b5048fe6b4a881ccbf1842d3f",
-        "order_sha256": "b9c3c37283f2b9b0e2a75e52e1ec3d11fb7420739f15fca55fef0acd8127a4cb",
+        "order_sha256": "0cd3ff7d73daf1b42669aa64ff860a102482a8b8c101bf42e7f242633c28ecdd",
     },
     ("INDEP", FaultKind.NODE_CRASH, True): {
-        "processed": 16412,
-        "scheduled": 17626,
+        "processed": 13830,
+        "scheduled": 15044,
         "now": 40.0,
         "markers_sha256": "a80ed4fb9070c4bf72f565054c1cd35c68f6d22ad96d2d52fbb2267e97aeabdc",
-        "order_sha256": "e1672aaf039c9c2e943d065b1d397cfca4b5f5565104664fbd8454479cba85ff",
+        "order_sha256": "ad33cd4336e39276b4e418e804dceeaf43e35b3f8b62bbcfdad7b352416b663c",
     },
 }
 

@@ -216,6 +216,35 @@ class TestInterrupt:
         assert store.level == 1  # the cancelled get never consumed it
         assert proc.is_alive
 
+    def test_interrupt_held_by_freeze_detaches_on_replay(self, env):
+        # While the owner is frozen, the first timeout fires (its delivery
+        # is held) and then the interrupt arrives (held behind it).  On
+        # thaw the first delivery moves the process on to a second wait;
+        # the replayed interrupt must detach it from that wait, or the
+        # second timeout would resume it once more, mid-way through a
+        # later wait.
+        owner = ProcessOwner()
+        log = []
+
+        def body():
+            yield env.timeout(1)
+            try:
+                yield env.timeout(5)  # still pending when the interrupt lands
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield env.timeout(10)
+            log.append(("woke", env.now))
+
+        proc = env.process(body(), owner=owner)
+        env.run(until=0.5)
+        owner.freeze()
+        env.run(until=1.5)
+        proc.interrupt()
+        env.run(until=2)
+        owner.thaw(env)
+        env.run(until=20)
+        assert log == [("interrupted", 2.0), ("woke", 12.0)]
+
 
 class TestOwnership:
     def test_freeze_parks_and_thaw_replays(self, env):
@@ -303,29 +332,3 @@ class TestOwnership:
         owner.thaw(env)
         env.run(until=8)
         assert len(log) > 1
-
-
-class TestTraceContext:
-    """A process publishes its trace context to children it spawns, but
-    only while a span recorder is bound."""
-
-    def _child_ctx(self, env):
-        children = []
-
-        def child():
-            yield env.timeout(1.0)
-
-        def parent():
-            yield env.timeout(1.0)
-            children.append(env.process(child()))
-
-        env.process(parent(), ctx="request-span")
-        env.run()
-        return children[0].ctx
-
-    def test_child_inherits_ctx_while_recorder_bound(self, env):
-        env.bind_spans(object())
-        assert self._child_ctx(env) == "request-span"
-
-    def test_ctx_not_published_without_recorder(self, env):
-        assert self._child_ctx(env) is None

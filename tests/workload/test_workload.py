@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hardware.host import Host, NodeService
+from repro.obs.kernelprof import callback_owner
+from repro.sim.process import Process
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import Outcome, RequestStats
 from repro.workload.trace import SyntheticTrace, TraceConfig
@@ -206,3 +208,57 @@ class TestClients:
         assert stats.succeeded == 0
         assert stats.outcomes[Outcome.REQUEST_TIMEOUT] > 100
         assert stats.completed <= stats.issued
+
+
+class InstantBackend:
+    """Accepts every request and answers it in the same instant."""
+
+    def __init__(self, host):
+        self.host = host
+        self.listening = True
+
+    def try_accept(self, req):
+        req.respond()
+        return True
+
+
+class EventLog:
+    """Kernel monitor listing each processed event's class and callbacks."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_schedule(self, depth):
+        pass
+
+    def on_event(self, event, callbacks):
+        self.events.append((type(event).__name__, list(callbacks)))
+
+    def on_event_done(self, event):
+        pass
+
+
+class TestRequestEvents:
+    def test_answered_request_costs_four_events_and_no_process(self, env, rngs):
+        trace = SyntheticTrace(TraceConfig(n_files=10), rngs.stream("t"))
+        stats = RequestStats()
+        config = ClientConfig(request_rate=0.01)  # one arrival in the window
+        ClientPool(env, trace, DnsRouter([InstantBackend(Host(env, "n0", 0))]),
+                   stats, config, rngs.stream("c")).start()
+        env.run(until=0.0)  # the arrival process schedules its first arrival
+        first = env.peek()
+        log = EventLog()
+        env.set_monitor(log)
+        env.run(until=first + 10 * config.network_rtt)
+        assert stats.issued == 1 and stats.succeeded == 1
+        # next-arrival Timeout, RTT Timeout, response Event, AnyOf
+        assert [(kind, [callback_owner(cb) for cb in cbs])
+                for kind, cbs in log.events] == [
+            ("Timeout", ["client-arrivals"]),
+            ("Timeout", ["client-req"]),
+            ("Event", ["AnyOf"]),
+            ("AnyOf", ["client-req"]),
+        ]
+        steps = [cb for _, cbs in log.events[1:] for cb in cbs]
+        assert not any(isinstance(getattr(cb, "__self__", None), Process)
+                       for cb in steps)
