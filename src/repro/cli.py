@@ -12,35 +12,12 @@ Commands
 ``sweep VERSION KNOB VALUE [...]``
     Vary one profile knob across values and tabulate availability;
     ``--jobs N`` measures the points in parallel.
-``inject VERSION FAULT``
-    One single-fault experiment with a throughput timeline.
-``trace VERSION FAULT``
-    One single-fault experiment, emitting the structured telemetry trace
-    (JSONL by default, ``--format csv`` for spreadsheets; ``--kind`` /
-    ``--component`` / ``--limit`` select a subset).
-``spans VERSION FAULT``
-    One single-fault experiment under causal request tracing: per-request
-    span trees.  ``--waterfall REQ`` renders one request's ASCII
-    waterfall, ``--critical-path REQ`` its per-hop latency attribution,
-    and the default ``--blame`` groups the p99-slowest requests by
-    critical-path signature and dominant hop before/during/after the
-    fault.  ``--sample``/``--max-requests`` bound the recording cost;
-    ``--out`` exports spans as JSONL trace events.
-``metrics VERSION``
-    Fault-free run; dump the metrics registry snapshot (histograms include
-    p50/p90/p99).
-``profile VERSION``
-    Fault-free run with kernel profiling; report the event-loop hot
-    spots (``--time`` adds wall-time attribution per event kind /
-    process type / subsystem; ``--json``/``--top N`` for machines).
-``record VERSION FAULT``
-    One single-fault experiment captured as a replayable flight-recorder
-    artifact (JSON) for offline re-analysis.
-``budget RECORD [RECORD ...]``
-    Re-fit and attribute recorded flights; print the per-version
-    unavailability error budget with stage-level drill-down.
-``timeline RECORD``
-    ASCII throughput/stage timeline of a recorded flight.
+``explain VERSION FAULT``
+    One single-fault experiment under span tracing and the wall-time
+    profiler: where the lost requests went (stage timeline and loss
+    table), this fault's unavailability budget, the tail-latency blame
+    per fault phase, and the per-layer wall split; ``--json`` for
+    machines, ``--out RECORD`` also saves the flight record.
 ``figure NAME``
     Regenerate one of the paper's figures/tables (fig1a..fig10, table1/2).
 ``validate VERSION``
@@ -71,21 +48,12 @@ from typing import List, Optional
 
 from repro.core.quantify import QuantifyConfig, quantify_version, run_single_fault
 from repro.core.report import (
-    format_bar,
     format_comparison,
     format_model_result,
     model_result_to_dict,
 )
 from repro.experiments.configs import VERSIONS, version
 from repro.faults.types import FaultKind
-from repro.obs.export import (
-    event_to_dict,
-    filter_events,
-    format_metrics,
-    write_csv,
-    write_jsonl,
-    write_metrics_json,
-)
 from repro.obs.telemetry import Telemetry
 
 
@@ -172,266 +140,99 @@ def cmd_quantify(args) -> int:
     return 0
 
 
-def _timeline_dict(trace) -> dict:
-    return {
-        "t_inject": trace.t_inject,
-        "t_detect": trace.t_detect,
-        "t_repair": trace.t_repair,
-        "t_reset": trace.t_reset,
-        "t_end": trace.t_end,
-        "normal_tput": trace.normal_tput,
-    }
+def _section(title: str) -> str:
+    return f"== {title} " + "=" * max(0, 66 - len(title))
 
 
-def cmd_inject(args) -> int:
-    config = _config(args)
+def cmd_explain(args) -> int:
+    """One injected run, four answers: lost requests, budget, tails, wall."""
+    from dataclasses import replace
+
+    from repro.experiments.runner import build_world
+    from repro.obs.attribution import StageAttributor
+    from repro.obs.budget import build_budget, format_budget
+    from repro.obs.recorder import FlightRecord, write_record
+    from repro.obs.spans import (
+        blame_report,
+        format_blame,
+        phases_from_trace,
+        render_waterfall,
+        spans_digest,
+    )
+    from repro.obs.timeline import render_timeline
+
+    spec = _version(args.version)
     kind = FaultKind(args.fault)
-    telemetry = Telemetry()
-    trace, world = run_single_fault(_version(args.version), kind, config,
-                                    target=args.target, telemetry=telemetry)
+    config = _config(args)
+    if args.seed is not None and args.seed != config.seed:
+        config = replace(config, seed=args.seed)
+    # Building a world runs nothing: refuse an absent component before
+    # the warm-up, not after it.
+    injectable = build_world(spec, config.profile, seed=config.seed,
+                             telemetry=Telemetry.disabled()).injectable_kinds()
+    if kind not in injectable:
+        raise SystemExit(
+            f"error: {spec.name} has no component for {kind.value}; it can "
+            f"inject {', '.join(k.value for k in injectable)}")
+
+    telemetry = Telemetry(trace_spans=True, profile_time=True)
+    trace, world = run_single_fault(spec, kind, config, target=args.target,
+                                    telemetry=telemetry)
+    events = telemetry.tracer.events
+    record = FlightRecord.from_experiment(
+        trace, events=events, seed=config.seed, profile=config.profile.name,
+        target=args.target or world.default_target(kind))
+    if args.out:
+        write_record(record, args.out)
+    report = StageAttributor().attribute(record)
+    budget = build_budget({kind: report.template}, spec.catalog(),
+                          trace.offered_rate, version=spec.name,
+                          environment=config.environment, measured=[report])
+    spans = telemetry.spans
+    blame = blame_report(spans.trees(),
+                         phases=phases_from_trace(events, trace.t_end))
+    profiler = telemetry.profiler
+
     if args.json:
         start = max(trace.t_inject - 20.0, 0.0)
         times, rates = trace.series.bucketize(5.0, start, trace.t_end)
         print(json.dumps({
-            "version": trace.version,
-            "fault": kind.value,
-            "target": args.target or world.default_target(kind),
-            "timeline": _timeline_dict(trace),
-            "throughput": {"times": [float(t) for t in times],
-                           "rates": [float(r) for r in rates]},
-            "events": [event_to_dict(e) for e in telemetry.tracer.events],
-        }, sort_keys=True))
-        return 0
-    start = max(trace.t_inject - 20.0, 0.0)
-    times, rates = trace.series.bucketize(5.0, start, trace.t_end)
-    peak = max(float(rates.max()), 1.0)
-    for t, r in zip(times, rates):
-        marks = []
-        for label, t_ev in (("INJECT", trace.t_inject), ("DETECT", trace.t_detect),
-                            ("REPAIR", trace.t_repair), ("RESET", trace.t_reset)):
-            if t_ev is not None and t <= t_ev < t + 5.0:
-                marks.append(label)
-        print(f"{t:7.0f} {r:7.1f} {format_bar(r, peak)} {' '.join(marks)}")
-    print(f"\ncooperation sets: "
-          f"{[sorted(getattr(s, 'coop', [])) for s in world.servers]}")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    config = _config(args)
-    kind = FaultKind(args.fault)
-    telemetry = Telemetry()
-    trace, _world = run_single_fault(_version(args.version), kind, config,
-                                     target=args.target, telemetry=telemetry)
-    events = filter_events(telemetry.tracer.events, kinds=args.kind or None,
-                           components=args.component or None,
-                           limit=args.limit)
-    writer = write_csv if args.format == "csv" else write_jsonl
-    if args.out:
-        n = writer(events, args.out)
-    else:
-        n = writer(events, sys.stdout)
-    kinds = {}
-    for e in events:
-        kinds[e.kind] = kinds.get(e.kind, 0) + 1
-    print(f"{n} events ({', '.join(f'{k}:{v}' for k, v in sorted(kinds.items()))})",
-          file=sys.stderr)
-    print(f"inject={trace.t_inject:.1f} detect={trace.t_detect} "
-          f"repair={trace.t_repair:.1f} end={trace.t_end:.1f}", file=sys.stderr)
-    return 0
-
-
-def cmd_spans(args) -> int:
-    from repro.obs.spans import (
-        analyze_tree,
-        blame_report,
-        filter_spans,
-        format_blame,
-        format_critical_path,
-        phases_from_trace,
-        render_waterfall,
-        span_event,
-        spans_digest,
-    )
-
-    config = _config(args)
-    kind = FaultKind(args.fault)
-    telemetry = Telemetry(trace_spans=True, span_sample=args.sample,
-                          span_seed=args.span_seed,
-                          span_max_requests=args.max_requests)
-    run_single_fault(_version(args.version), kind, config,
-                     target=args.target, telemetry=telemetry)
-    spans = telemetry.spans
-
-    if args.out:
-        selected = filter_spans(spans.spans(), kinds=args.kind or None,
-                                components=args.component or None,
-                                limit=args.limit)
-        n = write_jsonl((span_event(s) for s in selected), args.out)
-        print(f"{n} spans exported to {args.out}", file=sys.stderr)
-
-    if args.waterfall is not None:
-        tree = spans.tree(args.waterfall)
-        if not tree:
-            ids = spans.request_ids
-            print(f"error: request {args.waterfall} was not sampled "
-                  f"({len(ids)} trees recorded"
-                  + (f"; e.g. {ids[:5]}" if ids else "") + ")",
-                  file=sys.stderr)
-            return 1
-        if args.json:
-            record = analyze_tree(args.waterfall, tree)
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(render_waterfall(tree))
-        return 0
-
-    if args.critical_path is not None:
-        tree = spans.tree(args.critical_path)
-        record = analyze_tree(args.critical_path, tree) if tree else None
-        if record is None:
-            print(f"error: request {args.critical_path} was not sampled",
-                  file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(format_critical_path(record))
-        return 0
-
-    # default: the tail-latency blame report, phased around the fault
-    phases = phases_from_trace(telemetry.tracer.events)
-    report = blame_report(spans.trees(), percentile=args.percentile,
-                          phases=phases, top=args.top)
-    report["digest"] = spans_digest(spans.spans())
-    report["dropped_trees"] = spans.dropped
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(format_blame(report))
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    from repro.experiments.runner import build_world
-
-    config = _config(args)
-    telemetry = Telemetry()
-    world = build_world(_version(args.version), config.profile,
-                        seed=config.seed, telemetry=telemetry)
-    until = args.until
-    if until is None:
-        until = config.campaign.warmup + config.campaign.normal_window
-    world.env.run(until=until)
-    snapshot = telemetry.metrics.snapshot()
-    if args.json:
-        write_metrics_json(snapshot, sys.stdout)
-    else:
-        print(format_metrics(snapshot))
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from repro.experiments.runner import build_world
-
-    config = _config(args)
-    telemetry = Telemetry(profile_kernel=True, profile_time=args.time)
-    world = build_world(_version(args.version), config.profile,
-                        seed=config.seed, telemetry=telemetry)
-    until = args.until
-    if until is None:
-        until = config.campaign.warmup + config.campaign.normal_window
-    world.env.run(until=until)
-    profiler = telemetry.profiler
-    assert profiler is not None
-    if args.json:
-        doc = profiler.snapshot()
-        # machine-readable top-N, mirroring the text report's sorting
-        doc["top"] = [{"owner": owner, "events": count}
-                      for owner, count in profiler.top(args.top)]
-        if args.time:
-            for table in ("subsystem", "kind", "type"):
-                doc[f"top_{table}"] = [
-                    {table: key, "seconds": secs}
-                    for key, secs in profiler.top_times(table, args.top)
-                ]
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(profiler.report(top_n=args.top))
-    return 0
-
-
-def cmd_record(args) -> int:
-    from repro.obs.attribution import StageAttributor
-    from repro.obs.recorder import record_flight, write_record
-
-    config = _config(args)
-    kind = FaultKind(args.fault)
-    record = record_flight(_version(args.version), kind, config,
-                           target=args.target, seed=args.seed)
-    out = args.out
-    if out is None:
-        out = f"results/records/{record.version}-{kind.value}.json"
-    write_record(record, out)
-    report = StageAttributor().attribute(record)
-    if args.json:
-        print(json.dumps({
-            "artifact": out,
             "version": record.version,
             "fault": record.fault,
             "target": record.target,
             "seed": record.seed,
-            "samples": len(record.samples),
-            "events": len(record.events),
+            "profile": record.profile,
+            "timeline": record.timeline,
+            "throughput": {"times": [float(t) for t in times],
+                           "rates": [float(r) for r in rates]},
             "attribution": report.to_dict(),
+            "budget": budget.to_dict(),
+            "blame": dict(blame, spans_digest=spans_digest(spans.spans())),
+            "wall": profiler.snapshot(),
+            "metrics": telemetry.metrics.snapshot(),
         }, sort_keys=True))
         return 0
-    print(f"recorded {record.version}/{kind.value} -> {out}")
-    print(f"  {len(record.samples)} samples, {len(record.events)} events, "
-          f"seed {record.seed}, profile {record.profile}")
-    print(f"  attribution: {report.coverage * 100:.1f}% of "
-          f"{report.total_lost:.1f} lost request-seconds named; "
-          f"fit cross-check "
-          f"{'agrees' if report.agrees_with_fit else 'DISAGREES'}")
-    return 0
 
-
-def _load_records(paths):
-    from repro.obs.recorder import read_record
-
-    records = []
-    for path in paths:
-        try:
-            records.append(read_record(path))
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"error: cannot read record {path!r}: {exc}")
-    return records
-
-
-def cmd_budget(args) -> int:
-    from repro.core.model import EnvironmentParams
-    from repro.obs.budget import budget_from_records, format_budget
-
-    records = _load_records(args.records)
-    env = EnvironmentParams(operator_response=args.operator_response,
-                            reset_duration=args.reset_duration)
-    try:
-        report = budget_from_records(records, environment=env,
-                                     objective=args.objective)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_budget(report))
-    return 0
-
-
-def cmd_timeline(args) -> int:
-    from repro.obs.timeline import render_timeline
-
-    record = _load_records([args.record])[0]
-    print(render_timeline(record, bucket=args.bucket, width=args.width))
+    print(_section("lost requests"))
+    print(render_timeline(record, report))
+    print(f"cooperation sets: "
+          f"{[sorted(getattr(s, 'coop', [])) for s in world.servers]}")
+    print()
+    print(_section("budget"))
+    print(format_budget(budget))
+    print()
+    print(_section("tails"))
+    print(format_blame(blame))
+    during = [p for p in blame["phases"]
+              if p["label"].startswith("during") and p["groups"]]
+    if during:
+        req = during[0]["groups"][0]["example_req"]
+        print(f"\nslowest request of the top group, {during[0]['label']}:")
+        print(render_waterfall(spans.tree(req)))
+    print()
+    print(_section("wall"))
+    print("span recording was on: absolute times include its cost")
+    print(profiler.report())
     return 0
 
 
@@ -751,131 +552,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, json_flag=True)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("inject", help="one single-fault experiment")
-    p.add_argument("version")
-    p.add_argument("fault", choices=[k.value for k in FaultKind])
-    p.add_argument("--target", default=None)
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_inject)
-
-    p = sub.add_parser("trace",
-                       help="one single-fault experiment; emit the "
-                            "structured telemetry trace")
-    p.add_argument("version")
-    p.add_argument("fault", choices=[k.value for k in FaultKind])
-    p.add_argument("--target", default=None)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--out", default=None,
-                   help="write events to this file instead of stdout")
-    p.add_argument("--kind", action="append", default=[],
-                   help="only events of this kind (repeatable)")
-    p.add_argument("--component", action="append", default=[],
-                   help="only events from this source component (repeatable)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="stop after this many matching events")
-    _add_common(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("spans",
-                       help="one single-fault experiment under causal "
-                            "request tracing: waterfalls, critical paths, "
-                            "tail-latency blame")
-    p.add_argument("version")
-    p.add_argument("fault", choices=[k.value for k in FaultKind])
-    p.add_argument("--target", default=None)
-    p.add_argument("--waterfall", type=int, default=None, metavar="REQ",
-                   help="render request REQ's span tree as an ASCII "
-                        "waterfall")
-    p.add_argument("--critical-path", type=int, default=None, metavar="REQ",
-                   help="request REQ's critical path with per-hop "
-                        "latency attribution")
-    p.add_argument("--blame", action="store_true",
-                   help="tail-latency blame report per fault phase "
-                        "(the default mode)")
-    p.add_argument("--percentile", type=float, default=99.0,
-                   help="tail percentile for --blame (default 99)")
-    p.add_argument("--top", type=int, default=5,
-                   help="signature groups per phase in --blame")
-    p.add_argument("--sample", type=float, default=1.0,
-                   help="head-sampling fraction (deterministic in req_id)")
-    p.add_argument("--span-seed", type=int, default=0,
-                   help="sampling seed (varies which requests are kept)")
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="ring-buffer retention: keep at most this many "
-                        "newest request trees")
-    p.add_argument("--kind", action="append", default=[],
-                   help="--out filter: only spans of this category "
-                        "(repeatable)")
-    p.add_argument("--component", action="append", default=[],
-                   help="--out filter: only spans from this node "
-                        "(repeatable)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="--out filter: cap exported spans")
-    p.add_argument("--out", default=None,
-                   help="also export the (filtered) spans as JSONL "
-                        "trace events")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_spans)
-
-    p = sub.add_parser("metrics",
-                       help="fault-free run; dump the metrics registry")
-    p.add_argument("version")
-    p.add_argument("--until", type=float, default=None,
-                   help="simulated seconds to run (default: warmup+window)")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("profile",
-                       help="fault-free run with kernel profiling")
-    p.add_argument("version")
-    p.add_argument("--until", type=float, default=None,
-                   help="simulated seconds to run (default: warmup+window)")
-    p.add_argument("--top", type=int, default=15,
-                   help="entries per ranking (text and --json)")
-    p.add_argument("--time", action="store_true",
-                   help="wall-time attribution per event kind / process "
-                        "type / subsystem (TimingProfiler)")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser("record",
-                       help="one single-fault experiment captured as a "
-                            "replayable flight-recorder artifact")
+    p = sub.add_parser("explain",
+                       help="one single-fault experiment: where the lost "
+                            "requests and the wall time went")
     p.add_argument("version")
     p.add_argument("fault", choices=[k.value for k in FaultKind])
     p.add_argument("--target", default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="master RNG seed (default: config seed)")
-    p.add_argument("--out", default=None,
-                   help="artifact path (default: "
-                        "results/records/<version>-<fault>.json)")
+    p.add_argument("--out", default=None, metavar="RECORD",
+                   help="also write the run's flight record to this path")
     _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_record)
-
-    p = sub.add_parser("budget",
-                       help="unavailability error budget from recorded "
-                            "flights, with stage drill-down")
-    p.add_argument("records", nargs="+", metavar="RECORD",
-                   help="flight-recorder artifacts (one version)")
-    p.add_argument("--objective", type=float, default=0.999,
-                   help="availability objective (default 0.999)")
-    p.add_argument("--operator-response", type=float, default=1800.0,
-                   help="stage-E duration assumption (seconds)")
-    p.add_argument("--reset-duration", type=float, default=10.0,
-                   help="stage-F duration assumption (seconds)")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_budget)
-
-    p = sub.add_parser("timeline",
-                       help="ASCII throughput/stage timeline of a "
-                            "recorded flight")
-    p.add_argument("record", metavar="RECORD")
-    p.add_argument("--bucket", type=float, default=5.0,
-                   help="chart bucket width in seconds")
-    p.add_argument("--width", type=int, default=40,
-                   help="bar width in characters")
-    _add_common(p)
-    p.set_defaults(fn=cmd_timeline)
+    p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("figure", help="regenerate a paper figure/table")
     p.add_argument("name")

@@ -162,7 +162,7 @@ def run_single_fault(
 
     ``telemetry`` is handed to :func:`build_world` — pass an enabled
     :class:`~repro.obs.telemetry.Telemetry` to capture the structured
-    trace and metrics of the run (the ``repro trace`` command does).
+    trace and metrics of the run (``repro explain`` does).
     ``tiebreak_seed`` and ``monitor`` are likewise passed through
     (``repro sanitize --vary tiebreak`` sets the first).
     """

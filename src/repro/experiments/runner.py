@@ -160,14 +160,14 @@ def build_world(
     (Section 6.3's scaling assumption).
 
     ``telemetry`` defaults to an enabled bundle (tracing + metrics, no
-    kernel profiling); pass ``Telemetry.disabled()`` for zero-overhead
-    runs or ``Telemetry(profile_kernel=True)`` to profile the kernel.
+    profiler); pass ``Telemetry.disabled()`` for zero-overhead runs or
+    ``Telemetry(profile_time=True)`` to profile the kernel.
 
     ``tiebreak_seed`` perturbs same-instant event order (the
     ``tiebreak`` variant of ``repro sanitize``; see
     :mod:`repro.analysis.differential`) and ``monitor`` attaches a kernel
     monitor.  A ``monitor`` replaces any profiler ``telemetry`` would
-    attach, so don't combine it with ``Telemetry(profile_kernel=True)``.
+    attach, so don't combine it with ``Telemetry(profile_time=True)``.
     """
     env = Environment(tiebreak_seed=tiebreak_seed)
     telemetry = telemetry if telemetry is not None else Telemetry()

@@ -10,11 +10,12 @@ Three pillars (see docs/ARCHITECTURE.md, "Observability"):
 * :class:`MetricsHub` — labelled :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` instruments wired into the service hot paths, with
   a snapshot API.
-* :class:`KernelProfiler` — opt-in event-loop hooks answering "where
-  does simulation time go".
+* :class:`TimingProfiler` — opt-in event-loop hooks answering "where
+  does the host time go", per event kind, process type and subsystem.
 
-:class:`Telemetry` bundles all three per world; JSONL/CSV exporters in
-:mod:`repro.obs.export` round-trip the event stream losslessly.
+:class:`Telemetry` bundles all three per world, plus the opt-in causal
+span recorder (:mod:`repro.obs.spans`); :mod:`repro.obs.export` holds
+the dict form of an event and a streaming JSONL subscriber.
 
 On top of the raw telemetry sits the availability-accounting tier:
 
@@ -23,30 +24,20 @@ On top of the raw telemetry sits the availability-accounting tier:
 * :class:`StageAttributor` — names every lost request-second with a
   ``(fault, stage, component, cause)`` tuple and cross-checks the stage
   boundaries against the template fit (:mod:`repro.obs.attribution`);
-* :func:`build_budget` / :func:`budget_from_records` — per-version
-  unavailability error budgets with stage drill-down
-  (:mod:`repro.obs.budget`);
+* :func:`build_budget` — unavailability error budgets with stage
+  drill-down (:mod:`repro.obs.budget`);
 * :func:`render_timeline` — ASCII throughput/stage timelines
   (:mod:`repro.obs.timeline`).
+
+``repro explain VERSION FAULT`` runs one injected cell under all of
+the above and prints where its lost requests and its wall time went.
 
 :func:`provenance` (:mod:`repro.obs.perf`) stamps measurement records
 with the commit, host and interpreter that produced them.
 """
 
 from repro.obs.events import EventKind, KNOWN_KINDS, TraceEvent, sanitize
-from repro.obs.export import (
-    dumps_jsonl,
-    event_from_dict,
-    event_to_dict,
-    filter_events,
-    format_metrics,
-    jsonl_subscriber,
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_jsonl,
-    write_metrics_json,
-)
+from repro.obs.export import event_from_dict, event_to_dict, jsonl_subscriber
 from repro.obs.kernelprof import (
     KernelProfiler,
     TimingProfiler,
@@ -71,11 +62,8 @@ from repro.obs.spans import (
     SpanRecorder,
     blame_report,
     critical_path,
-    filter_spans,
     format_blame,
     render_waterfall,
-    span_event,
-    span_from_dict,
     span_to_dict,
     spans_digest,
 )
@@ -96,14 +84,12 @@ _ACCOUNTING_EXPORTS = {
     "StageAttributor": "repro.obs.attribution",
     "BudgetLine": "repro.obs.budget",
     "BudgetReport": "repro.obs.budget",
-    "budget_from_records": "repro.obs.budget",
     "build_budget": "repro.obs.budget",
     "format_budget": "repro.obs.budget",
     "FlightRecord": "repro.obs.recorder",
     "SCHEMA_VERSION": "repro.obs.recorder",
     "merge_records": "repro.obs.recorder",
     "read_record": "repro.obs.recorder",
-    "record_flight": "repro.obs.recorder",
     "write_record": "repro.obs.recorder",
     "format_attribution": "repro.obs.timeline",
     "render_timeline": "repro.obs.timeline",
@@ -135,13 +121,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "STAGE_CAUSES",
     "StageAttributor",
-    "budget_from_records",
     "build_budget",
     "format_attribution",
     "format_budget",
     "merge_records",
     "read_record",
-    "record_flight",
     "render_timeline",
     "write_record",
     "EventKind",
@@ -155,11 +139,8 @@ __all__ = [
     "SpanRecorder",
     "blame_report",
     "critical_path",
-    "filter_spans",
     "format_blame",
     "render_waterfall",
-    "span_event",
-    "span_from_dict",
     "span_to_dict",
     "spans_digest",
     "Counter",
@@ -179,13 +160,5 @@ __all__ = [
     "Telemetry",
     "event_to_dict",
     "event_from_dict",
-    "filter_events",
-    "write_jsonl",
-    "read_jsonl",
-    "dumps_jsonl",
     "jsonl_subscriber",
-    "write_csv",
-    "read_csv",
-    "write_metrics_json",
-    "format_metrics",
 ]

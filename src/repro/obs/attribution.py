@@ -184,18 +184,6 @@ class AttributionReport:
     def agrees_with_fit(self) -> bool:
         return all(c.agrees for c in self.checks)
 
-    def by_stage(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for s in self.slices:
-            out[s.stage] = out.get(s.stage, 0.0) + s.lost
-        return out
-
-    def slice_at(self, t: float) -> Optional[LossSlice]:
-        for s in self.slices:
-            if s.t0 <= t < s.t1:
-                return s
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": self.version,
@@ -222,7 +210,7 @@ class StageAttributor:
 
     # -- entry points ------------------------------------------------------
     def attribute(self, record: FlightRecord) -> AttributionReport:
-        """Attribute a recorded flight (the ``repro budget`` path)."""
+        """Attribute a recorded flight (live, or read back from disk)."""
         return self.attribute_trace(record.to_trace())
 
     def attribute_trace(self, trace: ExperimentTrace) -> AttributionReport:

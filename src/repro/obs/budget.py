@@ -7,10 +7,9 @@ and every ``(fault kind, stage, cause)`` pair consumes a share of it.
 fault catalog — the same per-stage decomposition the analytic model
 (:mod:`repro.core.model`) sums over, so the budget's total matches the
 model's unavailability (up to per-stage clamping of throughputs above
-the offered load).  :func:`budget_from_records` does the whole pipeline
-offline from flight-recorder artifacts: re-fit each record, attribute
-its lost request-seconds, rebuild the version's fault catalog, and roll
-everything up — the engine behind ``repro budget``.
+the offered load).  A whole version's budget is
+``VersionAvailability.stage_budget()``; ``repro explain`` budgets the
+one fault it injected, with the run's attribution as the measured view.
 
 A stage line's steady-state unavailability contribution is::
 
@@ -24,20 +23,14 @@ stage duration ``d_s`` and throughput ``T_s``, and offered load
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.core.model import EnvironmentParams
 from repro.core.report import format_bar
-from repro.core.template import STAGE_NAMES, SevenStageTemplate, TemplateFitter
+from repro.core.template import STAGE_NAMES, SevenStageTemplate
 from repro.faults.faultload import FaultCatalog
 from repro.faults.types import FAULT_LABELS, FaultKind
-from repro.obs.attribution import (
-    STAGE_CAUSES,
-    AttributionConfig,
-    AttributionReport,
-    StageAttributor,
-)
-from repro.obs.recorder import FlightRecord
+from repro.obs.attribution import STAGE_CAUSES, AttributionReport
 
 #: default availability objective: "three nines"
 DEFAULT_OBJECTIVE = 0.999
@@ -77,8 +70,8 @@ class BudgetReport:
     objective: float
     offered_rate: float
     lines: List[BudgetLine]
-    #: attribution reports of the underlying experiments, when built from
-    #: flight records (empty when built straight from templates)
+    #: attribution reports of the underlying experiments, when the
+    #: caller passes them (empty when built straight from templates)
     measured: List[AttributionReport] = field(default_factory=list)
     #: fault kinds in the catalog with no recorded template (their share
     #: of unavailability is *not* in this budget)
@@ -102,12 +95,6 @@ class BudgetReport:
         """Fraction of the budget spent (>1 means the objective is blown)."""
         return (self.total_unavailability / self.budget
                 if self.budget > 0 else float("inf"))
-
-    def by_fault(self) -> Dict[FaultKind, float]:
-        out: Dict[FaultKind, float] = {}
-        for line in self.lines:
-            out[line.fault] = out.get(line.fault, 0.0) + line.unavailability
-        return out
 
     def by_stage(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -183,61 +170,6 @@ def build_budget(
         missing_kinds=missing,
     )
 
-
-def budget_from_records(
-    records: Iterable[FlightRecord],
-    environment: EnvironmentParams = EnvironmentParams(),
-    objective: float = DEFAULT_OBJECTIVE,
-    attribution: AttributionConfig = AttributionConfig(),
-    catalog: Optional[FaultCatalog] = None,
-) -> BudgetReport:
-    """Offline budget: re-fit and attribute flight records, then roll up.
-
-    All records must come from the same system version; the version's
-    fault catalog is rebuilt from its spec unless ``catalog`` is given.
-    Kinds with several records keep the last one's template (and every
-    attribution is reported).
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no flight records given")
-    versions = {r.version for r in records}
-    if len(versions) > 1:
-        raise ValueError(
-            f"records span multiple versions {sorted(versions)}; "
-            "budget one version at a time"
-        )
-    version_name = records[0].version
-    offered = float(records[0].timeline["offered_rate"])
-
-    attributor = StageAttributor(attribution)
-    fitter = TemplateFitter(attribution.fit)
-    templates: Dict[FaultKind, SevenStageTemplate] = {}
-    measured: List[AttributionReport] = []
-    for record in records:
-        trace = record.to_trace()
-        templates[FaultKind(record.fault)] = fitter.fit(trace)
-        measured.append(attributor.attribute(record))
-
-    if catalog is None:
-        catalog = _catalog_for(version_name)
-    return build_budget(
-        templates, catalog, offered, version=version_name,
-        environment=environment, objective=objective, measured=measured,
-    )
-
-
-def _catalog_for(version_name: str) -> FaultCatalog:
-    """The fault catalog a version's world would carry (no simulation)."""
-    from repro.experiments.configs import version as version_by_name
-
-    try:
-        spec = version_by_name(version_name)
-    except KeyError as exc:
-        raise ValueError(
-            f"no fault catalog for recorded version {version_name!r}; "
-            f"pass an explicit catalog") from exc
-    return spec.catalog()
 
 
 # -- rendering -------------------------------------------------------------

@@ -35,7 +35,6 @@ kind                   data fields
 ``queue_saturated``    ``queue``, ``action`` (reroute/dropped/qmon_failed)
 ``request_failed``     ``fid``, ``outcome``
 ``operator_reset``     ``fault``, ``target``
-``span``               one causal span (see :mod:`repro.obs.spans`)
 =====================  ========================================================
 
 Unknown marker labels pass through with ``kind`` equal to the label and a
@@ -76,7 +75,6 @@ class EventKind:
     QUEUE_SATURATED = "queue_saturated"
     REQUEST_FAILED = "request_failed"
     OPERATOR_RESET = "operator_reset"
-    SPAN = "span"
 
 
 #: Every kind the schema above documents.

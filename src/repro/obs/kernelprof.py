@@ -10,7 +10,7 @@ high-water mark, and attributes each event to the *owner* of its
 callbacks (the ``name`` of a bound method's object — the Process name
 for coroutine resumptions, e.g. ``n0.main``, or ``client-req`` for a
 client request's steps — or the function's qualname for bare
-callbacks), which is what ``repro profile`` reports.
+callbacks).
 
 :class:`TimingProfiler` extends the counting profiler with wall-clock
 *time attribution*: the kernel brackets each event's callback batch with
@@ -18,6 +18,8 @@ callbacks), which is what ``repro profile`` reports.
 the event's kind (Timeout/Process/...), the owning process *type*
 (``n0.main`` and ``n3.main`` collapse to ``n*.main``), and the subsystem
 that owns the resumed code (kernel / press / ha / workload / net / ...).
+``repro explain`` prints its report as the wall section of one
+injected run.
 The wall-clock reads never touch simulated time or any digested stream —
 they exist only in the profiler's own report (REP001 allowlists this
 module for exactly that reason).
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: collapse digit runs so per-instance process names group into types:
 #: ``n0.main`` -> ``n*.main``, ``client17`` -> ``client*``
@@ -155,9 +157,8 @@ class KernelProfiler:
         return "\n".join(lines)
 
 
-def _top_times(table: Dict[str, float], n: Optional[int] = None) -> List[Tuple[str, float]]:
-    ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked if n is None else ranked[:n]
+def _top_times(table: Dict[str, float], n: int) -> List[Tuple[str, float]]:
+    return sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 class TimingProfiler(KernelProfiler):
@@ -219,15 +220,6 @@ class TimingProfiler(KernelProfiler):
             self.time_by_subsystem.get(subsystem, 0.0) + dt
 
     # -- reporting -------------------------------------------------------
-    def top_times(self, table: str, n: int = 15) -> List[Tuple[str, float]]:
-        """The ``n`` most expensive keys of one breakdown
-        (``kind``/``type``/``subsystem``), descending by seconds."""
-        return _top_times({
-            "kind": self.time_by_kind,
-            "type": self.time_by_type,
-            "subsystem": self.time_by_subsystem,
-        }[table], n)
-
     def snapshot(self) -> Dict[str, Any]:
         snap = super().snapshot()
         snap.update({

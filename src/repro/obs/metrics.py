@@ -7,8 +7,7 @@ instruments whose mutators are no-ops, so instrumented code pays only a
 method call — no branching, no allocation — with telemetry off.
 
 ``MetricsHub.snapshot()`` renders every registered instrument as plain
-dicts, the record format the exporters and the ``--json`` CLI flags
-share.
+dicts, the form ``repro explain --json`` prints under ``metrics``.
 """
 
 from __future__ import annotations

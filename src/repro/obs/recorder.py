@@ -175,11 +175,6 @@ class FlightRecord:
             schema=schema,
         )
 
-    # -- convenience -------------------------------------------------------
-    @property
-    def duration(self) -> float:
-        return float(self.timeline["t_end"])
-
 
 def write_record(record: FlightRecord, dst: PathOrFile) -> None:
     """Persist one record as a JSON artifact (parents created)."""
@@ -231,41 +226,3 @@ def merge_records(records: Sequence[FlightRecord]) -> Dict[str, FlightRecord]:
         merged[record.fault] = record
     return merged
 
-
-def record_flight(
-    spec,
-    kind: FaultKind,
-    config=None,
-    target: Optional[str] = None,
-    seed: Optional[int] = None,
-) -> FlightRecord:
-    """Run one single-fault experiment with telemetry and snapshot it.
-
-    ``spec`` is a :class:`~repro.experiments.configs.VersionSpec` (or a
-    version name); ``config`` a
-    :class:`~repro.core.quantify.QuantifyConfig`.  This is the engine of
-    the ``repro record`` command.
-    """
-    # Imported here: core.quantify reaches back into the obs package via
-    # the world builder, so a module-level import would be cyclic.
-    from repro.core.quantify import QuantifyConfig, run_single_fault
-    from repro.experiments.configs import version as version_by_name
-    from repro.obs.telemetry import Telemetry
-
-    if isinstance(spec, str):
-        spec = version_by_name(spec)
-    config = config or QuantifyConfig.from_env()
-    if seed is not None and seed != config.seed:
-        from dataclasses import replace
-
-        config = replace(config, seed=seed)
-    telemetry = Telemetry()
-    trace, world = run_single_fault(spec, kind, config, target=target,
-                                    telemetry=telemetry)
-    return FlightRecord.from_experiment(
-        trace,
-        events=telemetry.tracer.events,
-        seed=getattr(world, "seed", config.seed),
-        profile=config.profile.name,
-        target=target or world.default_target(kind),
-    )

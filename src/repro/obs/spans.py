@@ -13,20 +13,18 @@ context — the parent :class:`Span` object itself — carried on the
 request (``Request.ctx``) and on :class:`~repro.net.message.Message.ctx`,
 and passed explicitly to every span-opening call.
 
-Determinism contract (the PR-6 oracle extends to spans):
+Determinism contract (the run fingerprint extends to spans):
 
 * recording never schedules events, draws RNG, or mutates component
   state — a spans-enabled run is event-for-event identical to a
   disabled one;
-* head-based sampling is a pure integer hash of the request id mixed
-  with a seed (:func:`sampled`), so the same requests are sampled under
+* every request is recorded, so the recorded set is the same under
   every ``PYTHONHASHSEED`` and in every worker process;
 * span ids are allocated from a monotone per-recorder counter and all
   bookkeeping is keyed on deterministic integers, never ``id()``.
 
-Retention is ring-buffered per request *tree* (``max_requests``),
-mirroring the :class:`~repro.obs.trace.Tracer` event ring, so
-full-fidelity capture is opt-in and bounded.
+An enabled recorder keeps every tree of the run; tracing is opt-in
+(``Telemetry(trace_spans=True)``), so the default run keeps none.
 
 On top of the store:
 
@@ -40,9 +38,9 @@ On top of the store:
   requests grouped by critical-path signature and dominant hop,
   split before/during/after each injected fault.  During a node crash
   this is where COOP's tails show ``peer_fetch`` hops while FME's
-  stay local;
-* :func:`span_event` / :func:`span_to_dict` — export through the
-  existing JSONL exporters (:mod:`repro.obs.export`).
+  stay local (``repro explain`` prints both);
+* :func:`spans_digest` — a canonical digest of a span set (the
+  determinism oracle's view).
 """
 
 from __future__ import annotations
@@ -56,16 +54,6 @@ from repro.obs.events import EventKind, TraceEvent, canonical
 CATEGORIES = frozenset(
     {"request", "queue", "service", "network", "disk", "wait", "route", "probe"}
 )
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: a seeded, hashseed-independent integer hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 class Span:
@@ -92,10 +80,6 @@ class Span:
         self.t1: Optional[float] = None
         self.meta: Dict[str, Any] = {}
 
-    @property
-    def duration(self) -> float:
-        return (self.t1 if self.t1 is not None else self.t0) - self.t0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = f"{self.t1:.3f}" if self.t1 is not None else "open"
         return (f"<Span #{self.span_id} req={self.req_id} {self.name} "
@@ -103,30 +87,21 @@ class Span:
 
 
 class SpanRecorder:
-    """The per-world span store: sampling, recording, ring retention.
+    """The per-world span store: one tree per request, every request kept.
 
     The trace context threaded through the system *is* the parent
-    :class:`Span`; ``None`` means "not sampled", and every method is
+    :class:`Span`; ``None`` means "not traced", and every method is
     ``None``-tolerant so call sites stay unconditional.  Disabled
     recorders never allocate, so the simulation hot path pays one
     attribute check per call site.
     """
 
-    __slots__ = ("enabled", "sample", "seed", "max_requests", "dropped",
-                 "_trees", "_next_span_id", "_next_probe_id", "_env")
+    __slots__ = ("enabled", "_trees", "_next_span_id", "_next_probe_id",
+                 "_env")
 
-    def __init__(self, enabled: bool = True, sample: float = 1.0,
-                 seed: int = 0, max_requests: Optional[int] = None):
-        if not 0.0 <= sample <= 1.0:
-            raise ValueError(f"sample rate {sample!r} outside [0, 1]")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.sample = sample
-        self.seed = seed
-        self.max_requests = max_requests
-        #: request trees evicted by the ring buffer
-        self.dropped = 0
-        # req_id -> [Span, ...] in creation order; dict order doubles as
-        # the eviction ring (oldest tree first).
+        # req_id -> [Span, ...] in creation order
         self._trees: Dict[int, List[Span]] = {}
         self._next_span_id = 0
         self._next_probe_id = 0
@@ -142,22 +117,6 @@ class SpanRecorder:
             return t
         return self._env.now if self._env is not None else 0.0
 
-    # -- sampling --------------------------------------------------------
-    def sampled(self, req_id: int) -> bool:
-        """Deterministic head-based sampling decision for one request.
-
-        A pure function of ``(req_id, seed, sample)`` — independent of
-        ``PYTHONHASHSEED``, process boundaries, and arrival order.
-        """
-        if not self.enabled:
-            return False
-        if self.sample >= 1.0:
-            return True
-        if self.sample <= 0.0:
-            return False
-        h = _mix64((req_id & _MASK64) ^ _mix64(self.seed & _MASK64))
-        return (h / float(1 << 64)) < self.sample
-
     # -- recording -------------------------------------------------------
     def _alloc(self, req_id: int, parent_id: Optional[int], name: str,
                category: str, node: str, t: Optional[float],
@@ -171,13 +130,9 @@ class SpanRecorder:
 
     def root(self, req_id: int, name: str, node: str,
              t: Optional[float] = None, **meta: Any) -> Optional[Span]:
-        """Open a request's root span; returns None when not sampled."""
-        if not self.sampled(req_id):
+        """Open a request's root span; returns None when disabled."""
+        if not self.enabled:
             return None
-        if self.max_requests is not None and req_id not in self._trees:
-            while len(self._trees) >= self.max_requests:
-                self._trees.pop(next(iter(self._trees)))
-                self.dropped += 1
         span = self._alloc(req_id, None, name, "request", node, t, meta)
         self._trees.setdefault(req_id, []).append(span)
         return span
@@ -197,11 +152,11 @@ class SpanRecorder:
     def start(self, name: str, category: str, node: str,
               ctx: Optional[Span], t: Optional[float] = None,
               **meta: Any) -> Optional[Span]:
-        """Open a child span under ``ctx``; None ctx (unsampled) no-ops."""
+        """Open a child span under ``ctx``; None ctx (untraced) no-ops."""
         if ctx is None or not self.enabled:
             return None
         tree = self._trees.get(ctx.req_id)
-        if tree is None:  # tree already evicted by the ring: drop the child
+        if tree is None:  # ctx opened by another recorder
             return None
         span = self._alloc(ctx.req_id, ctx.span_id, name, category, node,
                            t, meta)
@@ -224,15 +179,7 @@ class SpanRecorder:
         if meta:
             span.meta.update(meta)
 
-    def annotate(self, span: Optional[Span], **meta: Any) -> None:
-        if span is not None and meta:
-            span.meta.update(meta)
-
     # -- access ----------------------------------------------------------
-    @property
-    def request_ids(self) -> List[int]:
-        return list(self._trees)
-
     def tree(self, req_id: int) -> List[Span]:
         return list(self._trees.get(req_id, ()))
 
@@ -247,16 +194,13 @@ class SpanRecorder:
     def __len__(self) -> int:
         return sum(len(s) for s in self._trees.values())
 
-    def clear(self) -> None:
-        self._trees.clear()
-
 
 #: Shared always-disabled recorder: it records nothing, so sharing is safe.
 NULL_SPANS = SpanRecorder(enabled=False)
 
 
 # ---------------------------------------------------------------------------
-# export
+# digest
 
 
 def span_to_dict(span: Span) -> Dict[str, Any]:
@@ -273,56 +217,15 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
     }
 
 
-def span_from_dict(doc: Dict[str, Any]) -> Span:
-    span = Span(int(doc["span_id"]), int(doc["req_id"]),
-                doc["parent_id"], str(doc["name"]), str(doc["category"]),
-                str(doc["node"]), float(doc["t0"]))
-    span.t1 = None if doc.get("t1") is None else float(doc["t1"])
-    span.meta.update(doc.get("meta") or {})
-    return span
-
-
-def span_event(span: Span) -> TraceEvent:
-    """Bridge a span onto the TraceEvent schema so the existing JSONL/CSV
-    exporters (:mod:`repro.obs.export`) carry spans unchanged."""
-    return TraceEvent(time=span.t0, kind=EventKind.SPAN, source=span.node,
-                      data=span_to_dict(span))
-
-
-def span_from_event(event: TraceEvent) -> Span:
-    return span_from_dict(event.data)
-
-
 def spans_digest(spans: Iterable[Span]) -> str:
     """Canonical SHA-256 over a span set: the determinism oracle's view.
 
-    Sorted by ``(req_id, span_id)`` so insertion order (which may differ
-    between a live recorder and a parsed export) cannot leak in.
+    Sorted by ``(req_id, span_id)`` so insertion order cannot leak in.
     """
     h = hashlib.sha256()
     for span in sorted(spans, key=lambda s: (s.req_id, s.span_id)):
         h.update(canonical(span_to_dict(span)))
     return h.hexdigest()
-
-
-def filter_spans(spans: Iterable[Span],
-                 kinds: Optional[Sequence[str]] = None,
-                 components: Optional[Sequence[str]] = None,
-                 limit: Optional[int] = None) -> List[Span]:
-    """The span half of the CLI selection layer (``--kind`` filters the
-    span *category*, ``--component`` the recording node)."""
-    out: List[Span] = []
-    kindset = set(kinds) if kinds else None
-    compset = set(components) if components else None
-    for span in spans:
-        if kindset is not None and span.category not in kindset:
-            continue
-        if compset is not None and span.node not in compset:
-            continue
-        out.append(span)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +366,19 @@ def analyze_tree(req_id: int, spans: Sequence[Span]) -> Optional[Dict[str, Any]]
 
 
 def phases_from_trace(events: Iterable[TraceEvent],
-                      end: Optional[float] = None) -> List[Tuple[str, float, float]]:
+                      end: float) -> List[Tuple[str, float, float]]:
     """Before/during/after windows for each injected fault in a trace.
 
-    ``end`` defaults to the last event's timestamp.
+    ``end`` closes the last window: pass the run's end
+    (``ExperimentTrace.t_end``), not the last event's time, or requests
+    that start after the last event fall in no phase.
     """
     marks: List[Tuple[float, str, str]] = []
-    last = 0.0
     for ev in events:
-        last = max(last, ev.time)
         if ev.kind == EventKind.FAULT_INJECTED:
             marks.append((ev.time, "inject", str(ev.get("fault", "fault"))))
         elif ev.kind in (EventKind.FAULT_REPAIRED, EventKind.OPERATOR_RESET):
             marks.append((ev.time, "repair", str(ev.get("fault", "fault"))))
-    if end is None:
-        end = last
     if not marks:
         return [("all", 0.0, end)]
     marks.sort(key=lambda m: m[0])
@@ -569,7 +470,7 @@ def format_blame(report: Dict[str, Any]) -> str:
     """ASCII rendering of :func:`blame_report`."""
     lines: List[str] = []
     lines.append(f"tail-latency blame — p{report['percentile']:g} of "
-                 f"{report['requests']} sampled requests")
+                 f"{report['requests']} traced requests")
     for phase in report["phases"]:
         lines.append("")
         lines.append(f"[{phase['t0']:.1f}s .. {phase['t1']:.1f}s] "
@@ -577,7 +478,7 @@ def format_blame(report: Dict[str, Any]) -> str:
                      f"{phase['requests']} reqs "
                      f"(threshold {phase['threshold'] * 1000:.1f} ms)")
         if not phase["groups"]:
-            lines.append("  (no sampled requests in phase)")
+            lines.append("  (no traced requests in phase)")
             continue
         lines.append(f"  {'n':>4} {'mean ms':>9} {'max ms':>9} "
                      f"{'dominant hop':<22} critical path")
@@ -629,15 +530,3 @@ def render_waterfall(spans: Sequence[Span], width: int = 56) -> str:
                      f"|{bar}|{suffix}{' ' + note if note else ''}")
     return "\n".join(lines)
 
-
-def format_critical_path(record: Dict[str, Any]) -> str:
-    """One request's critical path with per-hop attribution."""
-    lines = [
-        f"req {record['req_id']}: {record['latency'] * 1000:.1f} ms "
-        f"({record['outcome']}) — {record['signature']}",
-    ]
-    for hop in record["hops"]:
-        lines.append(f"  {hop['self_time'] * 1000:>8.1f} ms "
-                     f"{hop['category']:<8} {hop['name']:<14} "
-                     f"[{hop['node']}]")
-    return "\n".join(lines)

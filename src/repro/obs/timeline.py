@@ -1,9 +1,11 @@
 """ASCII timeline rendering of recorded flights and their attributions.
 
-``repro timeline`` turns a flight-recorder artifact into a terminal
-chart: throughput per bucket, the template stage each bucket was
-attributed to, and the fault lifecycle marks — Figure 3/4 of the paper
-as text — followed by the per-stage loss table and the fit cross-check.
+:func:`render_timeline` turns a flight record into a terminal chart:
+throughput per bucket, the template stage each bucket was attributed
+to, and the fault lifecycle marks — Figure 3/4 of the paper as text —
+followed by the per-stage loss table and the fit cross-check.  It is
+the lost-requests section of ``repro explain``, and replays a saved
+record offline (``read_record`` -> ``render_timeline``).
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ class PressServer(NodeService):
         self.links: Dict[int, PeerLink] = {}
         self.loads: Dict[int, int] = {}
         self.fwd_pending: Dict[int, Request] = {}
-        # Open spans for sampled requests, keyed on deterministic ids:
+        # Open spans for traced requests, keyed on deterministic ids:
         # req_id -> main-queue wait span, reqid -> peer-fetch span.
         # Empty whenever tracing is off.
         self._q_spans: Dict[int, object] = {}

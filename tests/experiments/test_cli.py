@@ -25,7 +25,7 @@ class TestParser:
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["inject", "COOP", "volcano"])
+            build_parser().parse_args(["explain", "COOP", "volcano"])
 
     def test_figure_unknown_name_is_error(self, capsys):
         assert main(["--quick", "figure", "fig999"]) == 2
@@ -35,8 +35,9 @@ class TestParser:
         assert args.quick
 
     def test_inject_target_option(self):
+        # explain's --target names the component the fault is injected on
         args = build_parser().parse_args(
-            ["inject", "COOP", "scsi_timeout", "--target", "n2.disk1"])
+            ["explain", "COOP", "scsi_timeout", "--target", "n2.disk1"])
         assert args.target == "n2.disk1"
 
     def test_validate_horizon_option(self):
@@ -45,77 +46,35 @@ class TestParser:
 
 
 class TestAccountingCommands:
-    """record/budget/timeline plumbing against a synthetic artifact
-    (no simulation)."""
+    """``explain`` plumbing that stops before any simulation."""
 
-    @pytest.fixture
-    def record_path(self, tmp_path):
-        from repro.obs.recorder import write_record
-
-        from tests.obs.synth import standard_detected_record
-
-        record = standard_detected_record()
-        record.version = "COOP"  # resolvable to a fault catalog
-        path = tmp_path / "flight.json"
-        write_record(record, path)
-        return str(path)
+    REMOVED = ("inject", "trace", "spans", "metrics", "profile", "record",
+               "budget", "timeline")
 
     def test_record_parser_defaults(self):
-        args = build_parser().parse_args(["record", "COOP", "node_crash"])
+        # explain takes only the record options; no --out: the flight
+        # record is not written; no --seed: the config's seed
+        args = build_parser().parse_args(["explain", "COOP", "node_crash"])
+        assert set(vars(args)) == {"command", "fn", "quick", "version",
+                                   "fault", "target", "seed", "out", "json"}
         assert args.fault == "node_crash"
         assert args.out is None and args.seed is None
+        assert not args.json
 
-    def test_record_rejects_unknown_fault(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["record", "COOP", "volcano"])
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_subcommand_is_an_argparse_error(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([name, "COOP", "node_crash"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_budget_parser_options(self):
-        args = build_parser().parse_args(
-            ["budget", "a.json", "b.json", "--objective", "0.99",
-             "--operator-response", "600", "--reset-duration", "5"])
-        assert args.records == ["a.json", "b.json"]
-        assert args.objective == 0.99
-        assert args.operator_response == 600.0
-        assert args.reset_duration == 5.0
+    def test_uninjectable_fault_fails_before_the_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the cell must not run")
 
-    def test_budget_command_renders_report(self, record_path, capsys):
-        assert main(["budget", record_path]) == 0
-        out = capsys.readouterr().out
-        assert "COOP" in out
-        assert "per-stage rollup" in out
-
-    def test_budget_json_mode(self, record_path, capsys):
-        import json
-
-        assert main(["budget", record_path, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "COOP"
-        assert payload["measured"][0]["coverage"] >= 0.95
-
-    def test_budget_unknown_version_is_clean_error(self, tmp_path):
-        from repro.obs.recorder import write_record
-
-        from tests.obs.synth import standard_detected_record
-
-        path = tmp_path / "synth.json"
-        write_record(standard_detected_record(), path)
-        with pytest.raises(SystemExit, match="no fault catalog"):
-            main(["budget", str(path)])
-
-    def test_budget_bad_file_is_clean_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{notjson")
-        with pytest.raises(SystemExit, match="cannot read record"):
-            main(["budget", str(bad)])
-
-    def test_timeline_command(self, record_path, capsys):
-        assert main(["timeline", record_path]) == 0
-        out = capsys.readouterr().out
-        assert "INJECT" in out
-        assert "fit cross-check" in out
-
-    def test_timeline_knobs(self, record_path):
-        args = build_parser().parse_args(
-            ["timeline", record_path, "--bucket", "10", "--width", "20"])
-        assert args.bucket == 10.0
-        assert args.width == 20
+        monkeypatch.setattr("repro.cli.run_single_fault", no_run)
+        with pytest.raises(SystemExit,
+                           match="INDEP has no component for "
+                                 "frontend_failure; it can inject "
+                                 "scsi_timeout, node_crash"):
+            main(["--quick", "explain", "INDEP", "frontend_failure"])

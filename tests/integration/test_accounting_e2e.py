@@ -1,8 +1,8 @@
 """Availability accounting on a real simulated fault experiment.
 
 This is the acceptance path for the flight recorder + attribution +
-budget pipeline: record a (COOP, node crash) experiment, round-trip the
-artifact through disk, and check the ISSUE acceptance criteria — the
+budget pipeline: record a (COOP, node crash) experiment as a campaign
+cell does, round-trip the artifact through disk, and check that the
 replay is bit-identical, >=95% of lost request-seconds are named, and
 stage boundaries agree with the template fitter within one sample
 interval.
@@ -11,12 +11,14 @@ interval.
 import pytest
 
 from repro.core import QuantifyConfig
+from repro.core.quantify import run_cell
 from repro.core.template import TemplateFitter
 from repro.experiments.configs import version
+from repro.faults.campaign import CampaignCell
 from repro.faults.types import FaultKind
 from repro.obs.attribution import StageAttributor
-from repro.obs.budget import budget_from_records, format_budget
-from repro.obs.recorder import read_record, record_flight, write_record
+from repro.obs.budget import build_budget, format_budget
+from repro.obs.recorder import FlightRecord, read_record, write_record
 from repro.obs.timeline import render_timeline
 
 pytestmark = pytest.mark.slow
@@ -24,8 +26,9 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def recorded():
-    config = QuantifyConfig.quick(kinds=(FaultKind.NODE_CRASH,))
-    return record_flight(version("COOP"), FaultKind.NODE_CRASH, config)
+    cell = CampaignCell(index=0, version="COOP", fault="node_crash", seed=0)
+    return FlightRecord.from_dict(
+        run_cell(cell, QuantifyConfig.quick())["record"])
 
 
 class TestRecordedFlight:
@@ -58,7 +61,11 @@ class TestRecordedFlight:
                     stage.duration)
 
     def test_budget_rolls_up_the_recording(self, recorded):
-        budget = budget_from_records([recorded])
+        report = StageAttributor().attribute(recorded)
+        budget = build_budget({FaultKind.NODE_CRASH: report.template},
+                              version("COOP").catalog(),
+                              recorded.to_trace().offered_rate,
+                              version="COOP", measured=[report])
         assert budget.version == "COOP"
         assert budget.availability < 1.0
         assert budget.measured[0].coverage >= 0.95

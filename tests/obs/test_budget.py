@@ -6,11 +6,8 @@ from repro.core.model import AvailabilityModel, EnvironmentParams
 from repro.core.template import STAGE_NAMES, TemplateFitter
 from repro.faults.faultload import HOUR, MONTH, FaultCatalog, FaultRate
 from repro.faults.types import FaultKind
-from repro.obs.budget import (
-    budget_from_records,
-    build_budget,
-    format_budget,
-)
+from repro.obs.attribution import StageAttributor
+from repro.obs.budget import build_budget, format_budget
 
 from tests.obs.synth import standard_detected_record
 
@@ -26,6 +23,18 @@ def one_kind_catalog(kind=FaultKind.NODE_CRASH, mttf=MONTH, mttr=HOUR,
                      count=4):
     return FaultCatalog([FaultRate(kind=kind, mttf=mttf, mttr=mttr,
                                    count=count)])
+
+
+def record_budget():
+    """One recorded fault's budget, its attribution as the measured view
+    (what ``repro explain`` prints)."""
+    record = standard_detected_record()
+    report = StageAttributor().attribute(record)
+    return build_budget({FaultKind(record.fault): report.template},
+                        one_kind_catalog(),
+                        float(record.timeline["offered_rate"]),
+                        version=record.version, environment=ENV,
+                        measured=[report])
 
 
 class TestBuildBudget:
@@ -88,8 +97,6 @@ class TestBuildBudget:
                               environment=ENV)
         assert sum(budget.by_stage().values()) == pytest.approx(
             budget.total_unavailability)
-        assert sum(budget.by_fault().values()) == pytest.approx(
-            budget.total_unavailability)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="offered_rate"):
@@ -100,21 +107,8 @@ class TestBuildBudget:
 
 
 class TestBudgetFromRecords:
-    def test_requires_records(self):
-        with pytest.raises(ValueError, match="no flight records"):
-            budget_from_records([])
-
-    def test_rejects_mixed_versions(self):
-        a = standard_detected_record()
-        b = standard_detected_record()
-        b.version = "OTHER"
-        with pytest.raises(ValueError, match="multiple versions"):
-            budget_from_records([a, b], catalog=one_kind_catalog())
-
     def test_end_to_end_with_explicit_catalog(self):
-        record = standard_detected_record()
-        budget = budget_from_records([record], environment=ENV,
-                                     catalog=one_kind_catalog())
+        budget = record_budget()
         assert budget.version == "SYNTH"
         assert budget.lines
         assert len(budget.measured) == 1
@@ -123,10 +117,7 @@ class TestBudgetFromRecords:
         assert measured.agrees_with_fit
 
     def test_json_round_trip_shape(self):
-        record = standard_detected_record()
-        budget = budget_from_records([record], environment=ENV,
-                                     catalog=one_kind_catalog())
-        payload = budget.to_dict()
+        payload = record_budget().to_dict()
         assert payload["version"] == "SYNTH"
         assert payload["lines"]
         assert payload["measured"][0]["coverage"] >= 0.95
@@ -137,10 +128,7 @@ class TestBudgetFromRecords:
 
 class TestFormatBudget:
     def test_renders_drilldown_and_measurements(self):
-        record = standard_detected_record()
-        budget = budget_from_records([record], environment=ENV,
-                                     catalog=one_kind_catalog())
-        text = format_budget(budget)
+        text = format_budget(record_budget())
         assert "unavailability" in text
         assert "stable-degraded-capacity" in text
         assert "per-stage rollup" in text
@@ -148,8 +136,5 @@ class TestFormatBudget:
         assert "% attributed" in text
 
     def test_top_truncation(self):
-        record = standard_detected_record()
-        budget = budget_from_records([record], environment=ENV,
-                                     catalog=one_kind_catalog())
-        text = format_budget(budget, top=1)
+        text = format_budget(record_budget(), top=1)
         assert "(other lines)" in text

@@ -1,28 +1,17 @@
-"""Exporters: JSONL/CSV round trips and metrics rendering."""
+"""Trace events as JSON: the dict form and the streaming JSONL subscriber."""
 
 import io
 import json
 
-import pytest
-
 from repro.faults.types import FaultComponent, FaultKind
-from repro.obs.export import (
-    dumps_jsonl,
-    event_from_dict,
-    event_to_dict,
-    format_metrics,
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_jsonl,
-    write_metrics_json,
-)
+from repro.obs.export import event_from_dict, event_to_dict, jsonl_subscriber
 from repro.obs.metrics import MetricsHub
 from repro.obs.trace import Tracer
 
 
-def _sample_events():
-    tr = Tracer()
+def _sample_events(tr=None):
+    if tr is None:
+        tr = Tracer()
     tr.emit("fault_injected", source="injector", time=100.0,
             fault=FaultComponent(FaultKind.NODE_CRASH, "n1"))
     tr.emit("detected", source="0", time=112.5,
@@ -34,29 +23,23 @@ def _sample_events():
     return tr.events
 
 
+def _streamed():
+    """Events emitted with a JSONL subscriber attached, and its output."""
+    tr = Tracer()
+    buf = io.StringIO()
+    tr.subscribe(jsonl_subscriber(buf))
+    return _sample_events(tr), buf.getvalue()
+
+
 class TestJsonl:
-    def test_round_trip_exact(self, tmp_path):
-        events = _sample_events()
-        path = str(tmp_path / "trace.jsonl")
-        assert write_jsonl(events, path) == len(events)
-        assert read_jsonl(path) == events
-
-    def test_missing_parent_dirs_created(self, tmp_path):
-        # a bare checkout has no results/ dir: --out must still work
-        events = _sample_events()
-        path = str(tmp_path / "results" / "nested" / "trace.jsonl")
-        assert write_jsonl(events, path) == len(events)
-        assert read_jsonl(path) == events
-
-    def test_file_object_round_trip(self):
-        events = _sample_events()
-        buf = io.StringIO()
-        write_jsonl(events, buf)
-        buf.seek(0)
-        assert read_jsonl(buf) == events
+    def test_round_trip_exact(self):
+        events, text = _streamed()
+        assert [event_from_dict(json.loads(line))
+                for line in text.splitlines()] == events
 
     def test_each_line_is_json(self):
-        for line in dumps_jsonl(_sample_events()).splitlines():
+        _, text = _streamed()
+        for line in text.splitlines():
             record = json.loads(line)
             assert set(record) == {"time", "kind", "source", "data"}
 
@@ -65,52 +48,12 @@ class TestJsonl:
         assert event_from_dict(event_to_dict(event)) == event
 
 
-class TestCsv:
-    def test_round_trip_exact(self, tmp_path):
-        events = _sample_events()
-        path = str(tmp_path / "trace.csv")
-        assert write_csv(events, path) == len(events)
-        assert read_csv(path) == events
-
-    def test_missing_parent_dirs_created(self, tmp_path):
-        events = _sample_events()
-        path = str(tmp_path / "results" / "trace.csv")
-        assert write_csv(events, path) == len(events)
-        assert read_csv(path) == events
-
-    def test_header_validated(self):
-        buf = io.StringIO("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_csv(buf)
-
-    def test_float_times_survive_exactly(self):
-        events = _sample_events()
-        buf = io.StringIO()
-        write_csv(events, buf)
-        buf.seek(0)
-        assert [e.time for e in read_csv(buf)] == [e.time for e in events]
-
-
 class TestMetricsExport:
-    def _snapshot(self):
+    def test_json_dump(self):
+        # `repro explain --json` embeds the snapshot as is
         hub = MetricsHub()
         hub.counter("hits", node="n0").inc(3)
         hub.gauge("depth", node="n0").set(7)
         hub.histogram("lat").observe(0.02)
-        return hub.snapshot()
-
-    def test_json_dump(self, tmp_path):
-        path = str(tmp_path / "metrics.json")
-        write_metrics_json(self._snapshot(), path)
-        with open(path) as fp:
-            loaded = json.load(fp)
-        assert loaded == self._snapshot()
-
-    def test_format_metrics_lines(self):
-        text = format_metrics(self._snapshot())
-        assert "hits{node=n0}" in text
-        assert "depth{node=n0}" in text
-        assert "count=1" in text
-
-    def test_empty_snapshot(self):
-        assert format_metrics([]) == ""
+        snapshot = hub.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot

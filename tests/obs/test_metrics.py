@@ -137,7 +137,7 @@ class TestMetricsHub:
 
 
 class TestHistogramQuantileSnapshot:
-    """p50/p90/p99 ride along in snapshots (the `repro metrics` view)."""
+    """p50/p90/p99 ride along in snapshots (`repro explain --json`)."""
 
     def test_snapshot_carries_quantiles(self):
         h = Histogram("lat", {}, buckets=(1.0, 2.0, 4.0))
@@ -154,22 +154,11 @@ class TestHistogramQuantileSnapshot:
         assert (snap["mean"], snap["p50"], snap["p90"], snap["p99"]) == \
             (0.0, 0.0, 0.0, 0.0)
 
-    def test_format_includes_quantiles(self):
-        from repro.obs.export import format_metrics
-
-        hub = MetricsHub()
-        hub.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        text = format_metrics(hub.snapshot())
-        assert "p50=1" in text
-        assert "p99=1" in text
-
-    def test_format_overflow_quantile_is_inf(self):
-        from repro.obs.export import format_metrics
-
+    def test_overflow_quantile_is_inf(self):
         hub = MetricsHub()
         hub.histogram("lat", buckets=(1.0,)).observe(5.0)
-        text = format_metrics(hub.snapshot())
-        assert "p99=inf" in text
+        (snap,) = hub.snapshot()
+        assert snap["p99"] == float("inf")
 
 
 class TestNullInstruments:

@@ -1,16 +1,13 @@
-"""Causal tracing: recorder semantics, critical paths, blame, export.
+"""Causal tracing: recorder semantics, critical paths, blame, digest.
 
 The synthetic trees here use explicit timestamps so every attribution
 number is checkable by hand; the live end-to-end path (ctx threading
 through PRESS) is exercised by tests/integration/test_span_tracing.py.
 """
 
-import io
-
 import pytest
 
 from repro.obs.events import EventKind, TraceEvent
-from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.spans import (
     NULL_SPANS,
     Span,
@@ -19,16 +16,10 @@ from repro.obs.spans import (
     attribute_path,
     blame_report,
     critical_path,
-    filter_spans,
     format_blame,
-    format_critical_path,
     path_signature,
     phases_from_trace,
     render_waterfall,
-    span_event,
-    span_from_dict,
-    span_from_event,
-    span_to_dict,
     spans_digest,
 )
 
@@ -67,7 +58,7 @@ class TestRecorder:
         assert [s.name for s in tree] == ["request", "serve"]
         assert tree[0].meta == {"fid": 7, "outcome": "ok"}
         assert tree[1].parent_id == tree[0].span_id
-        assert tree[1].duration == pytest.approx(0.5)
+        assert tree[1].t1 - tree[1].t0 == pytest.approx(0.5)
         assert len(rec) == 2
 
     def test_event_is_zero_duration(self):
@@ -82,7 +73,6 @@ class TestRecorder:
         assert rec.start("serve", "service", "n1", None) is None
         assert rec.event(None, "route", "route", "fe") is None
         rec.finish(None)  # must not raise
-        rec.annotate(None, k=1)
 
     def test_disabled_recorder_records_nothing(self):
         rec = SpanRecorder(enabled=False)
@@ -100,17 +90,7 @@ class TestRecorder:
         a = rec.probe_root("fme_probe", "n1", t=0.0)
         b = rec.probe_root("fme_probe", "n1", t=1.0)
         assert a.req_id == -1 and b.req_id == -2
-        assert set(rec.request_ids) == {-1, -2}
-
-    def test_ring_eviction_and_dropped_counter(self):
-        rec = SpanRecorder(max_requests=2)
-        roots = {i: rec.root(i, "request", "clients", t=float(i))
-                 for i in (1, 2, 3)}
-        assert rec.request_ids == [2, 3]
-        assert rec.dropped == 1
-        # children of an evicted tree are dropped, not resurrected
-        assert rec.start("serve", "service", "n1", roots[1]) is None
-        assert rec.request_ids == [2, 3]
+        assert {req_id for req_id, _ in rec.trees()} == {-1, -2}
 
     def test_clock_binding(self):
         class _Env:
@@ -120,39 +100,6 @@ class TestRecorder:
         rec.bind_clock(_Env())
         root = rec.root(1, "request", "clients")
         assert root.t0 == 4.5
-
-
-class TestSampling:
-    def test_decisions_are_pure_in_req_id_and_seed(self):
-        a = SpanRecorder(sample=0.5, seed=42)
-        b = SpanRecorder(sample=0.5, seed=42)
-        ids = range(1, 1001)
-        assert [a.sampled(i) for i in ids] == [b.sampled(i) for i in ids]
-
-    def test_seed_changes_the_sampled_set(self):
-        a = SpanRecorder(sample=0.5, seed=1)
-        b = SpanRecorder(sample=0.5, seed=2)
-        ids = range(1, 1001)
-        assert [a.sampled(i) for i in ids] != [b.sampled(i) for i in ids]
-
-    def test_rate_extremes(self):
-        assert all(SpanRecorder(sample=1.0).sampled(i) for i in range(100))
-        assert not any(SpanRecorder(sample=0.0).sampled(i)
-                       for i in range(100))
-
-    def test_rate_is_roughly_honored(self):
-        rec = SpanRecorder(sample=0.25, seed=7)
-        hits = sum(rec.sampled(i) for i in range(1, 4001))
-        assert 800 <= hits <= 1200  # 1000 expected
-
-    def test_unsampled_roots_record_nothing(self):
-        rec = SpanRecorder(sample=0.0)
-        assert rec.root(1, "request", "clients") is None
-        assert len(rec) == 0
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            SpanRecorder(sample=1.5)
 
 
 class TestCriticalPath:
@@ -247,13 +194,13 @@ class TestBlame:
 
     def test_empty_phase_renders_placeholder(self):
         report = blame_report([], phases=[("before", 0.0, 1.0)])
-        assert "no sampled requests" in format_blame(report)
+        assert "no traced requests" in format_blame(report)
 
 
 class TestPhases:
     def test_no_faults_is_one_window(self):
         events = [TraceEvent(5.0, EventKind.SERVER_START, "n1", {})]
-        assert phases_from_trace(events) == [("all", 0.0, 5.0)]
+        assert phases_from_trace(events, end=5.0) == [("all", 0.0, 5.0)]
 
     def test_inject_and_repair_split(self):
         events = [
@@ -263,10 +210,11 @@ class TestPhases:
                        {"fault": "node_crash"}),
             TraceEvent(90.0, EventKind.SERVER_START, "n1", {}),
         ]
-        assert phases_from_trace(events) == [
+        # the run's end closes the last phase, not the last event
+        assert phases_from_trace(events, end=120.0) == [
             ("before", 0.0, 10.0),
             ("during node_crash", 10.0, 40.0),
-            ("after node_crash", 40.0, 90.0),
+            ("after node_crash", 40.0, 120.0),
         ]
 
     def test_explicit_end_overrides(self):
@@ -279,32 +227,6 @@ class TestPhases:
 
 
 class TestExport:
-    def _span(self):
-        rec = SpanRecorder()
-        root = rec.root(5, "request", "clients", t=1.25, fid=3)
-        rec.finish(root, t=2.5, outcome="ok")
-        return root
-
-    def test_dict_round_trip(self):
-        span = self._span()
-        clone = span_from_dict(span_to_dict(span))
-        assert span_to_dict(clone) == span_to_dict(span)
-
-    def test_open_span_round_trips_null_t1(self):
-        rec = SpanRecorder()
-        root = rec.root(1, "request", "clients", t=0.0)
-        clone = span_from_dict(span_to_dict(root))
-        assert clone.t1 is None
-
-    def test_jsonl_round_trip_via_trace_events(self):
-        rec = SpanRecorder()
-        _request_tree(rec, 1, t0=0.0, latency=1.0)
-        buf = io.StringIO()
-        write_jsonl((span_event(s) for s in rec.spans()), buf)
-        buf.seek(0)
-        clones = [span_from_event(ev) for ev in read_jsonl(buf)]
-        assert spans_digest(clones) == spans_digest(rec.spans())
-
     def test_digest_ignores_insertion_order(self):
         rec = SpanRecorder()
         _request_tree(rec, 1, t0=0.0, latency=1.0)
@@ -315,18 +237,8 @@ class TestExport:
         rec = SpanRecorder()
         root = rec.root(1, "request", "clients", t=0.0)
         base = spans_digest([root])
-        rec.annotate(root, outcome="ok")
+        root.meta["outcome"] = "ok"
         assert spans_digest([root]) != base
-
-    def test_filter_spans_by_category_node_and_limit(self):
-        rec = SpanRecorder()
-        _request_tree(rec, 1, t0=0.0, latency=1.0, peer=True)
-        spans = list(rec.spans())
-        nets = filter_spans(spans, kinds=["network"])
-        assert {s.name for s in nets} == {"connect", "peer_fetch"}
-        remote = filter_spans(spans, components=["n2"])
-        assert [s.name for s in remote] == ["remote_serve"]
-        assert len(filter_spans(spans, limit=2)) == 2
 
 
 class TestWaterfall:
@@ -348,10 +260,3 @@ class TestWaterfall:
 
     def test_empty_tree(self):
         assert render_waterfall([]) == "(empty span tree)"
-
-    def test_format_critical_path(self):
-        rec = SpanRecorder()
-        _request_tree(rec, 2, t0=0.0, latency=1.0)
-        text = format_critical_path(analyze_tree(2, rec.tree(2)))
-        assert text.startswith("req 2:")
-        assert "serve" in text
