@@ -58,12 +58,7 @@ def main() -> None:
     jobs = int(os.environ.get("JOBS", "4"))
 
     print(f"parallel study: {', '.join(VERSIONS)} on {jobs} workers")
-    stats = []
-    parallel = quantify_grid(VERSIONS, config, jobs=jobs, retries=1,
-                             stats_out=stats)
-    s = stats[0]
-    print(f"  {s.cells} cells in {s.wall_seconds:.1f}s wall "
-          f"({s.cell_seconds:.1f}s of cell work, {s.speedup:.2f}x overlap)")
+    parallel = quantify_grid(VERSIONS, config, jobs=jobs, progress=print)
 
     print("serial rerun for the determinism check...")
     serial = {name: quantify_version(name, config) for name in VERSIONS}

@@ -6,9 +6,8 @@ Commands
     List the named system versions and their composition.
 ``quantify VERSION [...]``
     Run the full two-phase methodology for one or more versions;
-    ``--jobs N`` fans the campaign cells out over N worker processes
-    (byte-identical results, see docs/PERFORMANCE.md), ``--retries K``
-    re-executes cells whose worker crashed.
+    ``--jobs N`` runs the campaign cells on N worker processes instead
+    of this one (byte-identical results, see docs/PERFORMANCE.md).
 ``sweep VERSION KNOB VALUE [...]``
     Vary one profile knob across values and tabulate availability;
     ``--jobs N`` measures the points in parallel.
@@ -98,44 +97,27 @@ def cmd_versions(args) -> int:
 
 
 def cmd_quantify(args) -> int:
-    config = _config(args)
-    results = []
-    if args.jobs > 1:
-        from repro.parallel import CellExecutionError, quantify_grid
+    from repro.parallel import CellExecutionError, quantify_grid
 
-        specs = [_version(name) for name in args.versions]
-        print(f"quantifying {', '.join(s.name for s in specs)} "
-              f"({args.jobs} workers)...", file=sys.stderr)
-        stats_out = []
-        try:
-            grid = quantify_grid(
-                specs, config, jobs=args.jobs, retries=args.retries,
-                progress=lambda line: print(line, file=sys.stderr),
-                stats_out=stats_out)
-        except (CellExecutionError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}")
-        for spec in specs:
-            va = grid[spec.name]
-            results.append(va.result)
-            if not args.json:
-                print(format_model_result(va.result, stages=args.stages))
-                print()
-        for s in stats_out:
-            print(f"parallel: {s.cells} cells on {s.jobs} workers in "
-                  f"{s.wall_seconds:.1f}s wall ({s.cell_seconds:.1f}s of "
-                  f"cell work, {s.speedup:.2f}x overlap)", file=sys.stderr)
-    else:
-        for name in args.versions:
-            print(f"quantifying {name}...", file=sys.stderr)
-            va = quantify_version(_version(name), config)
-            results.append(va.result)
-            if not args.json:
-                print(format_model_result(va.result, stages=args.stages))
-                print()
+    config = _config(args)
+    specs = [_version(name) for name in args.versions]
+    print(f"quantifying {', '.join(s.name for s in specs)}...",
+          file=sys.stderr)
+    try:
+        grid = quantify_grid(
+            specs, config, jobs=args.jobs,
+            progress=lambda line: print(line, file=sys.stderr))
+    except (CellExecutionError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}")
+    results = [grid[spec.name].result for spec in specs]
     if args.json:
         print(json.dumps([model_result_to_dict(r) for r in results],
                          indent=2, sort_keys=True))
-    elif len(results) > 1:
+        return 0
+    for result in results:
+        print(format_model_result(result, stages=args.stages))
+        print()
+    if len(results) > 1:
         print(format_comparison(results, "comparison"))
     return 0
 
@@ -532,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="fan campaign cells out over N worker processes "
                         "(results are byte-identical to --jobs 1)")
-    p.add_argument("--retries", type=int, default=0,
-                   help="re-executions allowed per crashed/failed cell")
     _add_common(p, json_flag=True)
     p.set_defaults(fn=cmd_quantify)
 

@@ -6,16 +6,15 @@ single-fault campaign (phase 1), fits the 7-stage template, and finally
 evaluates the analytic model (phase 2) against the version's fault
 catalog.  This is what the figure-reproduction entry points call.
 
-The grid is embarrassingly parallel — phase-1 experiments are
-independent by construction — so the pipeline also exposes a cell-level
-API: :func:`campaign_cells` enumerates the (version, fault, seed) grid
-as picklable :class:`~repro.faults.campaign.CampaignCell` specs,
+Phase-1 experiments are independent by construction, so the pipeline
+is a grid of cells with one path for every ``jobs``:
+:func:`campaign_cells` enumerates the (version, fault, seed) grid as
+picklable :class:`~repro.faults.campaign.CampaignCell` specs,
 :func:`run_cell` executes one cell into a JSON-safe document, and
 :func:`quantify_from_cell_docs` merges documents back into a
-:class:`VersionAvailability` in grid order.  ``quantify_version(...,
-jobs=N)`` fans the cells out over a process pool
-(:mod:`repro.parallel`) and merges deterministically: the result is
-byte-identical to a serial run.
+:class:`VersionAvailability` in grid order.  :mod:`repro.parallel`
+runs the cells, in this process or on a spawn pool, and the merged
+result is the same either way.
 """
 
 from __future__ import annotations
@@ -181,78 +180,29 @@ def quantify_version(
     config: QuantifyConfig = QuantifyConfig(),
     keep_records: bool = False,
     jobs: int = 1,
-    retries: int = 0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> VersionAvailability:
     """Run the full two-phase methodology for one version.
 
-    With ``keep_records=True`` every phase-1 experiment is additionally
-    captured as a replayable :class:`~repro.obs.recorder.FlightRecord`
-    (returned in ``VersionAvailability.records``), so the campaign can be
-    re-analyzed offline without re-simulating.
-
-    ``jobs > 1`` fans the per-fault campaign cells out over a spawn-based
-    process pool (:mod:`repro.parallel`) and merges the results in grid
-    order; the merged output is byte-identical to the serial run.
-    ``retries`` re-executes cells whose worker raised or died;
+    This is :func:`repro.parallel.quantify_grid` for one spec: ``jobs``
+    only decides where the cells run (in this process when ``jobs <=
+    1``), never the result.  With ``keep_records=True`` every phase-1
+    experiment is also kept as a replayable
+    :class:`~repro.obs.recorder.FlightRecord` (``records``), so the
+    campaign can be re-analyzed offline without re-simulating.
     ``progress`` receives one line per completed cell.
     """
+    # Imported lazily: repro.parallel imports this module.
+    from repro.parallel import quantify_grid
+
     if isinstance(spec, str):
         spec = version_by_name(spec)
-    if jobs > 1:
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel import run_campaign_cells
-
-        cells = campaign_cells(spec, config)
-        docs = run_campaign_cells(cells, config, jobs=jobs, retries=retries,
-                                  progress=progress)
-        return quantify_from_cell_docs(spec, config, docs,
-                                       keep_records=keep_records)
-    fitter = TemplateFitter(config.fit)
-
-    # Which kinds exist in this deployment (throwaway world for the query).
-    probe_world = build_world(spec, config.profile, seed=config.seed)
-    kinds = config.kinds or probe_world.injectable_kinds()
-    catalog = probe_world.catalog
-
-    templates: Dict[FaultKind, SevenStageTemplate] = {}
-    traces: Dict[FaultKind, ExperimentTrace] = {}
-    records: Dict[FaultKind, "FlightRecord"] = {}
-    normals: List[float] = []
-    offered = probe_world.offered_rate
-    for kind in list(kinds):
-        trace, world = run_single_fault(spec, kind, config)
-        templates[kind] = fitter.fit(trace)
-        traces[kind] = trace
-        normals.append(trace.normal_tput)
-        if keep_records:
-            from repro.obs.recorder import FlightRecord
-
-            records[kind] = FlightRecord.from_experiment(
-                trace,
-                events=world.telemetry.tracer.events,
-                seed=config.seed,
-                profile=config.profile.name,
-                target=world.default_target(kind),
-            )
-
-    normal = sum(normals) / len(normals) if normals else 0.0
-    model = AvailabilityModel(catalog, config.environment)
-    result = model.evaluate(templates, normal_tput=normal,
-                            offered_rate=offered, version=spec.name)
-    return VersionAvailability(
-        spec=spec,
-        result=result,
-        templates=templates,
-        traces=traces,
-        normal_tput=normal,
-        offered_rate=offered,
-        records=records,
-    )
+    return quantify_grid([spec], config, jobs=jobs, keep_records=keep_records,
+                         progress=progress)[spec.name]
 
 
 # ---------------------------------------------------------------------------
-# cell-level API (the unit of parallel fan-out)
+# cell-level API (the unit of the grid)
 
 
 def campaign_cells(
@@ -262,16 +212,34 @@ def campaign_cells(
 ) -> List[CampaignCell]:
     """Enumerate one version's phase-1 grid as picklable cell specs.
 
-    Cell order matches the serial loop of :func:`quantify_version` (the
-    deployment's injectable kinds, or ``config.kinds``), so merging cell
-    results in index order reproduces the serial iteration exactly.
-    ``start_index`` offsets the indices when several versions' cells are
-    concatenated into one grid.
+    One cell per fault kind, in the order of the deployment's injectable
+    kinds (or ``config.kinds``).  ``start_index`` offsets the indices
+    when several versions' cells are concatenated into one grid.
+
+    :func:`run_cell` looks a cell's version up by name, so a spec its
+    name does not resolve to (say, a registered version with a field
+    replaced) raises :class:`ValueError`, as does a ``config.kinds``
+    entry the version cannot inject, before any cell runs.
     """
     if isinstance(spec, str):
         spec = version_by_name(spec)
+    try:
+        resolves = version_by_name(spec.name) == spec
+    except KeyError:
+        resolves = False
+    if not resolves:
+        raise ValueError(
+            f"version spec {spec.name!r} is not what its name resolves to; "
+            f"a campaign cell names its version, so only registered "
+            f"versions and their with_nodes() variants can run")
     probe_world = build_world(spec, config.profile, seed=config.seed)
-    kinds = list(config.kinds or probe_world.injectable_kinds())
+    injectable = probe_world.injectable_kinds()
+    kinds = list(config.kinds or injectable)
+    foreign = [kind.value for kind in kinds if kind not in injectable]
+    if foreign:
+        raise ValueError(
+            f"{spec.name} cannot inject {', '.join(foreign)}; it can inject "
+            f"{', '.join(kind.value for kind in injectable)}")
     return [
         CampaignCell(index=start_index + i, version=spec.name,
                      fault=kind.value, seed=config.seed)
@@ -285,10 +253,10 @@ def run_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:
     The document wraps a full :class:`~repro.obs.recorder.FlightRecord`
     dict — samples, markers, and structured trace events — so the parent
     process can re-fit the template, rebuild the trace, and keep the
-    record without ever re-simulating.  This is the function the
-    :mod:`repro.parallel` workers run; it is also the cell half of the
-    serial≡parallel determinism contract (the record replay is lossless,
-    so a merged parallel run fits the same templates as a serial one).
+    record without ever re-simulating.  Every cell of every grid runs
+    through it, in this process or in a :mod:`repro.parallel` worker;
+    the record replay is lossless, so where a cell ran cannot change
+    the fitted templates.
     """
     from repro.obs.recorder import FlightRecord
     from repro.obs.telemetry import Telemetry
@@ -322,9 +290,10 @@ def quantify_from_cell_docs(
     """Merge executed cell documents into a :class:`VersionAvailability`.
 
     ``docs`` must already be in grid (cell-index) order — the executor
-    returns them that way regardless of completion order.  The merge
-    mirrors the serial loop: fit each replayed trace, average the normal
-    throughputs in the same order, then evaluate the analytic model.
+    returns them that way regardless of completion order.  This is the
+    one place a grid is fitted and modelled: fit each replayed trace,
+    average the normal throughputs in grid order, then evaluate the
+    analytic model.
     """
     from repro.obs.recorder import FlightRecord, merge_records
 

@@ -25,6 +25,7 @@ so they reuse the C-MON runtime and apply
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict
 
@@ -117,9 +118,19 @@ ALIASES: Dict[str, str] = {
 
 
 def version(name: str) -> VersionSpec:
+    """The spec a version name names (case-insensitive, alias-aware).
+
+    ``NAME-N`` resolves to ``version("NAME").with_nodes(N)``, the name
+    :meth:`VersionSpec.with_nodes` gives its result, so every spec the
+    repo builds can be looked up again by its name (a campaign cell
+    carries only that name): ``repro quantify FME-8`` runs FME on 8
+    back-end nodes.  No registered name or alias ends in ``-digits``.
+    """
     canonical = name.upper()
     canonical = ALIASES.get(canonical, canonical)
-    try:
+    if canonical in VERSIONS:
         return VERSIONS[canonical]
-    except KeyError:
-        raise KeyError(f"unknown version {name!r}; known: {sorted(VERSIONS)}") from None
+    sized = re.fullmatch(r"(.+)-([1-9][0-9]*)", canonical)
+    if sized is None:
+        raise KeyError(f"unknown version {name!r}; known: {sorted(VERSIONS)}")
+    return version(sized.group(1)).with_nodes(int(sized.group(2)))

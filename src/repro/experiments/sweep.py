@@ -90,43 +90,24 @@ class Sweep:
         """Measure every point; ``jobs > 1`` fans them out in parallel.
 
         Sweep points are independent (each rebuilds its own world from
-        the sweep seed), so the parallel path runs them on a spawn-based
-        process pool under the same pinned-``PYTHONHASHSEED`` discipline
-        as :mod:`repro.parallel` and collects rows in *value order*,
-        never completion order — a parallel sweep tabulates identically
-        to a serial one.  ``measure`` must then be picklable: a
-        module-level function or a ``functools.partial`` of one.
+        the sweep seed), so the parallel path runs one point per task on
+        :func:`repro.parallel.executor.spawn_pool` (spawn context, pinned
+        ``PYTHONHASHSEED``) and collects rows in *value order*, never
+        completion order — a parallel sweep tabulates identically to a
+        serial one.  ``measure`` must then be picklable: a module-level
+        function or a ``functools.partial`` of one.
         """
-        if jobs > 1:
-            return self._run_parallel(measure, jobs)
-        rows: List[Dict[str, Any]] = []
-        for value in self.values:
-            metrics = measure(self.config_for(value))
-            rows.append({self.name: value, **metrics})
-        return SweepResult(self.name, rows)
-
-    def _run_parallel(self, measure: Measurement, jobs: int) -> SweepResult:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Imported lazily: repro.parallel imports repro.core.quantify,
-        # which reaches back into this package's builders.
-        from repro.parallel.executor import pinned_hashseed
-        from repro.parallel.worker import worker_init
-
         configs = [self.config_for(value) for value in self.values]
-        ctx = multiprocessing.get_context("spawn")
-        with pinned_hashseed():
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(configs)),
-                mp_context=ctx,
-                initializer=worker_init,
-            )
-            try:
+        if jobs > 1:
+            # Imported lazily: repro.parallel imports repro.core.quantify,
+            # which reaches back into this package's builders.
+            from repro.parallel.executor import spawn_pool
+
+            with spawn_pool(min(jobs, len(configs))) as pool:
                 futures = [pool.submit(measure, cfg) for cfg in configs]
                 results = [f.result() for f in futures]  # value order
-            finally:
-                pool.shutdown()
+        else:
+            results = [measure(cfg) for cfg in configs]
         rows = [{self.name: value, **metrics}
                 for value, metrics in zip(self.values, results)]
         return SweepResult(self.name, rows)

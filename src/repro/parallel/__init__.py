@@ -9,12 +9,13 @@ property ``tests/parallel`` pins; ``repro sanitize --vary jobs`` checks it).
 Layering: :mod:`repro.core.quantify` exposes the cell-level API
 (:func:`~repro.core.quantify.campaign_cells` /
 :func:`~repro.core.quantify.run_cell` /
-:func:`~repro.core.quantify.quantify_from_cell_docs`); this package adds
-the process-pool plumbing on top — :class:`CampaignExecutor` for the
-fan-out/merge and crash isolation, :func:`run_campaign_cells` as the
-strict entry point behind ``quantify_version(jobs=N)``, and
-:func:`quantify_grid` for multi-version studies sharing one pool.  See
-docs/PERFORMANCE.md for the architecture and the determinism argument.
+:func:`~repro.core.quantify.quantify_from_cell_docs`); this package
+runs the cells — :func:`run_campaign_cells` is the one place they run,
+in this process when ``jobs <= 1`` and on a :class:`CampaignExecutor`
+spawn pool (fan-out/merge and crash isolation) otherwise, and
+:func:`quantify_grid`, behind every ``quantify_version`` call, runs
+several versions as one grid.  See docs/PERFORMANCE.md for the
+architecture and the determinism argument.
 """
 
 from repro.parallel.executor import (

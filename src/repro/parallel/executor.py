@@ -2,10 +2,12 @@
 
 The quantification grid is embarrassingly parallel: each phase-1 cell
 (one ``(version, fault kind, seed)`` coordinate) builds its own world
-from the master seed and shares no state with any other cell.  The
-executor fans cells out over a **spawn**-context process pool and folds
-the results back *in grid order* — never completion order — so a
-parallel campaign is byte-identical to a serial one:
+from the master seed and shares no state with any other cell.
+:func:`run_campaign_cells` is the one place cells run: in this process
+when ``jobs <= 1``, otherwise through :class:`CampaignExecutor`, which
+fans them out over a **spawn**-context process pool and folds the
+results back *in grid order* — never completion order — so where the
+cells ran cannot change the merged result:
 
 * every worker runs under the same pinned ``PYTHONHASHSEED`` (exported
   by the parent before the pool spawns; children read it at interpreter
@@ -16,17 +18,16 @@ parallel campaign is byte-identical to a serial one:
 * cell results are JSON documents wrapping a replayable
   :class:`~repro.obs.recorder.FlightRecord`; the parent re-fits the
   replayed traces, and replay is lossless (pinned by the recorder's
-  round-trip tests), so the merged fits equal the serial fits;
-* the merge walks outcomes by cell index, preserving the float
-  summation order of the serial loop.
+  round-trip tests);
+* the merge walks outcomes by cell index, so float sums run in grid
+  order.
 
-Crash isolation: a worker that raises — or dies outright, breaking the
-pool — marks only its own cell as failed; surviving results are kept and
-the round is re-run on a fresh pool for cells with attempts remaining
-(``retries=K`` allows K re-executions per cell).  A cell that exhausts
-its attempts is reported in the :class:`ExecutionReport` instead of
-killing the run; strict callers (``quantify_version(jobs=N)``) raise
-:class:`CellExecutionError` with the partial report attached.
+Crash isolation: a cell that raises fails alone, and a worker that dies
+outright fails the cells its broken pool held; the survivors are kept
+in the :class:`ExecutionReport`.  A cell is a pure function of its
+coordinates, so a failed cell fails again when re-run: there are no
+retries.  :func:`run_campaign_cells` raises :class:`CellExecutionError`
+on any failure, with the report attached.
 
 Wall-clock reads in this module time the *real* worker processes for
 speedup accounting — they never touch simulated time (see the reprolint
@@ -40,15 +41,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.quantify import (
     QuantifyConfig,
     VersionAvailability,
     campaign_cells,
     quantify_from_cell_docs,
-    quantify_version,
 )
 from repro.experiments.configs import VersionSpec, version as version_by_name
 from repro.faults.campaign import CampaignCell
@@ -66,27 +66,20 @@ class ExecutorConfig:
     """Fan-out policy of one campaign execution."""
 
     jobs: int = 2
-    retries: int = 0  # re-executions allowed per failed cell
-    hash_seed: str = DEFAULT_HASH_SEED
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if not self.hash_seed:
-            raise ValueError("hash_seed must be a non-empty string")
 
 
 @dataclass
 class CellOutcome:
-    """What happened to one cell across all its attempts."""
+    """What happened to one cell."""
 
     cell: CampaignCell
     doc: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    attempts: int = 0
-    wall: float = 0.0  # worker-side wall seconds of the winning attempt
+    wall: float = 0.0  # worker-side wall seconds of the cell
 
     @property
     def ok(self) -> bool:
@@ -100,7 +93,6 @@ class ExecutorStats:
     jobs: int
     cells: int
     failed: int
-    retried: int  # cells that needed more than one attempt
     wall_seconds: float  # parent-side elapsed time of the whole fan-out
     cell_seconds: float  # sum of per-cell worker wall times
 
@@ -108,17 +100,6 @@ class ExecutorStats:
     def speedup(self) -> float:
         """Aggregate-work / elapsed-time ratio (~1.0 means no overlap)."""
         return self.cell_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "cells": self.cells,
-            "failed": self.failed,
-            "retried": self.retried,
-            "wall_seconds": self.wall_seconds,
-            "cell_seconds": self.cell_seconds,
-            "speedup": self.speedup,
-        }
 
 
 @dataclass
@@ -139,17 +120,14 @@ class ExecutionReport:
 
 
 class CellExecutionError(RuntimeError):
-    """Some cells exhausted their retry budget; partial results attached."""
+    """Some cells failed; the report with the survivors is attached."""
 
     def __init__(self, report: ExecutionReport):
         self.report = report
         lines = ", ".join(
             f"{o.cell.cell_id} ({o.error})" for o in report.failures)
         super().__init__(
-            f"{len(report.failures)} campaign cell(s) failed after "
-            f"{report.outcomes[0].attempts if report.outcomes else 0} "
-            f"attempt(s): {lines}"
-        )
+            f"{len(report.failures)} campaign cell(s) failed: {lines}")
 
 
 @contextmanager
@@ -171,6 +149,33 @@ def pinned_hashseed(value: str = DEFAULT_HASH_SEED):
             os.environ["PYTHONHASHSEED"] = prev
 
 
+@contextmanager
+def spawn_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
+    """A spawn-context pool of ``jobs`` workers under the pinned hash seed.
+
+    The pin holds for the pool's whole life, because the pool spawns
+    its workers on demand as tasks are submitted; every worker runs
+    :func:`~repro.parallel.worker.worker_init`.  The pool is shut down
+    (its workers joined) on exit.
+    """
+    with pinned_hashseed():
+        pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=worker_init,
+        )
+        try:
+            yield pool
+        finally:
+            pool.shutdown()
+
+
+def _ok_line(done: int, total: int, cell: CampaignCell,
+             payload: Dict[str, Any]) -> str:
+    return (f"[{done}/{total}] {cell.cell_id} ok in "
+            f"{float(payload['wall']):.1f}s (pid {payload.get('pid', '?')})")
+
+
 class CampaignExecutor:
     """Deterministic fan-out of campaign cells over a spawn pool."""
 
@@ -178,23 +183,25 @@ class CampaignExecutor:
         self,
         config: ExecutorConfig = ExecutorConfig(),
         progress: Optional[ProgressFn] = None,
-        metrics=None,  # Optional[repro.obs.MetricsHub]
         worker: Callable[..., Dict[str, Any]] = execute_cell,
     ):
         self.config = config
         self.progress = progress
-        self.metrics = metrics
         # Injectable for tests (crash drills); must be a module-level
         # function so the spawn pool can pickle it by reference.
         self.worker = worker
 
-    # -- public API --------------------------------------------------------
     def execute(
         self,
         cells: Sequence[CampaignCell],
         config: QuantifyConfig,
     ) -> ExecutionReport:
-        """Run every cell, retrying failures, and report in grid order."""
+        """Run every cell once on a spawn pool and report in grid order.
+
+        A cell that raises fails alone.  A worker dying mid-run breaks
+        the pool for good (every cell it still held fails with
+        ``BrokenProcessPool``); the cells that finished are kept.
+        """
         cells = list(cells)
         indices = [c.index for c in cells]
         if len(set(indices)) != len(indices):
@@ -202,186 +209,100 @@ class CampaignExecutor:
         outcomes = [CellOutcome(cell=c) for c in cells]
 
         t0 = time.perf_counter()
-        todo = list(range(len(cells)))
-        max_attempts = self.config.retries + 1
-        while todo:
-            todo = self._run_round(cells, outcomes, todo, config, max_attempts)
-        wall = time.perf_counter() - t0
-
+        done = 0
+        with spawn_pool(max(1, min(self.config.jobs, len(cells)))) as pool:
+            futures = {pool.submit(self.worker, cell, config): outcome
+                       for cell, outcome in zip(cells, outcomes)}
+            for fut in as_completed(futures):
+                outcome = futures[fut]
+                try:
+                    payload = fut.result()
+                except Exception as exc:  # incl. BrokenProcessPool
+                    outcome.error = f"{type(exc).__name__}: {exc}"
+                    self._say(f"[{done}/{len(cells)}] {outcome.cell.cell_id} "
+                              f"FAILED: {outcome.error}")
+                else:
+                    done += 1
+                    outcome.doc = payload["doc"]
+                    outcome.wall = float(payload["wall"])
+                    self._say(_ok_line(done, len(cells), outcome.cell,
+                                       payload))
         stats = ExecutorStats(
             jobs=self.config.jobs,
             cells=len(cells),
             failed=sum(1 for o in outcomes if not o.ok),
-            retried=sum(1 for o in outcomes if o.attempts > 1),
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - t0,
             cell_seconds=sum(o.wall for o in outcomes if o.ok),
         )
-        self._record_metrics(outcomes, stats)
+        self._say(f"parallel: {stats.cells} cells on {stats.jobs} workers in "
+                  f"{stats.wall_seconds:.1f}s wall ({stats.cell_seconds:.1f}s "
+                  f"of cell work, {stats.speedup:.2f}x overlap)")
         return ExecutionReport(outcomes=outcomes, stats=stats)
-
-    # -- internals ---------------------------------------------------------
-    def _run_round(
-        self,
-        cells: List[CampaignCell],
-        outcomes: List[CellOutcome],
-        todo: List[int],
-        config: QuantifyConfig,
-        max_attempts: int,
-    ) -> List[int]:
-        """One pool round over ``todo``; returns the retryable indices.
-
-        Every round gets a *fresh* pool: a worker dying mid-round breaks
-        its ``ProcessPoolExecutor`` permanently (all in-flight futures
-        poison with ``BrokenProcessPool``), so reuse would turn one crash
-        into a run-wide failure.  Innocent cells poisoned that way burn
-        an attempt too, but succeed on the re-run — which is why crash
-        survival needs ``retries >= 1``.
-        """
-        retryable: List[int] = []
-        done = len(cells) - len(todo)
-        ctx = multiprocessing.get_context("spawn")
-        with pinned_hashseed(self.config.hash_seed):
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.config.jobs, len(todo)),
-                mp_context=ctx,
-                initializer=worker_init,
-            )
-            try:
-                futures = {
-                    pool.submit(self.worker, cells[i], config): i
-                    for i in todo
-                }
-                for fut in as_completed(futures):
-                    i = futures[fut]
-                    outcome = outcomes[i]
-                    outcome.attempts += 1
-                    try:
-                        payload = fut.result()
-                    except BaseException as exc:  # incl. BrokenProcessPool
-                        outcome.error = f"{type(exc).__name__}: {exc}"
-                        retry = outcome.attempts < max_attempts
-                        if retry:
-                            retryable.append(i)
-                        self._say(
-                            f"[{done}/{len(cells)}] {outcome.cell.cell_id} "
-                            f"FAILED attempt {outcome.attempts}"
-                            f"{' (will retry)' if retry else ''}: "
-                            f"{outcome.error}"
-                        )
-                    else:
-                        done += 1
-                        outcome.doc = payload["doc"]
-                        outcome.wall = float(payload["wall"])
-                        outcome.error = None
-                        self._say(
-                            f"[{done}/{len(cells)}] {outcome.cell.cell_id} "
-                            f"ok in {outcome.wall:.1f}s "
-                            f"(attempt {outcome.attempts}, "
-                            f"pid {payload.get('pid', '?')})"
-                        )
-            finally:
-                pool.shutdown()
-        return sorted(retryable)
 
     def _say(self, line: str) -> None:
         if self.progress is not None:
             self.progress(line)
 
-    def _record_metrics(
-        self, outcomes: List[CellOutcome], stats: ExecutorStats
-    ) -> None:
-        if self.metrics is None:
-            return
-        hub = self.metrics
-        for outcome in outcomes:
-            status = "ok" if outcome.ok else "failed"
-            hub.counter("parallel_cells_total", status=status).inc()
-            if outcome.ok:
-                hub.histogram("parallel_cell_wall_seconds",
-                              fault=outcome.cell.fault).observe(outcome.wall)
-            if outcome.attempts > 1:
-                hub.counter("parallel_cell_retries_total").inc(
-                    outcome.attempts - 1)
-        hub.gauge("parallel_jobs").set(stats.jobs)
-        hub.gauge("parallel_wall_seconds").set(stats.wall_seconds)
-        hub.gauge("parallel_speedup").set(stats.speedup)
-
 
 def run_campaign_cells(
     cells: Sequence[CampaignCell],
     config: QuantifyConfig,
-    jobs: int = 2,
-    retries: int = 0,
+    jobs: int = 1,
     progress: Optional[ProgressFn] = None,
-    metrics=None,
-    strict: bool = True,
 ) -> List[Dict[str, Any]]:
     """Execute a cell grid and return its documents in grid order.
 
-    This is the entry point ``quantify_version(jobs=N)`` fans out
-    through.  With ``strict=True`` (the default) any cell that exhausts
-    its retry budget raises :class:`CellExecutionError` — the
-    quantification merge needs every fault kind — with the partial
-    :class:`ExecutionReport` attached for inspection.
+    Every grid runs through here.  With ``jobs <= 1`` the cells run one
+    by one in this process and a cell's exception propagates unchanged;
+    otherwise they run on a :class:`CampaignExecutor` of ``jobs``
+    workers and any failed cell raises :class:`CellExecutionError`, with
+    the :class:`ExecutionReport` attached.  ``progress`` receives one
+    line per completed cell either way.
     """
-    executor = CampaignExecutor(
-        ExecutorConfig(jobs=jobs, retries=retries),
-        progress=progress,
-        metrics=metrics,
-    )
-    report = executor.execute(cells, config)
-    if strict and report.failures:
-        raise CellExecutionError(report)
-    return report.docs
+    if jobs > 1:
+        report = CampaignExecutor(ExecutorConfig(jobs=jobs),
+                                  progress=progress).execute(cells, config)
+        if report.failures:
+            raise CellExecutionError(report)
+        return report.docs
+    docs: List[Dict[str, Any]] = []
+    for done, cell in enumerate(cells, 1):
+        payload = execute_cell(cell, config)
+        if progress is not None:
+            progress(_ok_line(done, len(cells), cell, payload))
+        docs.append(payload["doc"])
+    return docs
 
 
 def quantify_grid(
     specs: Sequence[Union[str, VersionSpec]],
     config: QuantifyConfig = QuantifyConfig(),
     jobs: int = 1,
-    retries: int = 0,
     keep_records: bool = False,
     progress: Optional[ProgressFn] = None,
-    metrics=None,
-    stats_out: Optional[List[ExecutorStats]] = None,
 ) -> Dict[str, VersionAvailability]:
-    """Quantify several versions through one shared cell pool.
+    """Quantify several versions as one grid of cells.
 
-    All versions' cells are concatenated into a single grid so the pool
+    All versions' cells are concatenated into a single grid, so a pool
     stays saturated across version boundaries (a 4-version × 5-fault
-    study is 20 cells, not 4 sequential 5-cell campaigns).  Results are
-    split back per version and merged in grid order; ``jobs=1`` degrades
-    to the plain serial pipeline.  ``stats_out``, when given, receives
-    the :class:`ExecutorStats` of the fan-out.
+    study is 20 cells, not 4 sequential 5-cell campaigns), and run
+    through :func:`run_campaign_cells`.  Each version's documents are
+    then merged in grid order by
+    :func:`~repro.core.quantify.quantify_from_cell_docs`.
     """
     resolved = [version_by_name(s) if isinstance(s, str) else s
                 for s in specs]
     names = [s.name for s in resolved]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate versions in grid: {names}")
-    if jobs <= 1:
-        return {
-            s.name: quantify_version(s, config, keep_records=keep_records)
-            for s in resolved
-        }
-
     all_cells: List[CampaignCell] = []
     for s in resolved:
         all_cells.extend(campaign_cells(s, config,
                                         start_index=len(all_cells)))
-    executor = CampaignExecutor(
-        ExecutorConfig(jobs=jobs, retries=retries),
-        progress=progress,
-        metrics=metrics,
-    )
-    report = executor.execute(all_cells, config)
-    if report.failures:
-        raise CellExecutionError(report)
-    if stats_out is not None:
-        stats_out.append(report.stats)
+    docs = run_campaign_cells(all_cells, config, jobs=jobs, progress=progress)
 
     by_version: Dict[str, List[Dict[str, Any]]] = {}
-    for doc in report.docs:
+    for doc in docs:
         by_version.setdefault(str(doc["cell"]["version"]), []).append(doc)
     return {
         s.name: quantify_from_cell_docs(

@@ -31,6 +31,13 @@ class TestVersionSpecs:
         assert spec.n_nodes == 8 and spec.server_count == 9
         assert spec.name == "FME-8"
 
+    def test_with_nodes_name_resolves_to_the_spec(self):
+        for registered in VERSIONS.values():
+            for n in (4, 8):
+                spec = registered.with_nodes(n)
+                assert version(spec.name) == spec
+                assert version(spec.name.lower()) == spec
+
     def test_catalog_transforms_applied(self):
         from repro.faults.faultload import YEAR, table1_catalog
 

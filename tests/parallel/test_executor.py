@@ -1,4 +1,4 @@
-"""Executor plumbing: ordering, crash isolation, retries, stats.
+"""Executor plumbing: ordering, crash isolation, progress, stats.
 
 The test workers here are module-level functions (the spawn pool pickles
 them by reference) and take the *pass-through* ``config`` slot as a
@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.faults.campaign import CampaignCell
-from repro.obs.metrics import MetricsHub
 from repro.parallel import (
     CampaignExecutor,
     CellExecutionError,
@@ -35,18 +34,19 @@ def echo_worker(cell, scratch):
             "wall": 0.01, "pid": os.getpid()}
 
 
-def crash_once_worker(cell, scratch):
-    """Dies hard (breaking the pool) the first time each cell runs."""
-    sentinel = Path(scratch) / f"cell-{cell.index}.attempted"
-    if not sentinel.exists():
-        sentinel.write_text("")
-        os._exit(13)
+def raise_on_odd_worker(cell, scratch):
+    """Logs every attempt, then raises on the odd cells."""
+    with open(Path(scratch) / f"cell-{cell.index}.attempts", "a") as log:
+        log.write("x")
+    if cell.index % 2:
+        raise RuntimeError(f"cell {cell.index} refuses")
     return echo_worker(cell, scratch)
 
 
-def raise_on_odd_worker(cell, scratch):
+def exit_on_odd_worker(cell, scratch):
+    """Dies hard (breaking the pool) on the odd cells."""
     if cell.index % 2:
-        raise RuntimeError(f"cell {cell.index} refuses")
+        os._exit(13)
     return echo_worker(cell, scratch)
 
 
@@ -54,14 +54,10 @@ class TestExecutorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutorConfig(jobs=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(retries=-1)
-        with pytest.raises(ValueError):
-            ExecutorConfig(hash_seed="")
 
     def test_defaults(self):
         cfg = ExecutorConfig()
-        assert cfg.jobs == 2 and cfg.retries == 0
+        assert cfg.jobs == 2
 
 
 class TestCampaignCell:
@@ -121,28 +117,29 @@ class TestExecute:
         with pytest.raises(ValueError, match="duplicate"):
             executor.execute(cells, str(tmp_path))
 
-    def test_worker_death_is_isolated_and_retried(self, tmp_path):
-        cells = cells_for(2)
-        executor = CampaignExecutor(ExecutorConfig(jobs=2, retries=2),
-                                    worker=crash_once_worker)
-        report = executor.execute(cells, str(tmp_path))
-        assert report.stats.failed == 0
-        assert report.stats.retried >= 1
-        assert all(o.ok for o in report.outcomes)
-        assert [d["cell"]["index"] for d in report.docs] == [0, 1]
-
-    def test_exhausted_retries_reported_not_raised(self, tmp_path):
+    def test_raising_cell_fails_alone_after_one_attempt(self, tmp_path):
         cells = cells_for(3)
-        executor = CampaignExecutor(ExecutorConfig(jobs=2, retries=1),
+        executor = CampaignExecutor(ExecutorConfig(jobs=2),
                                     worker=raise_on_odd_worker)
         report = executor.execute(cells, str(tmp_path))
         failed = report.failures
         assert [o.cell.index for o in failed] == [1]
-        assert failed[0].attempts == 2
         assert "RuntimeError" in failed[0].error
+        assert (tmp_path / "cell-1.attempts").read_text() == "x"
         # survivors are intact and still in grid order
         assert [d["cell"]["index"] for d in report.docs] == [0, 2]
         assert report.stats.failed == 1
+
+    def test_worker_death_still_reports(self, tmp_path):
+        cells = cells_for(2)
+        executor = CampaignExecutor(ExecutorConfig(jobs=2),
+                                    worker=exit_on_odd_worker)
+        report = executor.execute(cells, str(tmp_path))
+        assert [o.cell.index for o in report.outcomes] == [0, 1]
+        assert 1 in [o.cell.index for o in report.failures]
+        assert report.stats.failed == len(report.failures)
+        assert all("BrokenProcessPool" in o.error or "terminated" in o.error
+                   for o in report.failures)
 
     def test_strict_entry_point_raises(self, tmp_path):
         cells = cells_for(2)
@@ -160,28 +157,15 @@ class TestExecute:
                                     progress=lines.append,
                                     worker=echo_worker)
         executor.execute(cells_for(2), str(tmp_path))
-        assert len(lines) == 2
-        assert all("ok in" in line for line in lines)
-
-    def test_metrics_recorded(self, tmp_path):
-        hub = MetricsHub()
-        executor = CampaignExecutor(ExecutorConfig(jobs=2),
-                                    metrics=hub, worker=echo_worker)
-        executor.execute(cells_for(2), str(tmp_path))
-        assert hub.value("parallel_cells_total", status="ok") == 2
-        assert hub.value("parallel_jobs") == 2
-        assert hub.value("parallel_speedup") > 0
-        hist = hub.get("parallel_cell_wall_seconds", fault="app_crash")
-        assert hist is not None and hist.count == 2
+        assert len(lines) == 3
+        assert all("ok in" in line for line in lines[:2])
+        assert lines[2].startswith("parallel: 2 cells on 2 workers in ")
 
 
-def test_run_campaign_cells_strict(tmp_path):
-    # Non-strict returns survivors; strict raises with the report attached.
-    cells = cells_for(2)
-    docs = run_campaign_cells(cells, str(tmp_path), jobs=2, strict=False)
+def test_run_campaign_cells_raises_naming_the_failed_cell(tmp_path):
     # run_campaign_cells always uses the real cell worker; with a scratch
-    # path for config every cell fails, which is exactly what the strict
-    # contract must surface.
-    assert docs == []
-    with pytest.raises(CellExecutionError):
-        run_campaign_cells(cells, str(tmp_path), jobs=2)
+    # path for config every cell fails, on the pool with the cell named.
+    with pytest.raises(CellExecutionError) as exc_info:
+        run_campaign_cells(cells_for(2), str(tmp_path), jobs=2)
+    assert "0001:SYNTH:app_crash:0" in str(exc_info.value)
+    assert len(exc_info.value.report.failures) == 2
