@@ -130,6 +130,7 @@ def cmd_explain(args) -> int:
     """One injected run, four answers: lost requests, budget, tails, wall."""
     from dataclasses import replace
 
+    from repro.core.model import AvailabilityModel
     from repro.experiments.runner import build_world
     from repro.obs.attribution import StageAttributor
     from repro.obs.budget import build_budget, format_budget
@@ -166,10 +167,12 @@ def cmd_explain(args) -> int:
         target=args.target or world.default_target(kind))
     if args.out:
         write_record(record, args.out)
-    report = StageAttributor().attribute(record)
-    budget = build_budget({kind: report.template}, spec.catalog(),
-                          trace.offered_rate, version=spec.name,
-                          environment=config.environment, measured=[report])
+    report = StageAttributor(config.fit).attribute(record)
+    catalog = spec.catalog()
+    result = AvailabilityModel(catalog, config.environment).evaluate(
+        {kind: report.template}, trace.normal_tput, trace.offered_rate,
+        version=spec.name)
+    budget = build_budget(result, catalog, measured=[report])
     spans = telemetry.spans
     blame = blame_report(spans.trees(),
                          phases=phases_from_trace(events, trace.t_end))
@@ -306,13 +309,11 @@ def cmd_sensitivity(args) -> int:
     """Which lever buys the most availability next (Section 8's question)."""
     from repro.core.quantify import quantify_version
     from repro.core.sensitivity import SensitivityAnalysis, format_levers
-    from repro.experiments.runner import build_world
 
     config = _config(args)
     va = quantify_version(_version(args.version), config)
-    world = build_world(va.spec, config.profile, seed=config.seed)
     analysis = SensitivityAnalysis(
-        va.templates, world.catalog, config.environment,
+        va.templates, va.spec.catalog(), config.environment,
         va.normal_tput, va.offered_rate, version=args.version)
     print(f"{args.version}: availability {analysis.baseline.availability:.5f} "
           f"({analysis.nines():.2f} nines)\n")

@@ -116,20 +116,14 @@ class VersionAvailability:
     def unavailability(self) -> float:
         return self.result.unavailability
 
-    def stage_budget(self, objective: float = 0.999,
-                     environment: Optional[EnvironmentParams] = None):
-        """Roll the fitted templates into an unavailability error budget
-        with stage-level drill-down (see :mod:`repro.obs.budget`)."""
+    def stage_budget(self, objective: float = 0.999):
+        """Split the model result into an unavailability error budget
+        with stage-level drill-down (see :mod:`repro.obs.budget`), under
+        the environment the version was quantified with."""
         from repro.obs.budget import build_budget
 
-        return build_budget(
-            self.templates,
-            self.spec.catalog(),
-            offered_rate=self.offered_rate,
-            version=self.spec.name,
-            environment=environment or EnvironmentParams(),
-            objective=objective,
-        )
+        return build_budget(self.result, self.spec.catalog(),
+                            objective=objective)
 
 
 def measure_fault_free(

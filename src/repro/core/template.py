@@ -21,7 +21,7 @@ zero duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.faults.campaign import ExperimentTrace
 
@@ -123,39 +123,6 @@ class FitConfig:
     climb_margin: float = 0.04
 
 
-def stabilization_time(
-    series,
-    start: float,
-    end: float,
-    target: float,
-    normal: float,
-    config: FitConfig = FitConfig(),
-) -> float:
-    """Seconds after ``start`` until the rate settles at ``target``.
-
-    The rate is bucketized; stabilization is the first run of
-    ``stable_buckets`` consecutive buckets within ``stable_band`` of the
-    target (band floor relative to normal throughput keeps the test
-    meaningful when the target is ~0).  Shared by the fitter and the
-    stage-attribution engine (:mod:`repro.obs.attribution`), so both
-    tiers place transient/stable boundaries identically.
-    """
-    if end - start < config.bucket:
-        return 0.0
-    _, rates = series.bucketize(config.bucket, start, end)
-    band = max(config.stable_band * normal,
-               config.stable_band * max(target, 1.0))
-    run = 0
-    for i, rate in enumerate(rates):
-        if abs(rate - target) <= band:
-            run += 1
-            if run >= config.stable_buckets:
-                return max((i + 1 - run) * config.bucket, 0.0)
-        else:
-            run = 0
-    return end - start  # never stabilized inside the window
-
-
 class TemplateFitter:
     """Fits an :class:`ExperimentTrace` to the 7-stage template."""
 
@@ -163,6 +130,22 @@ class TemplateFitter:
         self.config = config
 
     def fit(self, trace: ExperimentTrace) -> SevenStageTemplate:
+        return self.fit_windows(trace)[0]
+
+    def fit_windows(
+        self, trace: ExperimentTrace,
+    ) -> Tuple[SevenStageTemplate, List[Tuple[str, float, float]]]:
+        """The fitted template and the ``(stage, t0, t1)`` windows its
+        stages were measured over.
+
+        The windows are in time order and partition ``[t_inject, t_end]``
+        (some may be empty): A; then B and C when a detection came before
+        the repair; D; then E, F, G and the recovered residual ``-`` after
+        an operator reset, or else one ``-`` window when the post-repair
+        tail is back at ``recovered_level`` of normal and one E window
+        otherwise.  F ends at the configured reset's end or at ``t_end``,
+        whichever comes first.
+        """
         cfg = self.config
         series = trace.series
         normal = max(trace.normal_tput, 1e-9)
@@ -175,6 +158,7 @@ class TemplateFitter:
         # -- A: fault -> detection ------------------------------------------
         d_a = t_detect - trace.t_inject
         t_a = series.mean_rate(trace.t_inject, t_detect) if d_a > 0 else 0.0
+        windows = [("A", trace.t_inject, t_detect)]
 
         if undetected:
             # No reconfiguration ever happens: the system stays at the
@@ -189,6 +173,8 @@ class TemplateFitter:
             # -- B: detection -> stabilization at the C level ----------------
             d_b = self._stabilization_time(series, t_detect, trace.t_repair, t_c, normal)
             t_b = series.mean_rate(t_detect, t_detect + d_b) if d_b > 0 else t_c
+            windows += [("B", t_detect, t_detect + d_b),
+                        ("C", t_detect + d_b, trace.t_repair)]
 
         # -- post-repair window ---------------------------------------------------
         post_end = trace.t_reset if trace.t_reset is not None else trace.t_end
@@ -196,6 +182,8 @@ class TemplateFitter:
         t_e = series.mean_rate(e_from, post_end)
         d_d = self._stabilization_time(series, trace.t_repair, post_end, t_e, normal)
         t_d = series.mean_rate(trace.t_repair, trace.t_repair + d_d) if d_d > 0 else t_e
+        d_end = trace.t_repair + d_d
+        windows.append(("D", trace.t_repair, d_end))
 
         if trace.t_reset is not None:
             self_recovered = False
@@ -218,9 +206,20 @@ class TemplateFitter:
             d_g = self._stabilization_time(series, f_end, trace.t_end, normal, normal)
             t_g = series.mean_rate(f_end, f_end + d_g) if d_g > 0 else normal
             d_f = trace.config.reset_duration
+            # a run cut short inside the reset outage ends F at t_end
+            # (and leaves G at zero)
+            g_from = min(f_end, trace.t_end)
+            windows += [("E", d_end, trace.t_reset),
+                        ("F", trace.t_reset, g_from),
+                        ("G", g_from, g_from + d_g),
+                        ("-", g_from + d_g, trace.t_end)]
         else:
             t_f = t_g = 0.0
             d_f = d_g = 0.0
+            # back at the recovered level: the rest is the residual;
+            # still below it: a re-warming climb or a flat plateau (E)
+            tail = "-" if t_e >= cfg.recovered_level * normal else "E"
+            windows.append((tail, d_end, trace.t_end))
 
         stages = {
             "A": Stage("A", d_a, t_a),
@@ -231,7 +230,7 @@ class TemplateFitter:
             "F": Stage("F", d_f, t_f),
             "G": Stage("G", d_g, t_g),
         }
-        return SevenStageTemplate(
+        template = SevenStageTemplate(
             stages=stages,
             normal_tput=trace.normal_tput,
             offered_rate=trace.offered_rate,
@@ -239,6 +238,7 @@ class TemplateFitter:
             fault=str(trace.component),
             self_recovered=self_recovered,
         )
+        return template, windows
 
     # ------------------------------------------------------------------
     def _stabilization_time(
@@ -249,5 +249,25 @@ class TemplateFitter:
         target: float,
         normal: float,
     ) -> float:
-        return stabilization_time(series, start, end, target, normal,
-                                  self.config)
+        """Seconds after ``start`` until the rate settles at ``target``.
+
+        The rate is bucketized; stabilization is the first run of
+        ``stable_buckets`` consecutive buckets within ``stable_band`` of
+        the target (band floor relative to normal throughput keeps the
+        test meaningful when the target is ~0).
+        """
+        config = self.config
+        if end - start < config.bucket:
+            return 0.0
+        _, rates = series.bucketize(config.bucket, start, end)
+        band = max(config.stable_band * normal,
+                   config.stable_band * max(target, 1.0))
+        run = 0
+        for i, rate in enumerate(rates):
+            if abs(rate - target) <= band:
+                run += 1
+                if run >= config.stable_buckets:
+                    return max((i + 1 - run) * config.bucket, 0.0)
+            else:
+                run = 0
+        return end - start  # never stabilized inside the window

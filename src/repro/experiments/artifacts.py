@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import List, Union
 
 from repro.experiments.figures import FigureOutput
 
@@ -60,18 +60,3 @@ def write_figure(figure: FigureOutput, out_dir: Union[str, Path]) -> List[Path]:
         csv_path.write_text(csv_text, encoding="utf-8")
         written.append(csv_path)
     return written
-
-
-def write_all(figures: Iterable[FigureOutput], out_dir: Union[str, Path],
-              index_name: str = "INDEX.md") -> Path:
-    """Persist a set of figures plus a small index file."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["# Reproduced artifacts", ""]
-    for figure in figures:
-        write_figure(figure, out)
-        lines.append(f"- `{figure.name}` — {figure.title} "
-                     f"([txt]({figure.name}.txt), [csv]({figure.name}.csv))")
-    index = out / index_name
-    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return index

@@ -285,16 +285,11 @@ def fig9(ev: Evaluation, measure_direct: bool = True) -> FigureOutput:
     caches).  The scaled-model extrapolation always starts from the
     4-node 128 MB measurements.
     """
-    base = ev.va("FME")
-    rows = [{"config": "FME-4 (measured)", "unavailability": base.unavailability}]
+    rows = [{"config": "FME-4 (measured)",
+             "unavailability": ev.va("FME").unavailability}]
     for k, label in ((2, "FME-8 (scaled model)"), (4, "FME-16 (scaled model)")):
-        scaled = AvailabilityModel(
-            scale_catalog(base.spec.catalog(), k), ev.config.environment
-        ).evaluate(
-            {kind: scale_template(t, float(k)) for kind, t in base.templates.items()},
-            base.normal_tput * k, base.offered_rate * k, version=f"FMEx{k}",
-        )
-        rows.append({"config": label, "unavailability": scaled.unavailability})
+        rows.append({"config": label,
+                     "unavailability": _scaled_result(ev, "FME", k).unavailability})
     if measure_direct:
         spec8 = version("FME").with_nodes(8)
         for cache_label, cache_files in (("128MB", 120), ("64MB", 60)):
@@ -315,20 +310,10 @@ def fig9(ev: Evaluation, measure_direct: bool = True) -> FigureOutput:
 
 
 def fig10(ev: Evaluation) -> FigureOutput:
-    rows = []
-    base = ev.va("COOP")
-    for k, label in ((1, "COOP-4"), (2, "COOP-8"), (4, "COOP-16")):
-        if k == 1:
-            u = base.unavailability
-        else:
-            scaled = AvailabilityModel(
-                scale_catalog(base.spec.catalog(), k), ev.config.environment
-            ).evaluate(
-                {kind: scale_template(t, float(k)) for kind, t in base.templates.items()},
-                base.normal_tput * k, base.offered_rate * k, version=label,
-            )
-            u = scaled.unavailability
-        rows.append({"config": label, "unavailability": u})
+    rows = [{"config": "COOP-4", "unavailability": ev.va("COOP").unavailability}]
+    for k, label in ((2, "COOP-8"), (4, "COOP-16")):
+        rows.append({"config": label,
+                     "unavailability": _scaled_result(ev, "COOP", k).unavailability})
     lines = [f"{'config':<10}{'unavail':>10}" ]
     lines += [f"{r['config']:<10}{r['unavailability']:>10.5f}" for r in rows]
     r4, r8, r16 = (r["unavailability"] for r in rows)

@@ -22,10 +22,10 @@ On top of the raw telemetry sits the availability-accounting tier:
 * :class:`FlightRecord` — a versioned, replayable JSON snapshot of one
   single-fault experiment (:mod:`repro.obs.recorder`);
 * :class:`StageAttributor` — names every lost request-second with a
-  ``(fault, stage, component, cause)`` tuple and cross-checks the stage
-  boundaries against the template fit (:mod:`repro.obs.attribution`);
-* :func:`build_budget` — unavailability error budgets with stage
-  drill-down (:mod:`repro.obs.budget`);
+  ``(fault, stage, component, cause)`` tuple, charging each window the
+  template fitter measured to its stage (:mod:`repro.obs.attribution`);
+* :func:`build_budget` — a model result split into an unavailability
+  error budget with stage drill-down (:mod:`repro.obs.budget`);
 * :func:`render_timeline` — ASCII throughput/stage timelines
   (:mod:`repro.obs.timeline`).
 
@@ -76,9 +76,7 @@ from repro.obs.trace import Markers, Tracer
 # eagerly here would therefore be cyclic; instead its symbols resolve
 # lazily on first attribute access (PEP 562).
 _ACCOUNTING_EXPORTS = {
-    "AttributionConfig": "repro.obs.attribution",
     "AttributionReport": "repro.obs.attribution",
-    "BoundaryCheck": "repro.obs.attribution",
     "LossSlice": "repro.obs.attribution",
     "STAGE_CAUSES": "repro.obs.attribution",
     "StageAttributor": "repro.obs.attribution",
@@ -111,9 +109,7 @@ def __getattr__(name):
 
 __all__ = [
     "provenance",
-    "AttributionConfig",
     "AttributionReport",
-    "BoundaryCheck",
     "BudgetLine",
     "BudgetReport",
     "FlightRecord",

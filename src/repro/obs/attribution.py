@@ -8,52 +8,39 @@ experiment window ``[t_inject, t_end]`` into contiguous
 :class:`LossSlice` windows, each attributed to a
 ``(fault kind, template stage, component, cause)`` tuple:
 
-=====  =====================================  ===========================
-stage  cause                                  boundary source
-=====  =====================================  ===========================
-A      ``undetected-window`` /                injection -> first
-       ``undetected-fault``                   ``detected`` marker
-B      ``reconfiguration-transient``          stabilization scan at the
-                                              degraded tail level
-C      ``stable-degraded-capacity``           repair time
-D      ``reintegration-transient``            stabilization scan at the
-                                              post-repair tail level
-E      ``stable-suboptimal-awaiting-          operator reset event (or
-       operator`` / ``rewarming-tail``        end of observation)
-F      ``operator-reset-downtime``            reset event + configured
-                                              reset duration
-G      ``post-reset-warmup``                  stabilization scan at the
-                                              normal level
-``-``  ``recovered-steady``                   whatever remains
-=====  =====================================  ===========================
+=====  =====================================
+stage  cause
+=====  =====================================
+A      ``undetected-window`` (``undetected-fault`` when no detection
+       came before the repair)
+B      ``reconfiguration-transient``
+C      ``stable-degraded-capacity``
+D      ``reintegration-transient``
+E      ``stable-suboptimal-awaiting-operator`` (``rewarming-tail`` when
+       the template self-recovered)
+F      ``operator-reset-downtime``
+G      ``post-reset-warmup``
+``-``  ``recovered-steady``
+=====  =====================================
 
-The lost request-seconds of a slice are integrated per sample interval:
-``sum over buckets of max(offered * dt - served, 0)``.  Because the
-slices partition the window exactly, attributed + residual loss is the
-total loss by construction; ``coverage`` reports the share landing in a
-named template stage (A..G) rather than in the recovered residual.
-
-Every attribution also re-fits the 7-stage template on the same data and
-cross-checks the measured stage durations against the fit
-(:class:`BoundaryCheck`).  The two tiers share one stabilization scan
-(:func:`repro.core.template.stabilization_time`), so disagreement beyond
-one sample interval indicates schema drift or a fitter/attributor bug —
-which is exactly why it is reported as a diagnostic instead of silently
-trusted.
+The windows are the ones the template fitter measured its stages over
+(:meth:`repro.core.template.TemplateFitter.fit_windows`), so every
+boundary is placed once, by the fitter, and a slice's duration is its
+fitted stage's.  The lost request-seconds of a slice are integrated per
+fit bucket: ``sum over buckets of max(offered * dt - served, 0)``.
+Because the slices partition the window exactly, attributed + residual
+loss is the total loss by construction; ``coverage`` reports the share
+landing in a named template stage (A..G) rather than in the recovered
+residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.template import (
-    FitConfig,
-    SevenStageTemplate,
-    TemplateFitter,
-    stabilization_time,
-)
+from repro.core.template import FitConfig, SevenStageTemplate, TemplateFitter
 from repro.faults.campaign import ExperimentTrace
 from repro.obs.events import EventKind
 from repro.obs.recorder import FlightRecord
@@ -85,19 +72,6 @@ RESIDUAL_CAUSE = "recovered-steady"
 
 
 @dataclass(frozen=True)
-class AttributionConfig:
-    """Knobs of the attribution pass."""
-
-    #: loss-integration sample interval (seconds); also the agreement
-    #: tolerance unit for the fit cross-check
-    bucket: float = 1.0
-    #: fit configuration used for the cross-check template
-    fit: FitConfig = field(default_factory=FitConfig)
-    #: boundary disagreement beyond this many sample intervals is flagged
-    tolerance_buckets: float = 1.0
-
-
-@dataclass(frozen=True)
 class LossSlice:
     """One contiguous window attributed to a (stage, component, cause)."""
 
@@ -123,31 +97,6 @@ class LossSlice:
         }
 
 
-@dataclass(frozen=True)
-class BoundaryCheck:
-    """Fit cross-check for one measured stage duration."""
-
-    stage: str
-    event_duration: float  # attribution's event/series-derived duration
-    fit_duration: float  # TemplateFitter's duration
-    tolerance: float
-
-    @property
-    def delta(self) -> float:
-        return self.event_duration - self.fit_duration
-
-    @property
-    def agrees(self) -> bool:
-        return abs(self.delta) <= self.tolerance
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage, "event_duration": self.event_duration,
-            "fit_duration": self.fit_duration, "delta": self.delta,
-            "tolerance": self.tolerance, "agrees": self.agrees,
-        }
-
-
 @dataclass
 class AttributionReport:
     """Where one experiment's lost request-seconds went."""
@@ -156,7 +105,6 @@ class AttributionReport:
     fault: str
     component: str
     slices: List[LossSlice]
-    checks: List[BoundaryCheck]
     template: SevenStageTemplate
     self_recovered: bool
     notes: List[str] = field(default_factory=list)
@@ -180,10 +128,6 @@ class AttributionReport:
         total = self.total_lost
         return self.attributed_lost / total if total > 0 else 1.0
 
-    @property
-    def agrees_with_fit(self) -> bool:
-        return all(c.agrees for c in self.checks)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": self.version,
@@ -194,19 +138,16 @@ class AttributionReport:
             "attributed_lost": self.attributed_lost,
             "residual_lost": self.residual_lost,
             "coverage": self.coverage,
-            "agrees_with_fit": self.agrees_with_fit,
             "slices": [s.to_dict() for s in self.slices],
-            "checks": [c.to_dict() for c in self.checks],
             "notes": list(self.notes),
         }
 
 
 class StageAttributor:
-    """Attributes lost request-seconds to template stages."""
+    """Charges lost request-seconds to the stages the fitter measured."""
 
-    def __init__(self, config: AttributionConfig = AttributionConfig()):
-        self.config = config
-        self._fitter = TemplateFitter(config.fit)
+    def __init__(self, fit: FitConfig = FitConfig()):
+        self._fitter = TemplateFitter(fit)
 
     # -- entry points ------------------------------------------------------
     def attribute(self, record: FlightRecord) -> AttributionReport:
@@ -216,116 +157,49 @@ class StageAttributor:
     def attribute_trace(self, trace: ExperimentTrace) -> AttributionReport:
         """Attribute a live (or replayed) experiment trace.
 
-        Detection is the first ``detected`` marker after injection, and
-        reconfiguration markers are checked for consistency with the
-        stage-B window.
+        Each non-empty window of the fit becomes one :class:`LossSlice`.
+        Observed markers are compared with the fit: a detection after the
+        repair, and a reconfiguration marker after the stage-B window,
+        each leave a note.
         """
-        cfg = self.config
-        fitcfg = cfg.fit
-        series = trace.series
-        normal = max(trace.normal_tput, 1e-9)
-        offered = trace.offered_rate
+        template, windows = self._fitter.fit_windows(trace)
         fault = str(trace.component.kind)
         component = trace.component.target
         notes: List[str] = []
-
-        template = self._fitter.fit(trace)
-
-        # -- detection boundary --------------------------------------------
         t_detect = trace.t_detect
         undetected = t_detect is None or t_detect > trace.t_repair
-        if t_detect is not None and t_detect > trace.t_repair:
+        if undetected and t_detect is not None:
             notes.append(
                 f"detection at {t_detect:.1f}s arrived after repair "
                 f"({trace.t_repair:.1f}s); treating the fault as undetected"
             )
-        checks: List[BoundaryCheck] = []
-        tol = cfg.tolerance_buckets * fitcfg.bucket
 
-        def mk(stage, cause, t0, t1, *, stage_label=None):
+        slices: List[LossSlice] = []
+        for stage, t0, t1 in windows:
+            if stage == "B":
+                self._check_reconfig_markers(trace, t0, t1, notes)
             if t1 - t0 <= 1e-12:
-                return None
-            off, served, lost = self._window_loss(series, offered, t0, t1)
-            return LossSlice(stage=stage_label or stage, cause=cause,
-                             fault=fault, component=component,
-                             t0=t0, t1=t1, offered=off, served=served,
-                             lost=lost)
-
-        slices: List[Optional[LossSlice]] = []
-
-        # -- stages A..C: injection through repair -------------------------
-        if undetected:
-            d_a = trace.t_repair - trace.t_inject
-            slices.append(mk("A", "undetected-fault",
-                             trace.t_inject, trace.t_repair))
-        else:
-            d_a = t_detect - trace.t_inject
-            slices.append(mk("A", STAGE_CAUSES["A"], trace.t_inject, t_detect))
-            c_level = series.mean_rate(
-                max(t_detect, trace.t_repair - fitcfg.steady_window),
-                trace.t_repair,
-            )
-            d_b = stabilization_time(series, t_detect, trace.t_repair,
-                                     c_level, normal, fitcfg)
-            slices.append(mk("B", STAGE_CAUSES["B"],
-                             t_detect, t_detect + d_b))
-            slices.append(mk("C", STAGE_CAUSES["C"],
-                             t_detect + d_b, trace.t_repair))
-            checks.append(BoundaryCheck("B", d_b,
-                                        template.stage("B").duration, tol))
-            self._check_reconfig_markers(trace, t_detect, t_detect + d_b,
-                                         notes)
-        checks.insert(0, BoundaryCheck("A", d_a,
-                                       template.stage("A").duration, tol))
-
-        # -- stage D and the post-repair window ----------------------------
-        post_end = trace.t_reset if trace.t_reset is not None else trace.t_end
-        e_level = series.mean_rate(
-            max(trace.t_repair, post_end - fitcfg.steady_window), post_end
-        )
-        d_d = stabilization_time(series, trace.t_repair, post_end,
-                                 e_level, normal, fitcfg)
-        slices.append(mk("D", STAGE_CAUSES["D"],
-                         trace.t_repair, trace.t_repair + d_d))
-        checks.append(BoundaryCheck("D", d_d,
-                                    template.stage("D").duration, tol))
-
-        e_from = trace.t_repair + d_d
-        if trace.t_reset is not None:
-            slices.append(mk("E", STAGE_CAUSES["E"], e_from, trace.t_reset))
-            f_end = min(trace.t_reset + trace.config.reset_duration,
-                        trace.t_end)
-            slices.append(mk("F", STAGE_CAUSES["F"], trace.t_reset, f_end))
-            checks.append(BoundaryCheck("F", f_end - trace.t_reset,
-                                        template.stage("F").duration, tol))
-            d_g = stabilization_time(series, f_end, trace.t_end,
-                                     normal, normal, fitcfg)
-            slices.append(mk("G", STAGE_CAUSES["G"], f_end, f_end + d_g))
-            checks.append(BoundaryCheck("G", d_g,
-                                        template.stage("G").duration, tol))
-            slices.append(mk(RESIDUAL_STAGE, RESIDUAL_CAUSE,
-                             f_end + d_g, trace.t_end))
-        elif template.self_recovered and e_level >= \
-                fitcfg.recovered_level * normal:
-            # Fully back to normal: everything after stage D is the
-            # recovered residual (loss there is sampling noise).
-            slices.append(mk(RESIDUAL_STAGE, RESIDUAL_CAUSE,
-                             e_from, trace.t_end))
-        else:
-            # Still below normal at the end of observation: either a
-            # re-warming climb (self-recovering) or a flat suboptimal
-            # plateau that would eventually draw an operator.
-            cause = ("rewarming-tail" if template.self_recovered
-                     else STAGE_CAUSES["E"])
-            slices.append(mk("E", cause, e_from, trace.t_end,
-                             stage_label="E"))
+                continue
+            if stage == RESIDUAL_STAGE:
+                cause = RESIDUAL_CAUSE
+            elif stage == "A" and undetected:
+                cause = "undetected-fault"
+            elif stage == "E" and template.self_recovered:
+                cause = "rewarming-tail"
+            else:
+                cause = STAGE_CAUSES[stage]
+            offered, served, lost = self._window_loss(
+                trace.series, trace.offered_rate, t0, t1)
+            slices.append(LossSlice(stage=stage, cause=cause, fault=fault,
+                                    component=component, t0=t0, t1=t1,
+                                    offered=offered, served=served,
+                                    lost=lost))
 
         return AttributionReport(
             version=trace.version,
             fault=fault,
             component=component,
-            slices=[s for s in slices if s is not None],
-            checks=checks,
+            slices=slices,
             template=template,
             self_recovered=template.self_recovered,
             notes=notes,
@@ -334,7 +208,7 @@ class StageAttributor:
     # -- internals ---------------------------------------------------------
     def _window_loss(self, series, offered: float, t0: float, t1: float):
         """Integrate (offered, served, lost) request-seconds over [t0, t1)."""
-        bucket = self.config.bucket
+        bucket = self._fitter.config.bucket
         nb = max(int(math.ceil((t1 - t0) / bucket - 1e-9)), 1)
         offered_rs = served = lost = 0.0
         for i in range(nb):
@@ -355,7 +229,7 @@ class StageAttributor:
         notes: List[str],
     ) -> None:
         """Reconfiguration actions should land in (or right at) stage B."""
-        slack = self.config.tolerance_buckets * self.config.fit.bucket
+        slack = self._fitter.config.bucket
         for t, label, _ in trace.markers.entries:
             if label in RECONFIG_KINDS and t_detect <= t <= trace.t_repair:
                 if t > b_end + slack:

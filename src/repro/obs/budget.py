@@ -1,13 +1,13 @@
-"""Unavailability error budgets: roll stage attributions up per version.
+"""Unavailability error budgets: split a model result per fault stage.
 
 An error budget frames availability as a spendable quantity: against an
 objective (say 99.9%), the allowed unavailability is ``1 - objective``
 and every ``(fault kind, stage, cause)`` pair consumes a share of it.
-:func:`build_budget` computes those shares from fitted templates and a
-fault catalog — the same per-stage decomposition the analytic model
-(:mod:`repro.core.model`) sums over, so the budget's total matches the
-model's unavailability (up to per-stage clamping of throughputs above
-the offered load).  A whole version's budget is
+:func:`build_budget` splits a :class:`~repro.core.model.ModelResult`
+over the templates the model resolved, so the budget's total matches
+the model's unavailability (up to per-stage clamping of throughputs
+above the offered load) under whatever environment the model was
+evaluated with.  A whole version's budget is
 ``VersionAvailability.stage_budget()``; ``repro explain`` budgets the
 one fault it injected, with the run's attribution as the measured view.
 
@@ -23,11 +23,11 @@ stage duration ``d_s`` and throughput ``T_s``, and offered load
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.core.model import EnvironmentParams
+from repro.core.model import ModelResult
 from repro.core.report import format_bar
-from repro.core.template import STAGE_NAMES, SevenStageTemplate
+from repro.core.template import STAGE_NAMES
 from repro.faults.faultload import FaultCatalog
 from repro.faults.types import FAULT_LABELS, FaultKind
 from repro.obs.attribution import STAGE_CAUSES, AttributionReport
@@ -71,10 +71,10 @@ class BudgetReport:
     offered_rate: float
     lines: List[BudgetLine]
     #: attribution reports of the underlying experiments, when the
-    #: caller passes them (empty when built straight from templates)
+    #: caller passes them (empty for a whole version's budget)
     measured: List[AttributionReport] = field(default_factory=list)
-    #: fault kinds in the catalog with no recorded template (their share
-    #: of unavailability is *not* in this budget)
+    #: fault kinds in the catalog the model result has no contribution
+    #: for (their share of unavailability is *not* in this budget)
     missing_kinds: List[FaultKind] = field(default_factory=list)
 
     @property
@@ -118,38 +118,33 @@ class BudgetReport:
 
 
 def build_budget(
-    templates: Mapping[FaultKind, SevenStageTemplate],
+    result: ModelResult,
     catalog: FaultCatalog,
-    offered_rate: float,
-    version: str = "",
-    environment: EnvironmentParams = EnvironmentParams(),
     objective: float = DEFAULT_OBJECTIVE,
     measured: Sequence[AttributionReport] = (),
 ) -> BudgetReport:
-    """Roll fitted templates + a fault catalog into a stage budget."""
-    if offered_rate <= 0:
-        raise ValueError("offered_rate must be positive")
+    """Split a model result over the stages of the templates it resolved.
+
+    Kinds in ``catalog`` the result has no contribution for are listed
+    in ``missing_kinds``.
+    """
     if not 0.0 < objective < 1.0:
         raise ValueError("objective must be in (0, 1)")
+    offered = result.offered_rate
     lines: List[BudgetLine] = []
     missing: List[FaultKind] = []
     for rate in catalog:
-        template = templates.get(rate.kind)
-        if template is None:
+        contribution = result.contribution(rate.kind)
+        if contribution is None:
             missing.append(rate.kind)
             continue
-        resolved = template.resolved(
-            mttr=rate.mttr,
-            operator_response=environment.operator_response,
-            reset_duration=environment.reset_duration,
-        )
         for name in STAGE_NAMES:
-            stage = resolved.stage(name)
+            stage = contribution.template.stage(name)
             if stage.duration <= 0:
                 continue
             u = (rate.count * stage.duration
-                 * max(offered_rate - stage.throughput, 0.0)
-                 / (rate.mttf * offered_rate))
+                 * max(offered - stage.throughput, 0.0)
+                 / (rate.mttf * offered))
             lines.append(BudgetLine(
                 fault=rate.kind,
                 stage=name,
@@ -162,18 +157,17 @@ def build_budget(
             ))
     lines.sort(key=lambda l: l.unavailability, reverse=True)
     return BudgetReport(
-        version=version,
+        version=result.version,
         objective=objective,
-        offered_rate=offered_rate,
+        offered_rate=offered,
         lines=lines,
         measured=list(measured),
         missing_kinds=missing,
     )
 
 
-
 # -- rendering -------------------------------------------------------------
-def format_budget(report: BudgetReport, top: int = 0) -> str:
+def format_budget(report: BudgetReport) -> str:
     """Human-readable budget with stage drill-down and measured coverage."""
     total = report.total_unavailability
     lines = [
@@ -185,18 +179,13 @@ def format_budget(report: BudgetReport, top: int = 0) -> str:
         f"  {'fault class':<18} {'stage':<5} {'dur(s)':>9} {'tput':>8} "
         f"{'unavail':>10} {'share':>6}  cause",
     ]
-    shown = report.lines[:top] if top else report.lines
-    for line in shown:
+    for line in report.lines:
         share = line.unavailability / total if total > 0 else 0.0
         lines.append(
             f"  {line.label:<18} {line.stage:<5} {line.duration:>9.1f} "
             f"{line.throughput:>8.1f} {line.unavailability:>10.2e} "
             f"{share * 100:>5.1f}%  {line.cause}"
         )
-    if top and len(report.lines) > top:
-        rest = sum(l.unavailability for l in report.lines[top:])
-        lines.append(f"  {'(other lines)':<18} {'':<5} {'':>9} {'':>8} "
-                     f"{rest:>10.2e}")
     if report.missing_kinds:
         names = ", ".join(k.value for k in report.missing_kinds)
         lines.append(f"  (no recorded template for: {names} — their share "
@@ -220,10 +209,9 @@ def format_budget(report: BudgetReport, top: int = 0) -> str:
         lines.append("")
         lines.append("  measured experiments:")
         for m in report.measured:
-            flag = "" if m.agrees_with_fit else "  [fit disagreement]"
             lines.append(
                 f"    {m.fault:<18} lost {m.total_lost:>9.1f} req-s, "
-                f"{m.coverage * 100:>5.1f}% attributed{flag}"
+                f"{m.coverage * 100:>5.1f}% attributed"
             )
             for note in m.notes:
                 lines.append(f"      note: {note}")

@@ -3,9 +3,9 @@
 :func:`render_timeline` turns a flight record into a terminal chart:
 throughput per bucket, the template stage each bucket was attributed
 to, and the fault lifecycle marks — Figure 3/4 of the paper as text —
-followed by the per-stage loss table and the fit cross-check.  It is
-the lost-requests section of ``repro explain``, and replays a saved
-record offline (``read_record`` -> ``render_timeline``).
+followed by the per-stage loss table.  It is the lost-requests section
+of ``repro explain``, and replays a saved record offline
+(``read_record`` -> ``render_timeline``).
 """
 
 from __future__ import annotations
@@ -13,13 +13,16 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.report import format_bar
-from repro.obs.attribution import (
-    RESIDUAL_STAGE,
-    AttributionConfig,
-    AttributionReport,
-    StageAttributor,
-)
+from repro.obs.attribution import RESIDUAL_STAGE, AttributionReport, StageAttributor
 from repro.obs.recorder import FlightRecord
+
+#: seconds of throughput per chart row
+_BUCKET = 5.0
+#: columns of the throughput bar
+_WIDTH = 40
+#: seconds of pre-injection steady state shown, to anchor the eye at
+#: the normal level
+_LEAD = 15.0
 
 #: fault-lifecycle marks shown beside the chart
 _MARKS = (
@@ -33,23 +36,17 @@ _MARKS = (
 def render_timeline(
     record: FlightRecord,
     report: Optional[AttributionReport] = None,
-    bucket: float = 5.0,
-    width: int = 40,
-    lead: float = 15.0,
 ) -> str:
     """The throughput chart with stage bands and lifecycle marks.
 
     ``report`` defaults to a fresh attribution of ``record``; pass one in
-    to reuse an existing analysis.  ``lead`` seconds of pre-injection
-    steady state anchor the eye at the normal level.
+    to reuse an existing analysis.
     """
-    if bucket <= 0:
-        raise ValueError("bucket must be positive")
     if report is None:
-        report = StageAttributor(AttributionConfig()).attribute(record)
+        report = StageAttributor().attribute(record)
     trace = record.to_trace()
-    t_start = max(trace.t_inject - lead, 0.0)
-    times, rates = trace.series.bucketize(bucket, t_start, trace.t_end)
+    t_start = max(trace.t_inject - _LEAD, 0.0)
+    times, rates = trace.series.bucketize(_BUCKET, t_start, trace.t_end)
     peak = max(float(rates.max()) if len(rates) else 0.0,
                trace.offered_rate, 1.0)
 
@@ -58,17 +55,17 @@ def render_timeline(
     lines = [
         header,
         f"normal {trace.normal_tput:.1f} req/s, offered "
-        f"{trace.offered_rate:.1f} req/s, bucket {bucket:g}s",
+        f"{trace.offered_rate:.1f} req/s, bucket {_BUCKET:g}s",
         "",
-        f"{'t(s)':>8} {'req/s':>8}  {'throughput':<{width}} stage",
+        f"{'t(s)':>8} {'req/s':>8}  {'throughput':<{_WIDTH}} stage",
     ]
     for t, r in zip(times, rates):
-        stage = _stage_of(report, t, t + bucket)
-        marks = _marks_in(record, t, t + bucket)
-        bar = format_bar(float(r), peak, width=width)
+        stage = _stage_of(report, t, t + _BUCKET)
+        marks = _marks_in(record, t, t + _BUCKET)
+        bar = format_bar(float(r), peak, width=_WIDTH)
         suffix = f"  {' '.join(marks)}" if marks else ""
         lines.append(
-            f"{t:>8.1f} {float(r):>8.1f}  {bar:<{width}} {stage:<5}{suffix}"
+            f"{t:>8.1f} {float(r):>8.1f}  {bar:<{_WIDTH}} {stage:<5}{suffix}"
         )
     lines.append("")
     lines.extend(format_attribution(report).splitlines())
@@ -76,7 +73,7 @@ def render_timeline(
 
 
 def format_attribution(report: AttributionReport) -> str:
-    """The per-stage loss table plus the fit cross-check diagnostics."""
+    """The per-stage loss table and the attribution's notes."""
     lines = [
         f"{'stage':<6} {'window':<17} {'dur(s)':>8} {'lost req-s':>11} "
         f"{'share':>6}  cause",
@@ -93,14 +90,6 @@ def format_attribution(report: AttributionReport) -> str:
         f"attributed {report.attributed_lost:.1f} of {total:.1f} lost "
         f"request-seconds ({report.coverage * 100:.1f}%) to named stages"
     )
-    if report.checks:
-        verdict = "agree" if report.agrees_with_fit else "DISAGREE"
-        detail = ", ".join(
-            f"{c.stage}: {c.event_duration:.1f}s vs fit "
-            f"{c.fit_duration:.1f}s" + ("" if c.agrees else " (!)")
-            for c in report.checks
-        )
-        lines.append(f"fit cross-check ({verdict}): {detail}")
     for note in report.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)

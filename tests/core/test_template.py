@@ -177,3 +177,74 @@ class TestStabilization:
         series = synth_series([(0, 100, 10.0)])
         t = fitter._stabilization_time(series, 0.0, 50.0, 90.0, 100.0)
         assert t == pytest.approx(50.0)
+
+
+def _detected(t):
+    tracer = Tracer()
+    tracer.mark(t, "detected", ("x", 0, 1))
+    return tracer.markers
+
+
+def _window_traces():
+    """One trace per window shape (detected, undetected, no-reset
+    plateau, operator reset), with the stage sequence it must produce."""
+    reset = [(0, 60, 100), (60, 65, 0.0), (65, 150, 60.0), (150, 200, 60.0),
+             (210, 230, 50.0), (230, 260, 100.0)]
+    return {
+        "detected": (make_trace(
+            [(0, 60, 100), (60, 75, 0.0), (75, 150, 75.0), (150, 210, 100.0)],
+            t_inject=60.0, t_repair=150.0, t_end=210.0,
+            markers=_detected(75.0)), "ABCD-"),
+        "undetected": (make_trace(
+            [(0, 60, 100), (60, 150, 70.0), (150, 210, 100.0)],
+            t_inject=60.0, t_repair=150.0, t_end=210.0), "AD-"),
+        "plateau": (make_trace(
+            [(0, 60, 100), (60, 65, 0.0), (65, 120, 70.0), (120, 240, 60.0)],
+            t_inject=60.0, t_repair=120.0, t_end=240.0,
+            markers=_detected(65.0)), "ABCDE"),
+        "reset": (make_trace(
+            reset, t_inject=60.0, t_repair=150.0, t_end=260.0,
+            markers=_detected(65.0), t_reset=200.0), "ABCDEFG-"),
+        # observation ends inside the 10 s reset outage
+        "reset cut short": (make_trace(
+            reset, t_inject=60.0, t_repair=150.0, t_end=205.0,
+            markers=_detected(65.0), t_reset=200.0), "ABCDEFG-"),
+    }
+
+
+class TestFitWindows:
+    @pytest.mark.parametrize("shape", list(_window_traces()))
+    def test_fit_is_the_template_of_fit_windows(self, shape):
+        trace, _ = _window_traces()[shape]
+        fitter = TemplateFitter()
+        assert fitter.fit(trace) == fitter.fit_windows(trace)[0]
+
+    @pytest.mark.parametrize("shape", list(_window_traces()))
+    def test_windows_partition_the_run(self, shape):
+        trace, stages = _window_traces()[shape]
+        _, windows = TemplateFitter().fit_windows(trace)
+        assert "".join(name for name, _, _ in windows) == stages
+        # each window starts where the last ended: no gap, no overlap
+        ends = [trace.t_inject] + [t1 for _, _, t1 in windows]
+        assert [t0 for _, t0, _ in windows] == ends[:-1]
+        assert ends[-1] == trace.t_end
+        assert all(t0 <= t1 for _, t0, t1 in windows)
+
+    @pytest.mark.parametrize("shape",
+                             ["detected", "undetected", "plateau", "reset"])
+    def test_measured_stage_windows_last_the_stage_durations(self, shape):
+        trace, _ = _window_traces()[shape]
+        template, windows = TemplateFitter().fit_windows(trace)
+        durations = {name: t1 - t0 for name, t0, t1 in windows}
+        for name in "ABDFG":
+            assert durations.get(name, 0.0) == pytest.approx(
+                template.stage(name).duration), name
+
+    def test_reset_cut_short_ends_f_at_t_end(self):
+        trace, _ = _window_traces()["reset cut short"]
+        template, windows = TemplateFitter().fit_windows(trace)
+        spans = {name: (t0, t1) for name, t0, t1 in windows}
+        assert spans["F"] == (200.0, 205.0)
+        assert spans["G"] == spans["-"] == (205.0, 205.0)
+        assert template.stage("F").duration == 10.0  # the configured reset
+

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.artifacts import rows_to_csv, write_all, write_figure
+from repro.experiments.artifacts import rows_to_csv, write_figure
 from repro.experiments.figures import FigureOutput
 
 
@@ -49,13 +49,10 @@ class TestWrite:
         assert "A test figure" in content
         assert "COOP 0.005" in content
 
-    def test_write_all_builds_index(self, figure, tmp_path):
-        other = FigureOutput("figY", "Other", [], "nothing")
-        index = write_all([figure, other], tmp_path)
-        text = index.read_text()
-        assert "`figX`" in text and "`figY`" in text
-        assert (tmp_path / "figY.txt").exists()
-        assert not (tmp_path / "figY.csv").exists()  # no rows -> no csv
+    def test_figure_without_rows_writes_no_csv(self, tmp_path):
+        paths = write_figure(FigureOutput("figY", "Other", [], "nothing"),
+                             tmp_path)
+        assert [p.name for p in paths] == ["figY.txt"]
 
     def test_write_is_idempotent(self, figure, tmp_path):
         write_figure(figure, tmp_path)

@@ -34,9 +34,9 @@ def test_explain_prints_four_sections(indep_node_crash):
     assert [text.find(t) for t in titles] == sorted(
         text.find(t) for t in titles)
     assert all(t in text for t in titles)
-    # lost requests: stage chart, loss table, fit check, cooperation sets
+    # lost requests: stage chart, loss table, cooperation sets
     assert "INJECT" in text and "REPAIR" in text
-    assert "fit cross-check" in text and "cooperation sets" in text
+    assert "lost req-s" in text and "cooperation sets" in text
     # budget, tails, wall
     assert "per-stage rollup" in text
     assert "during node_crash" in text and "after node_crash" in text

@@ -78,3 +78,21 @@ def standard_detected_record(normal=100.0, offered=100.0):
     trace = make_trace(segments, t_inject=60.0, t_repair=150.0, t_end=240.0,
                        markers=tracer.markers, normal=normal, offered=offered)
     return make_record(trace, events=[event])
+
+
+def reset_ladder_record():
+    """Detected, flat suboptimal after repair, then an operator reset.
+
+    Detection at 65, a reconfiguration transient, degraded through
+    repair at 120, flat at 60% until the operator resets at 180, a 10 s
+    outage, re-warming until normal at 220.
+    """
+    tracer = Tracer()
+    marker, event = detected_at(65.0)
+    tracer.mark(*marker[:2], marker[2])
+    segments = [(0, 60, 100.0), (60, 65, 1.0), (65, 75, 40.0),
+                (75, 120, 70.0), (120, 130, 85.0), (130, 180, 60.0),
+                (190, 220, 80.0), (220, 300, 100.0)]
+    trace = make_trace(segments, t_inject=60.0, t_repair=120.0, t_end=300.0,
+                       markers=tracer.markers, t_reset=180.0)
+    return make_record(trace, events=[event])
