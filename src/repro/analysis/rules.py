@@ -84,9 +84,8 @@ RULES: Dict[str, Rule] = {
             ),
             allowlist=(
                 "sim/rng.py",  # the registry itself
-                # Workload seed plumbing: these take an explicit derived
-                # seed at the boundary and own no simulation state.
-                "workload/stats.py",
+                # Workload seed plumbing: takes an explicit derived seed
+                # at the boundary and owns no simulation state.
                 "workload/tracefile.py",
             ),
             sim_only=True,

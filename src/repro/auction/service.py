@@ -396,13 +396,13 @@ def build_auction(
             self._target.record_issue(time)
             stats.record_issue(time)
 
-        def record_success(self, time, latency):
-            self._target.record_success(time, latency)
-            stats.record_success(time, latency)
+        def record_success(self, time):
+            self._target.record_success(time)
+            stats.record_success(time)
 
-        def record_failure(self, time, outcome, latency=None):
-            self._target.record_failure(time, outcome, latency=latency)
-            stats.record_failure(time, outcome, latency=latency)
+        def record_failure(self, time, outcome):
+            self._target.record_failure(time, outcome)
+            stats.record_failure(time, outcome)
 
     for op, rate, class_stats, stream in (
         ("read", read_rate, read_stats, "readers"),

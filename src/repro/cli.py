@@ -142,7 +142,7 @@ def cmd_explain(args) -> int:
         render_waterfall,
         spans_digest,
     )
-    from repro.obs.timeline import render_timeline
+    from repro.obs.timeline import render_timeline, throughput_buckets
 
     spec = _version(args.version)
     kind = FaultKind(args.fault)
@@ -179,8 +179,7 @@ def cmd_explain(args) -> int:
     profiler = telemetry.profiler
 
     if args.json:
-        start = max(trace.t_inject - 20.0, 0.0)
-        times, rates = trace.series.bucketize(5.0, start, trace.t_end)
+        times, rates = throughput_buckets(trace)
         print(json.dumps({
             "version": record.version,
             "fault": record.fault,

@@ -15,7 +15,7 @@ so validation uses an explicitly synthetic catalog with compressed MTTFs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -120,7 +120,6 @@ def validate_model(
     version_name: str,
     horizon: float = 7200.0,
     config: Optional[QuantifyConfig] = None,
-    seed: int = 0,
 ) -> ValidationResult:
     """Phase 1 + 2 under the compressed catalog, then measure directly."""
     if config is None:
@@ -134,25 +133,21 @@ def validate_model(
     templates = {}
     normals = []
     for rate in catalog:
-        from dataclasses import replace
-
         campaign = replace(config.campaign, fault_active=rate.mttr)
-        cfg = QuantifyConfig(profile=config.profile, seed=config.seed,
-                             campaign=campaign, environment=config.environment,
-                             fit=config.fit)
-        trace, _ = run_single_fault(spec, rate.kind, cfg)
+        trace, _ = run_single_fault(spec, rate.kind,
+                                    replace(config, campaign=campaign))
         templates[rate.kind] = fitter.fit(trace)
         normals.append(trace.normal_tput)
     normal = sum(normals) / len(normals)
 
-    # Phase 2: the analytic prediction under the same catalog.
-    probe = build_world(spec, config.profile, seed=seed)
+    # Phase 2: the analytic prediction under the same catalog, at the
+    # offered rate of the direct measurement's world.
+    world = build_world(spec, config.profile, seed=config.seed + 1)
     model = AvailabilityModel(catalog, config.environment)
-    predicted = model.evaluate(templates, normal, probe.offered_rate,
+    predicted = model.evaluate(templates, normal, world.offered_rate,
                                version=version_name)
 
     # Direct measurement: random arrivals over the horizon.
-    world = build_world(spec, config.profile, seed=seed + 1)
     rng = world.rngs.stream("faultload")
     log: List[Tuple[float, FaultKind]] = []
     warmup = config.campaign.warmup

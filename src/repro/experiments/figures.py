@@ -10,7 +10,7 @@ text rendering.  The benchmark harness prints these.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.core.model import AvailabilityModel, ModelResult
@@ -295,10 +295,7 @@ def fig9(ev: Evaluation, measure_direct: bool = True) -> FigureOutput:
         for cache_label, cache_files in (("128MB", 120), ("64MB", 60)):
             cfg = ev.config
             if cache_files != cfg.profile.press.cache_files:
-                cfg = QuantifyConfig(
-                    profile=cfg.profile.with_cache_files(cache_files),
-                    seed=cfg.seed, campaign=cfg.campaign,
-                    environment=cfg.environment, fit=cfg.fit)
+                cfg = replace(cfg, profile=cfg.profile.with_cache_files(cache_files))
             direct = quantify_version(spec8, cfg, jobs=ev.jobs)
             rows.append({"config": f"FME-8 {cache_label} (direct)",
                          "unavailability": direct.unavailability})

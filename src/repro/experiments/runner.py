@@ -64,8 +64,6 @@ class World:
     sfme: Optional[SfmeMonitor] = None
     reset_downtime: float = 10.0
     telemetry: Telemetry = field(default_factory=Telemetry)
-    #: master RNG seed the world was built with (flight-record provenance)
-    seed: int = 0
 
     @property
     def markers(self) -> Markers:
@@ -297,5 +295,4 @@ def build_world(
         fme_daemons=fme_daemons,
         sfme=sfme,
         telemetry=telemetry,
-        seed=seed,
     )

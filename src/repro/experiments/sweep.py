@@ -1,7 +1,7 @@
 """Generic parameter-sweep harness.
 
 The ablation benchmarks and any what-if study share one shape: vary one
-or two knobs of a profile/config, rebuild the deployment, run the same
+knob of a profile/config, rebuild the deployment, run the same
 measurement, and tabulate.  :class:`Sweep` packages that shape so a
 study is three lines::
 
@@ -111,15 +111,3 @@ class Sweep:
         rows = [{self.name: value, **metrics}
                 for value, metrics in zip(self.values, results)]
         return SweepResult(self.name, rows)
-
-
-def grid(sweep_a: Sweep, sweep_b: Sweep, measure: Measurement) -> SweepResult:
-    """Two-dimensional sweep (cartesian product of two knobs)."""
-    rows: List[Dict[str, Any]] = []
-    for va in sweep_a.values:
-        for vb in sweep_b.values:
-            profile = sweep_b.apply(sweep_a.apply(sweep_a.base_profile, va), vb)
-            make = QuantifyConfig.quick if sweep_a.quick else QuantifyConfig
-            metrics = measure(make(profile=profile, seed=sweep_a.seed))
-            rows.append({sweep_a.name: va, sweep_b.name: vb, **metrics})
-    return SweepResult(f"{sweep_a.name}x{sweep_b.name}", rows)

@@ -45,12 +45,11 @@ class DiskParams:
 class DiskOp:
     """One read/write: ``done`` triggers when the device completes it."""
 
-    __slots__ = ("size", "done", "submitted_at")
+    __slots__ = ("size", "done")
 
     def __init__(self, env: Environment, size: int):
         self.size = size
         self.done = Event(env)
-        self.submitted_at = env.now
 
 
 class Disk:

@@ -145,14 +145,13 @@ class NodeService:
 class Host:
     """A cluster node: process groups, disks, lifecycle state."""
 
-    __slots__ = ("env", "name", "node_id", "boot_time", "groups", "services",
+    __slots__ = ("env", "name", "node_id", "groups", "services",
                  "disks", "_up", "_frozen", "os", "on_boot_hooks")
 
-    def __init__(self, env: Environment, name: str, node_id: int, boot_time: float = 30.0):
+    def __init__(self, env: Environment, name: str, node_id: int):
         self.env = env
         self.name = name
         self.node_id = node_id
-        self.boot_time = boot_time
         self.groups: Dict[str, ProcGroup] = {}
         self.services: Dict[str, NodeService] = {}
         self.disks: List = []  # populated by hardware.disk.Disk

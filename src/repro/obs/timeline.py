@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.report import format_bar
+from repro.faults.campaign import ExperimentTrace
 from repro.obs.attribution import RESIDUAL_STAGE, AttributionReport, StageAttributor
 from repro.obs.recorder import FlightRecord
 
@@ -33,6 +36,14 @@ _MARKS = (
 )
 
 
+def throughput_buckets(trace: ExperimentTrace) -> Tuple[np.ndarray, np.ndarray]:
+    """The chart's rows as ``(times, rates)``: successes per second in
+    ``_BUCKET``-s buckets from ``_LEAD`` s before the injection to the
+    run's end (``repro explain --json`` reports the same buckets)."""
+    return trace.series.bucketize(_BUCKET, max(trace.t_inject - _LEAD, 0.0),
+                                  trace.t_end)
+
+
 def render_timeline(
     record: FlightRecord,
     report: Optional[AttributionReport] = None,
@@ -45,8 +56,7 @@ def render_timeline(
     if report is None:
         report = StageAttributor().attribute(record)
     trace = record.to_trace()
-    t_start = max(trace.t_inject - _LEAD, 0.0)
-    times, rates = trace.series.bucketize(_BUCKET, t_start, trace.t_end)
+    times, rates = throughput_buckets(trace)
     peak = max(float(rates.max()) if len(rates) else 0.0,
                trace.offered_rate, 1.0)
 

@@ -101,9 +101,8 @@ class PressServer(NodeService):
                  "_sat_last", "pending_fetch", "coop", "links", "loads",
                  "fwd_pending", "_q_spans", "_fwd_spans", "client_pending",
                  "_next_reqid", "_progress", "_progress_at_hb", "_hb_seen",
-                 "_last_hb_sent", "_joined", "_last_rejoin",
-                 "_seen_view_version", "_grace_until", "_warm_mode",
-                 "_warm_streak", "requests_served")
+                 "_last_hb_sent", "_joined", "_last_rejoin", "_grace_until",
+                 "_warm_mode", "_warm_streak", "requests_served")
 
     service_name = "press"
 
@@ -187,7 +186,6 @@ class PressServer(NodeService):
         self._last_hb_sent = -1e18
         self._joined = False
         self._last_rejoin = -1e18
-        self._seen_view_version = -1
         self._grace_until = -1e18
         # Warm-up mode: non-blocking (shedding) sends and no heartbeat-loss
         # exclusions until the cache is demonstrably warm; see

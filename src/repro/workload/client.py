@@ -185,12 +185,11 @@ class ClientPool:
 
     def _fail(self, req: Request, outcome: Outcome) -> None:
         req.expired = True
+        self.stats.record_failure(self.env.now, outcome)
+        self._c_fail[outcome].inc()
         # The give-up latency is a censored sample of the request's true
         # latency; recording it keeps fault-window p99s honest.
-        latency = self.env.now - req.created
-        self.stats.record_failure(self.env.now, outcome, latency=latency)
-        self._c_fail[outcome].inc()
-        self._h_latency_expired.observe(latency)
+        self._h_latency_expired.observe(self.env.now - req.created)
         self._spans.finish(req.ctx, outcome=outcome.value)
         self._tracer.emit(EventKind.REQUEST_FAILED, source="clients",
                           fid=req.fid, outcome=outcome.value)
@@ -265,10 +264,9 @@ class _RequestSteps:
         if req.response.triggered:
             self.deadline.cancel()  # nobody waits on it any more
             now = pool.env.now
-            latency = now - req.created
-            pool.stats.record_success(now, latency)
+            pool.stats.record_success(now)
             pool._c_ok.inc()
-            pool._h_latency.observe(latency)
+            pool._h_latency.observe(now - req.created)
             spans.finish(self.wait, outcome="ok")
             spans.finish(req.ctx, outcome="ok")
         else:

@@ -3,59 +3,16 @@
 Availability in the paper is "the percentage of requests served
 successfully"; throughput is successful requests per second.  The stats
 object therefore records, with timestamps, every issue and every success,
-plus categorized failures.
+plus categorized failures.  Request latency is telemetry: the client
+pool's ``client_request_latency`` histograms.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 from repro.sim.series import ThroughputSeries
-
-
-class LatencyReservoir:
-    """Fixed-size uniform reservoir of response latencies.
-
-    Keeps percentile queries O(k) in memory regardless of run length
-    (Vitter's algorithm R); deterministic given a seed.
-    """
-
-    __slots__ = ("capacity", "_samples", "_seen", "_rng")
-
-    def __init__(self, capacity: int = 4096, seed: int = 0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._samples: list = []
-        self._seen = 0
-        self._rng = np.random.default_rng(seed)
-
-    def add(self, value: float) -> None:
-        self._seen += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(value)
-            return
-        j = int(self._rng.integers(0, self._seen))
-        if j < self.capacity:
-            self._samples[j] = value
-
-    def percentile(self, q: float) -> float:
-        """q in [0, 100]; 0.0 when no samples were recorded."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be in [0, 100]")
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def seen(self) -> int:
-        return self._seen
 
 
 class Outcome(str, enum.Enum):
@@ -68,42 +25,27 @@ class Outcome(str, enum.Enum):
 class RequestStats:
     """Counters + time series for one experiment run."""
 
-    __slots__ = ("issued", "outcomes", "series", "issued_series",
-                 "latency_sum", "latencies", "censored_latencies")
+    __slots__ = ("issued", "outcomes", "series", "issued_series")
 
     def __init__(self) -> None:
         self.issued = 0
         self.outcomes: Dict[Outcome, int] = {o: 0 for o in Outcome}
         self.series = ThroughputSeries("success")  # successful completions
         self.issued_series = ThroughputSeries("issued")
-        self.latency_sum = 0.0
-        self.latencies = LatencyReservoir()
-        # Censored samples: the give-up latency of failed requests (time
-        # until the client abandoned them).  Kept in a separate reservoir
-        # so the success percentiles stay comparable with earlier runs,
-        # while tail queries during faults can avoid survivorship bias.
-        self.censored_latencies = LatencyReservoir(seed=1)
 
     # -- recording ----------------------------------------------------------
     def record_issue(self, time: float) -> None:
         self.issued += 1
         self.issued_series.record(time)
 
-    def record_success(self, time: float, latency: float) -> None:
+    def record_success(self, time: float) -> None:
         self.outcomes[Outcome.SUCCESS] += 1
-        self.latency_sum += latency
-        self.latencies.add(latency)
         self.series.record(time)
 
-    def record_failure(self, time: float, outcome: Outcome,
-                       latency: Optional[float] = None) -> None:
-        """Count a failed request; ``latency`` (when known) is the
-        censored give-up latency — time from issue to abandonment."""
+    def record_failure(self, time: float, outcome: Outcome) -> None:
         if outcome is Outcome.SUCCESS:
             raise ValueError("use record_success for successes")
         self.outcomes[outcome] += 1
-        if latency is not None:
-            self.censored_latencies.add(latency)
 
     # -- summary -------------------------------------------------------------
     @property
@@ -122,17 +64,6 @@ class RequestStats:
         """Fraction of completed requests that succeeded."""
         done = self.completed
         return self.succeeded / done if done else 1.0
-
-    def mean_latency(self) -> float:
-        return self.latency_sum / self.succeeded if self.succeeded else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        """Approximate latency percentile from the success reservoir."""
-        return self.latencies.percentile(q)
-
-    def censored_latency_percentile(self, q: float) -> float:
-        """Give-up latency percentile of failed (expired) requests."""
-        return self.censored_latencies.percentile(q)
 
     def window(self, t0: float, t1: float) -> Dict[str, float]:
         """Issue/success counts and rates within [t0, t1)."""

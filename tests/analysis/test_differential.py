@@ -96,7 +96,7 @@ class LeakyWorld:
             for _ in range(n):
                 yield env.timeout(1.0)
                 stats.record_issue(env.now)
-                stats.record_success(env.now, 0.01)
+                stats.record_success(env.now)
 
         env.process(client())
         env.run(until=10.0)

@@ -125,6 +125,12 @@ class TestScopeAndAllowlist:
         flagged = lint_source(src, "src/repro/sim/kernel.py").findings
         assert [f.rule for f in flagged] == ["REP002"]
 
+    def test_request_stats_is_not_allowlisted(self):
+        src = ("import numpy as np\n\n\n"
+               "def stream(seed):\n    return np.random.default_rng(seed)\n")
+        flagged = lint_source(src, "src/repro/workload/stats.py").findings
+        assert [f.rule for f in flagged] == ["REP002"]
+
     def test_workload_seed_plumbing_allowlisted(self):
         for sfx in RULES["REP002"].allowlist:
             assert path_is_sim_scope(f"src/repro/{sfx}") or sfx == "sim/rng.py"

@@ -4,6 +4,7 @@ benchmarks/test_model_validation.py)."""
 import numpy as np
 import pytest
 
+from repro.core import validation
 from repro.core.validation import (
     VALIDATION_ENVIRONMENT,
     ValidationResult,
@@ -11,12 +12,14 @@ from repro.core.validation import (
     validation_catalog,
 )
 from repro.core.model import ModelResult
+from repro.core.quantify import QuantifyConfig
 from repro.faults.faultload import FaultCatalog, FaultRate
 from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultComponent, FaultKind
 from repro.hardware.host import Host
 from repro.obs.telemetry import Telemetry
 from repro.sim.series import ThroughputSeries
+from tests.obs.synth import standard_detected_record
 
 
 class TestValidationCatalog:
@@ -116,3 +119,27 @@ class TestFaultLoadDriver:
         )
         assert result.ratio == pytest.approx(2.0)
         assert result.measured_unavailability == pytest.approx(0.02)
+
+
+def test_validate_model_measures_on_the_config_seed(monkeypatch):
+    """Phase 1 runs under ``config.seed``; the one world validation builds
+    is the direct measurement's, on ``config.seed + 1``."""
+    trace = standard_detected_record().to_trace()
+    phase1_seeds, world_seeds = [], []
+
+    def run_single_fault(spec, kind, config):
+        phase1_seeds.append(config.seed)
+        return trace, None
+
+    build_world = validation.build_world
+
+    def recording_build_world(spec, profile, seed=0, **kwargs):
+        world_seeds.append(seed)
+        return build_world(spec, profile, seed=seed, **kwargs)
+
+    monkeypatch.setattr(validation, "run_single_fault", run_single_fault)
+    monkeypatch.setattr(validation, "build_world", recording_build_world)
+    config = QuantifyConfig.quick(seed=5, environment=VALIDATION_ENVIRONMENT)
+    validation.validate_model("INDEP", horizon=30.0, config=config)
+    assert set(phase1_seeds) == {5}
+    assert world_seeds == [6]

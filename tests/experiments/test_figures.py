@@ -1,5 +1,7 @@
 """Figure plumbing, tested against stubbed quantifications (no campaigns)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.model import AvailabilityModel, EnvironmentParams
@@ -112,6 +114,23 @@ class TestFigurePlumbing:
                           "FME-16 (scaled model)"]
         u = [r["unavailability"] for r in out.rows]
         assert all(x > 0 for x in u)
+
+    def test_fig9_direct_rows_keep_the_config(self, ev, monkeypatch):
+        """The direct 8-node rows quantify under the evaluation's config
+        with only the cache size changed, so a kinds restriction holds."""
+        ev.config = replace(ev.config, kinds=(FaultKind.NODE_CRASH,))
+        seen = []
+
+        def quantify(spec, config, jobs=1):
+            seen.append((spec.n_nodes, config))
+            return make_va("FME")
+
+        monkeypatch.setattr(figures, "quantify_version", quantify)
+        figures.fig9(ev)
+        assert [n for n, _ in seen] == [8, 8]
+        assert [c.profile.press.cache_files for _, c in seen] == [120, 60]
+        assert [replace(c, profile=ev.config.profile) for _, c in seen] == \
+            [ev.config, ev.config]
 
     def test_fig10_scaling_growth(self, ev):
         out = figures.fig10(ev)

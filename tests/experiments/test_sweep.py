@@ -5,15 +5,11 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.profiles import SMALL
-from repro.experiments.sweep import Sweep, SweepResult, grid
+from repro.experiments.sweep import Sweep, SweepResult
 
 
 def cache_knob(profile, value):
     return replace(profile, press=profile.press.with_(cache_files=value))
-
-
-def rate_knob(profile, value):
-    return replace(profile, coop_rate=value)
 
 
 def fake_measure(config):
@@ -76,19 +72,3 @@ class TestSweep:
         parallel = sweep.run(fake_measure, jobs=2)
         assert parallel.rows == serial.rows
         assert parallel.text() == serial.text()
-
-
-class TestGrid:
-    def test_cartesian_product(self):
-        a = Sweep("cache", [60, 120], cache_knob)
-        b = Sweep("rate", [100.0, 200.0], rate_knob)
-        result = grid(a, b, fake_measure)
-        assert len(result.rows) == 4
-        combos = {(r["cache"], r["rate"]) for r in result.rows}
-        assert combos == {(60, 100.0), (60, 200.0), (120, 100.0), (120, 200.0)}
-
-    def test_grid_text(self):
-        a = Sweep("cache", [60], cache_knob)
-        b = Sweep("rate", [100.0], rate_knob)
-        text = grid(a, b, fake_measure).text()
-        assert "cache" in text and "rate" in text

@@ -61,6 +61,9 @@ def test_explain_json_keys():
         ("COOP", "node_crash", "n1", 0)
     assert set(doc["timeline"]) == set(TIMELINE_FIELDS)
     assert len(doc["throughput"]["times"]) == len(doc["throughput"]["rates"])
+    # the same buckets as the text chart, which leads the injection by 15 s
+    assert doc["throughput"]["times"][0] == \
+        max(doc["timeline"]["t_inject"] - 15.0, 0.0)
     assert doc["attribution"]["coverage"] >= 0.95
     assert doc["budget"]["lines"]
     assert doc["blame"]["requests"] > 0 and doc["blame"]["spans_digest"]

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.experiments.configs import version
+from repro.experiments.profiles import SMALL
+from repro.experiments.runner import build_world
+from repro.faults.types import FaultKind
 from repro.hardware.host import Host, NodeService
 from repro.obs.kernelprof import callback_owner
+from repro.obs.telemetry import Telemetry
 from repro.sim.process import Process
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import Outcome, RequestStats
@@ -62,12 +67,11 @@ class TestStats:
         stats = RequestStats()
         stats.record_issue(0.0)
         stats.record_issue(1.0)
-        stats.record_success(1.5, latency=1.5)
+        stats.record_success(1.5)
         stats.record_failure(2.0, Outcome.REQUEST_TIMEOUT)
         assert stats.issued == 2
         assert stats.succeeded == 1 and stats.failed == 1
         assert stats.availability() == 0.5
-        assert stats.mean_latency() == 1.5
 
     def test_record_success_via_failure_rejected(self):
         stats = RequestStats()
@@ -79,13 +83,31 @@ class TestStats:
         for t in range(10):
             stats.record_issue(float(t))
             if t % 2 == 0:
-                stats.record_success(float(t) + 0.1, 0.1)
+                stats.record_success(float(t) + 0.1)
         win = stats.window(0.0, 10.0)
         assert win["issued"] == 10 and win["succeeded"] == 5
         assert win["availability"] == 0.5
 
     def test_empty_availability_is_one(self):
         assert RequestStats().availability() == 1.0
+
+
+class TestLatencyRecord:
+    def test_histograms_sample_every_completed_request(self):
+        """The client's latency histograms are the run's latency record:
+        one sample per success, one give-up sample per failure."""
+        telemetry = Telemetry()
+        world = build_world(version("INDEP"), SMALL, telemetry=telemetry)
+        world.env.run(until=80.0)
+        fault = world.injector.inject(FaultKind.APP_CRASH, "n1")
+        world.env.run(until=110.0)
+        world.injector.repair(fault)
+        world.env.run(until=140.0)
+        stats, metrics = world.stats, telemetry.metrics
+        assert stats.succeeded > 0 and stats.failed > 0
+        assert metrics.get("client_request_latency").count == stats.succeeded
+        assert metrics.get("client_request_latency",
+                           outcome="expired").count == stats.failed
 
 
 class EchoBackend(NodeService):
