@@ -8,6 +8,7 @@ model under the bookstore's fault catalog.
 
 from repro.bookstore import build_bookstore
 from repro.core.model import AvailabilityModel, EnvironmentParams
+from repro.core.report import format_model_result
 from repro.core.template import TemplateFitter
 from repro.faults.campaign import CampaignConfig, SingleFaultCampaign
 from repro.faults.types import FaultKind
@@ -37,12 +38,9 @@ def quantify_bookstore(db_faults: bool):
     return result, templates
 
 
-def test_bookstore_availability_quantified(benchmark):
-    result, templates = benchmark.pedantic(
-        lambda: quantify_bookstore(db_faults=True), rounds=1, iterations=1)
+def test_bookstore_availability_quantified():
+    result, templates = quantify_bookstore(db_faults=True)
     print()
-    from repro.core.report import format_model_result
-
     print(format_model_result(result))
     # Failover makes db-node crashes short outages: availability stays high.
     assert result.availability > 0.995
@@ -56,9 +54,8 @@ def test_bookstore_availability_quantified(benchmark):
     assert scsi.stage("C").throughput < 0.6 * scsi.normal_tput
 
 
-def test_bookstore_app_tier_faults_are_cheaper(benchmark):
-    result, templates = benchmark.pedantic(
-        lambda: quantify_bookstore(db_faults=False), rounds=1, iterations=1)
+def test_bookstore_app_tier_faults_are_cheaper():
+    result, templates = quantify_bookstore(db_faults=False)
     print(f"\napp-tier fault load: availability {result.availability:.5f}")
     # App-tier nodes are replicated and stateless: crashes barely dent
     # the service compared to database faults.

@@ -14,13 +14,9 @@ from repro.core.validation import validate_model
 
 
 @pytest.mark.parametrize("version_name", ["COOP", "FME"])
-def test_model_predicts_measured_availability(benchmark, version_name):
+def test_model_predicts_measured_availability(version_name):
     horizon = 2400.0 if os.environ.get("REPRO_QUICK") else 7200.0
-
-    result = benchmark.pedantic(
-        lambda: validate_model(version_name, horizon=horizon),
-        rounds=1, iterations=1,
-    )
+    result = validate_model(version_name, horizon=horizon)
     print(f"\n{version_name}: predicted availability "
           f"{result.predicted_availability:.4f}, measured "
           f"{result.measured_availability:.4f} over {result.horizon:.0f}s "

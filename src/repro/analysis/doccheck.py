@@ -3,13 +3,14 @@
 Documentation rots faster than code: a renamed file, a retired CLI
 subcommand, or a renumbered lint rule silently turns README examples
 into lies.  This pass makes the docs layer self-verifying — every
-*checkable* reference in the markdown corpus (``README.md``,
-``ARTIFACTS.md``, ``docs/*.md``) is resolved against the tree:
+*checkable* reference in the markdown corpus (``README.md``, ``ARTIFACTS.md``,
+``DESIGN.md``, ``EXPERIMENTS.md``, ``docs/*.md``) is resolved against the tree:
 
 * **file paths** in inline code spans, fenced command lines, and
   markdown link targets must exist — resolved against the repo root,
   the referencing document's directory, and ``src``/``src/repro`` (so
-  ``press/server.py`` and ``src/repro/press/server.py`` both resolve).
+  ``press/server.py`` and ``src/repro/press/server.py`` both resolve;
+  a pytest id ``path::test`` resolves its path).
   Paths under ``results/`` are generated at run time and are skipped;
   placeholder tokens (``<version>``, globs, ``$VAR``) are skipped.
 * **CLI subcommands** — ``repro X`` / ``python -m repro X`` — must be
@@ -34,7 +35,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: documents scanned by default (relative to the repo root)
-DOC_GLOBS: Tuple[str, ...] = ("README.md", "ARTIFACTS.md", "docs/*.md")
+DOC_GLOBS: Tuple[str, ...] = ("README.md", "ARTIFACTS.md", "DESIGN.md",
+                              "EXPERIMENTS.md", "docs/*.md")
 
 #: report layout version (the ``docs-check`` artifact)
 DOCCHECK_SCHEMA = 1
@@ -174,7 +176,7 @@ class _DocScanner:
 
     def _check_path(self, line: int, token: str,
                     category: str = "path") -> None:
-        token = token.rstrip(".,;:")
+        token = token.split("::")[0].rstrip(".,;:")
         if not _is_pathlike(token):
             return
         if token.startswith("results/") or token.startswith("/"):

@@ -21,7 +21,6 @@ from repro.artifacts.manifest import (
     Manifest,
     compare_deterministic,
     format_manifest,
-    read_manifest,
     sha256_file,
     write_manifest,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ReproduceError",
     "compare_deterministic",
     "format_manifest",
-    "read_manifest",
     "reproduce_all",
     "select",
     "sha256_file",

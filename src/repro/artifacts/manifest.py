@@ -9,8 +9,8 @@ artifact carrying
 * whether the artifact is *digest-backed* (``deterministic: true`` —
   two runs on the same tree must produce byte-identical outputs) or
   host-dependent (bench wall times, speedups),
-* the committed baseline it is checked against under ``--check`` and
-  the drift messages, if any,
+* its committed baseline, if any, and the drift messages ``--check``
+  found (baseline drift, or the paper claims a figure breaks),
 
 plus run-level provenance (git SHA + dirty flag, host fingerprint,
 python/cpu, timestamp — the same stamp ``perfbench`` records carry,
@@ -86,23 +86,6 @@ class ArtifactRecord:
             "drift": self.drift,
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ArtifactRecord":
-        return cls(
-            name=doc["name"],
-            description=doc.get("description", ""),
-            kind=doc.get("kind", "report"),
-            deterministic=bool(doc.get("deterministic", False)),
-            status=doc.get("status", "skipped"),
-            paper_ref=doc.get("paper_ref"),
-            baseline=doc.get("baseline"),
-            wall_seconds=float(doc.get("wall_seconds", 0.0)),
-            outputs=dict(doc.get("outputs", {})),
-            details=dict(doc.get("details", {})),
-            error=doc.get("error"),
-            drift=list(doc["drift"]) if doc.get("drift") is not None else None,
-        )
-
 
 @dataclass
 class Manifest:
@@ -157,23 +140,6 @@ class Manifest:
                           for name, a in sorted(self.artifacts.items())},
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Manifest":
-        schema = doc.get("schema")
-        if schema != MANIFEST_SCHEMA:
-            raise ValueError(f"unsupported manifest schema {schema!r} "
-                             f"(this build reads schema {MANIFEST_SCHEMA})")
-        return cls(
-            provenance=dict(doc.get("provenance", {})),
-            mode=doc.get("mode", "quick"),
-            jobs=int(doc.get("jobs", 1)),
-            only=doc.get("only"),
-            checked=bool(doc.get("summary", {}).get("checked", False)),
-            out_dir=doc.get("out_dir", "results/reproduce"),
-            artifacts={name: ArtifactRecord.from_dict(a)
-                       for name, a in doc.get("artifacts", {}).items()},
-        )
-
 
 def write_manifest(manifest: Manifest,
                    path: Union[str, Path] = DEFAULT_MANIFEST) -> Path:
@@ -183,11 +149,6 @@ def write_manifest(manifest: Manifest,
         json.dump(manifest.to_dict(), fp, indent=2, sort_keys=True)
         fp.write("\n")
     return p
-
-
-def read_manifest(path: Union[str, Path]) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fp:
-        return Manifest.from_dict(json.load(fp))
 
 
 def compare_deterministic(a: Manifest, b: Manifest) -> List[str]:

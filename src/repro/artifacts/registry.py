@@ -4,8 +4,8 @@ Each :class:`Artifact` names one deliverable — a paper figure/table, a
 ``BENCH_*`` baseline document, an analysis report — together with the
 callable that regenerates it, the output files it writes (relative to
 the run's output directory, ``results/reproduce/`` by default), whether
-its bytes are deterministic on a fixed tree, the committed baseline it
-is diffed against under ``--check``, and the paper figure it serves.
+its bytes are deterministic on a fixed tree, what ``--check`` judges
+(a committed baseline or the paper's claims), and the figure it serves.
 ``ARTIFACTS.md`` documents the same set for humans, and a test asserts
 the two stay in sync.
 
@@ -15,14 +15,15 @@ in ``ARTIFACTS.md``):
 * figures/tables run in-process through a shared
   :class:`~repro.experiments.figures.Evaluation` cache so versions
   quantified by several figures are measured once; ``--jobs N`` fans
-  their campaign cells over the PR-5 parallel executor;
+  their campaign cells over the parallel executor; ``--check`` judges
+  their rows by the paper's claims (``figures.broken_claims``);
 * bench documents run a pinned measurement (explicit windows and seed,
   whatever ``REPRO_QUICK`` says), so a ``--check`` diff here means the
   committed baseline genuinely drifted; ``reproduce-all --check`` is
   the only path that regenerates and checks them;
 * the lint report shells out to the real ``repro lint`` CLI (the same
   invocation CI uses), keeping the registry honest about what the
-  documented command produces.
+  documented command produces; a non-zero exit fails the artifact.
 
 Comparison semantics under ``--check`` follow the repo convention:
 digest-backed outputs are compared exactly or value-exactly, while
@@ -67,6 +68,8 @@ class ReproduceContext:
     baseline_root: Path = Path(".")
     progress: Optional[Callable[[str], None]] = None
     _evaluation: Any = field(default=None, repr=False)
+    #: name -> the FigureOutput this run wrote, for the figure's check
+    figures: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     def say(self, message: str) -> None:
         if self.progress is not None:
@@ -100,7 +103,7 @@ class Artifact:
     deterministic: bool
     paper_ref: Optional[str] = None
     baseline: Optional[str] = None   # repo-relative committed document
-    #: returns drift messages against the committed baseline (``--check``)
+    #: drift messages under ``--check``: baseline drift or broken claims
     check: Optional[Callable[[ReproduceContext, "Artifact"], List[str]]] = None
 
 
@@ -133,9 +136,16 @@ def _gen_figure(fig_name: str):
         else:
             figure = ALL_FIGURES[fig_name](ev)
         write_figure(figure, ctx.out_dir / "figures")
+        ctx.figures[fig_name] = figure
         return {"title": figure.title, "rows": len(figure.rows)}
 
     return generate
+
+
+def _check_figure(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
+    from repro.experiments.figures import broken_claims
+
+    return broken_claims(ctx.figures[artifact.name])
 
 
 #: registry entries for the paper's evaluation section
@@ -313,8 +323,7 @@ def _check_parallel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
 # analysis reports (the lint report runs through the real CLI, as CI runs it)
 
 
-def _run_cli(ctx: ReproduceContext, args: Sequence[str],
-             ok_codes: Tuple[int, ...] = (0,)) -> None:
+def _run_cli(ctx: ReproduceContext, args: Sequence[str]) -> None:
     """Run ``python -m repro ...`` as a subprocess with ``src`` importable
     (works from a bare checkout — no editable install required)."""
     import repro
@@ -326,7 +335,7 @@ def _run_cli(ctx: ReproduceContext, args: Sequence[str],
     proc = subprocess.run([sys.executable, "-m", "repro", *args],
                           capture_output=True, text=True, env=env,
                           check=False)
-    if proc.returncode not in ok_codes:
+    if proc.returncode != 0:
         tail = (proc.stderr.strip() or proc.stdout.strip())[-500:]
         raise ReproduceError(
             f"`repro {' '.join(args)}` exited {proc.returncode}: {tail}")
@@ -340,17 +349,6 @@ def _gen_lint(ctx: ReproduceContext) -> Dict[str, Any]:
     doc = _load_json(out)
     return {"files_scanned": doc.get("files_scanned"),
             "errors": doc.get("errors"), "warnings": doc.get("warnings")}
-
-
-def _check_lint_clean(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
-    doc = _load_json(ctx.out_dir / artifact.outputs[0])
-    messages: List[str] = []
-    if doc.get("errors"):
-        messages.append(f"{doc['errors']} lint error(s) on the tree")
-    if doc.get("warnings"):
-        messages.append(f"{doc['warnings']} lint warning(s) on the tree "
-                        f"(strict gate)")
-    return messages
 
 
 def _gen_sanitize(ctx: ReproduceContext) -> Dict[str, Any]:
@@ -398,6 +396,7 @@ def _registry() -> Dict[str, Artifact]:
             outputs=(f"figures/{name}.txt", f"figures/{name}.csv"),
             deterministic=True,
             paper_ref=ref,
+            check=_check_figure,
         ))
     entries.append(Artifact(
         name="bench-availability",
@@ -430,7 +429,6 @@ def _registry() -> Dict[str, Artifact]:
         generate=_gen_lint,
         outputs=("reprolint.json",),
         deterministic=True,
-        check=_check_lint_clean,
     ))
     entries.append(Artifact(
         name="sanitize",

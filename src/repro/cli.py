@@ -17,8 +17,9 @@ Commands
     table), this fault's unavailability budget, the tail-latency blame
     per fault phase, and the per-layer wall split; ``--json`` for
     machines, ``--out RECORD`` also saves the flight record.
-``figure NAME``
-    Regenerate one of the paper's figures/tables (fig1a..fig10, table1/2).
+``reproduce-all [--only GLOB] [--check]``
+    Regenerate the registered artifacts, the paper's figures and tables
+    among them; ``--check`` judges each by its claims or its baseline.
 ``validate VERSION``
     Empirical model validation under a random fault load.
 ``lint [PATH ...]``
@@ -217,19 +218,6 @@ def cmd_explain(args) -> int:
     print(_section("wall"))
     print("span recording was on: absolute times include its cost")
     print(profiler.report())
-    return 0
-
-
-def cmd_figure(args) -> int:
-    from repro.experiments.figures import ALL_FIGURES, Evaluation
-
-    fig_fn = ALL_FIGURES.get(args.name)
-    if fig_fn is None:
-        print(f"unknown figure {args.name!r}; choose from {sorted(ALL_FIGURES)}",
-              file=sys.stderr)
-        return 2
-    ev = Evaluation(_config(args))
-    print(fig_fn(ev))
     return 0
 
 
@@ -545,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, json_flag=True)
     p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("figure", help="regenerate a paper figure/table")
-    p.add_argument("name")
-    _add_common(p)
-    p.set_defaults(fn=cmd_figure)
-
     p = sub.add_parser("validate", help="empirical model validation")
     p.add_argument("version")
     p.add_argument("--horizon", type=float, default=7200.0)
@@ -577,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standalone docs cross-reference pass: every "
                         "path, CLI subcommand, make target, BENCH_* "
                         "document, and rule id referenced in README.md/"
-                        "ARTIFACTS.md/docs/*.md must exist")
+                        "ARTIFACTS.md/DESIGN.md/EXPERIMENTS.md/docs/*.md "
+                        "must exist")
     p.add_argument("--docs-root", default=".", metavar="DIR",
                    help="repo root the docs corpus is resolved against "
                         "(default: .)")

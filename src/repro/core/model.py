@@ -146,8 +146,9 @@ class AvailabilityModel:
             fault_throughput += f_i * avg_tput
             # Unavailability attributable to this fault class: requests
             # offered while degraded that are not served (relative to the
-            # fault-free service level).
-            u_i = f_i * max(normal_tput - avg_tput, 0.0) / offered_rate
+            # fault-free service level), signed as in AT so that the
+            # classes sum to 1 - AA whenever AA < 1.
+            u_i = f_i * (normal_tput - avg_tput) / offered_rate
             contributions.append(
                 FaultContribution(
                     kind=rate.kind,

@@ -1,10 +1,10 @@
 """Artifact persistence: write reproduced figures/tables to disk.
 
-The benchmark harness (and the CLI) can persist every
+``repro reproduce-all`` persists every
 :class:`~repro.experiments.figures.FigureOutput` as a text rendering plus
-a machine-readable CSV, so runs leave a reviewable record under
-``results/`` — the shape a downstream user expects from an experiments
-repository.
+a machine-readable CSV under ``results/reproduce/figures/``, so runs
+leave a reviewable record — the shape a downstream user expects from an
+experiments repository.
 """
 
 from __future__ import annotations

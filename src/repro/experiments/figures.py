@@ -4,14 +4,16 @@ Every table and figure of the paper's evaluation has a function here that
 runs the necessary experiments (through a shared :class:`Evaluation`
 cache, since several figures reuse the same version quantifications) and
 returns a :class:`FigureOutput` with structured rows plus a printable
-text rendering.  The benchmark harness prints these.
+text rendering, and :func:`broken_claims` judges those rows against the
+paper's claims.  ``repro reproduce-all`` (:mod:`repro.artifacts`) is the
+one path that runs them.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.model import AvailabilityModel, ModelResult
 from repro.core.predictions import predict_templates
@@ -45,9 +47,8 @@ class FigureOutput:
 class Evaluation:
     """Shared cache of quantifications for one configuration."""
 
-    def __init__(self, config: Optional[QuantifyConfig] = None,
-                 jobs: int = 1):
-        self.config = config or QuantifyConfig.from_env()
+    def __init__(self, config: QuantifyConfig, jobs: int = 1):
+        self.config = config
         self.jobs = max(1, int(jobs))
         self._va: Dict[str, VersionAvailability] = {}
         self._ff: Dict[str, dict] = {}
@@ -384,7 +385,7 @@ def table2(ev: Evaluation) -> FigureOutput:
                         "\n".join(lines))
 
 
-#: registry used by the benchmark harness
+#: name -> figure function, read by the artifact registry
 ALL_FIGURES: Dict[str, Callable[[Evaluation], FigureOutput]] = {
     "fig1a": fig1a,
     "fig1b": fig1b,
@@ -398,3 +399,156 @@ ALL_FIGURES: Dict[str, Callable[[Evaluation], FigureOutput]] = {
     "table1": table1,
     "table2": table2,
 }
+
+
+# ---------------------------------------------------------------------------
+# The paper's claims, judged on each figure's rows (``reproduce-all --check``)
+# ---------------------------------------------------------------------------
+
+def _by(rows: List[dict], key: str, value: str = "unavailability") -> dict:
+    return {r[key]: r[value] for r in rows}
+
+
+def _fig1a_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    t, u = _by(rows, "version", "throughput"), _by(rows, "version")
+    return [
+        (t["COOP"] > 2.0 * t["INDEP"], "COOP serves over 2x INDEP's throughput (paper ~3x)"),
+        (u["COOP"] > 3.0 * u["INDEP"], "COOP is over 3x as unavailable as INDEP (paper ~10x)"),
+        (u["FE-X-INDEP"] <= 1.5 * u["INDEP"], "FE-X-INDEP is at most 1.5x as unavailable as INDEP"),
+    ]
+
+
+def _fig1b_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    u = _by(rows, "config")
+    return [
+        (u["HW"] > 0.5 * u["COOP"], "HW keeps over half of COOP's unavailability"),
+        (u["SW"] < u["COOP"], "SW is less unavailable than COOP"),
+        (u["SW+HW"] < u["HW"], "SW+HW is less unavailable than HW"),
+        (u["SW+HW"] < 0.2 * u["COOP"], "SW+HW cuts over 80% of COOP's unavailability"),
+    ]
+
+
+def _fig2_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    s = {r["stage"]: r for r in rows}
+    return [
+        (s["A"]["duration"] > 0, "stage A (undetected) lasts"),
+        (s["C"]["duration"] > 0, "stage C (degraded until repair) lasts"),
+        (s["C"]["provenance"] == "supplied", "stage C's duration is supplied from the MTTR"),
+        (sum(r["duration"] for r in rows) > 3600.0, "the template outlasts the 1 h SCSI MTTR"),
+    ]
+
+
+def _fig4_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    rates = [r["rate"] for r in rows]
+    peak, mid = max(rates), rates[len(rates) // 2]
+    return [
+        (min(rates) < 0.05 * peak, "throughput drops under 5% of peak while undetected (paper ~0)"),
+        (0.2 * peak < mid < 0.9 * peak, "mid-run throughput is 20-90% of peak (paper: partial)"),
+    ]
+
+
+def _fig6_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    u = _by(rows, "config")
+    return [
+        (u["RAID+switch"] < u["COOP"], "RAID+switch is less unavailable than COOP (paper -25%)"),
+        (u["RAID+switch"] > 0.5 * u["COOP"], "RAID+switch is over half as unavailable as COOP"),
+        (u["All HW"] <= u["FE-X"], "All HW is at most as unavailable as FE-X"),
+    ]
+
+
+def _fig7_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    m = _by(rows, "version", "measured_unavail")
+    p = _by(rows, "version", "predicted_unavail")
+    k = _by(rows, "version", "by_kind")
+    claims = [
+        (1 - m["MQ"] / m["COOP"] > 0.75, "MQ cuts over 75% of COOP's unavailability (paper 87%)"),
+        (1 - m["FME"] / m["COOP"] > 0.85, "FME cuts over 85% of COOP's unavailability (paper 94%)"),
+        (m["FME"] <= m["MQ"] * 1.1, "FME is at most 1.1x as unavailable as MQ"),
+    ]
+    claims += [(m[v] > 1.5 * m["FME"], f"{v} is over 1.5x as unavailable as FME")
+               for v in ("FE-X", "MEM", "QMON")]
+    for v in ("MEM", "MQ", "FME"):
+        claims += [(p[v] < m["COOP"], f"{v} predicted from COOP is below COOP"),
+                   (p[v] / m[v] < 5 and m[v] / p[v] < 5,
+                    f"{v} predicted from COOP is within 5x of its measurement")]
+    mem, qmon, fme, coop = k["MEM"], k["QMON"], k["FME"], k["COOP"]
+    return claims + [
+        (mem["scsi_timeout"] > qmon["scsi_timeout"], "MEM's scsi_timeout share exceeds QMON's"),
+        (mem["node_crash"] < coop["node_crash"], "MEM's node_crash share is below COOP's"),
+        (mem["node_freeze"] < coop["node_freeze"], "MEM's node_freeze share is below COOP's"),
+        (qmon["node_freeze"] > qmon["node_crash"], "QMON's node_freeze share exceeds node_crash's"),
+        (fme["app_hang"] < 0.5 * qmon["app_hang"], "FME's app_hang share is under 0.5x QMON's"),
+        (fme["app_hang"] < 0.2 * coop["app_hang"], "FME's app_hang share is under 0.2x COOP's"),
+    ]
+
+
+def _fig8_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    u, k = _by(rows, "config"), _by(rows, "config", "by_kind")
+    sfme, fme, cmon = k["S-FME"], k["FME"], k["C-MON"]
+    non_disk = sum(v for kind, v in k["X-SW"].items() if kind != "scsi_timeout")
+    return [
+        (u["S-FME"] <= u["FME"] * 1.2, "S-FME is at most 1.2x as unavailable as FME (paper 0.6x)"),
+        (sfme["link_down"] <= fme["link_down"], "S-FME's link_down share is at most FME's"),
+        (cmon["app_crash"] < 0.8 * fme["app_crash"], "C-MON's app_crash share is under 0.8x FME's"),
+        (u["C-MON"] <= u["FME"] * 1.25, "C-MON is at most 1.25x as unavailable as FME"),
+        (u["X-SW"] <= u["C-MON"], "X-SW is at most as unavailable as C-MON"),
+        (_by(rows, "config", "availability")["X-SW"] > 0.9995,
+         "X-SW is over 99.95% available (paper 99.98%)"),
+        (u["X-SW-RAID"] <= u["X-SW"], "X-SW-RAID is at most as unavailable as X-SW"),
+        (u["X-SW-RAID"] >= 0.9 * non_disk,
+         "X-SW-RAID keeps at least 90% of X-SW's non-disk unavailability"),
+    ]
+
+
+def _fig9_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    u = _by(rows, "config")
+    base, scaled8 = u["FME-4 (measured)"], u["FME-8 (scaled model)"]
+    claims = [(scaled8 < 3.0 * base, "scaled FME-8 is under 3x FME-4 (paper: flat)"),
+              (u["FME-16 (scaled model)"] < 4.0 * base,
+               "scaled FME-16 is under 4x FME-4 (paper: flat)")]
+    if "FME-8 128MB (direct)" in u:  # the direct rows are full-length only
+        direct = u["FME-8 128MB (direct)"]
+        claims += [(0.2 < scaled8 / max(direct, 1e-9) < 5.0,
+                    "scaled FME-8 is within 5x of the direct 128MB run (paper 25%)"),
+                   (u["FME-8 64MB (direct)"] >= 0.8 * direct,
+                    "direct FME-8 at 64MB is at least 0.8x as unavailable as at 128MB")]
+    return claims
+
+
+def _fig10_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    u = _by(rows, "config")
+    return [(u[big] > 1.5 * u[small], f"{big} is over 1.5x as unavailable as {small} (paper 2x)")
+            for small, big in (("COOP-4", "COOP-8"), ("COOP-8", "COOP-16"))]
+
+
+def _table1_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    r = {row["fault"]: row for row in rows}
+    return [
+        (r["node crash"]["mttf_days"] == 14.0, "node crashes have a 14-day MTTF"),
+        (r["scsi timeout"]["count"] == 8, "eight disks can time out"),
+        (r["internal switch"]["mttr_minutes"] == 60.0, "the internal switch repairs in 60 min"),
+        (len(rows) == 8, "the table lists eight fault classes"),
+    ]
+
+
+def _table2_claims(rows: List[dict]) -> List[Tuple[bool, str]]:
+    full = {r["enhancement"]: r for r in rows}["Queue Monitoring + Membership + FME"]
+    ncsls = [r["ncsl"] for r in rows]
+    return [
+        (full["ncsl"] < 2500, "all three techniques take under 2500 NCSL (paper 1638)"),
+        (full["reduction"] > 0.85, "all three cut over 85% of COOP's unavailability (paper 94%)"),
+        (ncsls == sorted(ncsls), "effort grows down the table"),
+    ]
+
+
+_CLAIMS: Dict[str, Callable[[List[dict]], List[Tuple[bool, str]]]] = {
+    "fig1a": _fig1a_claims, "fig1b": _fig1b_claims, "fig2": _fig2_claims,
+    "fig4": _fig4_claims, "fig6": _fig6_claims, "fig7": _fig7_claims,
+    "fig8": _fig8_claims, "fig9": _fig9_claims, "fig10": _fig10_claims,
+    "table1": _table1_claims, "table2": _table2_claims,
+}
+
+
+def broken_claims(figure: FigureOutput) -> List[str]:
+    """The paper claims ``figure``'s rows break, by name (none: all hold)."""
+    return [claim for holds, claim in _CLAIMS[figure.name](figure.rows) if not holds]

@@ -61,6 +61,15 @@ class TestStaleReferences:
                               "bench", "link"}
         assert not result.ok
 
+    def test_pytest_ids_resolve_their_path(self, tmp_path):
+        root = _tree(tmp_path,
+                     "See `tests/test_x.py::test_y` and "
+                     "`benchmarks/no_such.py::test_x`.\n",
+                     extra={"tests/test_x.py": "def test_y(): pass\n"})
+        (finding,) = check_docs(root=str(root)).findings
+        assert finding.category == "path"
+        assert finding.token == "benchmarks/no_such.py"
+
     def test_fenced_command_lines_scanned(self, tmp_path):
         root = _tree(tmp_path,
                      "```bash\npython -m repro frobnicate src/nope.py\n```\n")

@@ -1,18 +1,13 @@
-"""Manifest schema round-trip and digest-comparison semantics."""
+"""Manifest summary and digest-comparison semantics."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.artifacts.manifest import (
-    MANIFEST_SCHEMA,
     ArtifactRecord,
     Manifest,
     compare_deterministic,
     format_manifest,
-    read_manifest,
     sha256_file,
-    write_manifest,
 )
 
 
@@ -33,24 +28,6 @@ def _manifest(**records):
 
 
 class TestRoundTrip:
-    def test_schema_round_trip(self, tmp_path):
-        m = _manifest(table1=_record())
-        m.artifacts["table1"].drift = []
-        m.checked = True
-        path = write_manifest(m, tmp_path / "MANIFEST.json")
-        back = read_manifest(path)
-        assert back.to_dict() == m.to_dict()
-        assert back.mode == "quick"
-        assert back.checked is True
-        assert back.artifacts["table1"].outputs == \
-            m.artifacts["table1"].outputs
-
-    def test_unknown_schema_rejected(self):
-        doc = _manifest().to_dict()
-        doc["schema"] = MANIFEST_SCHEMA + 1
-        with pytest.raises(ValueError, match="schema"):
-            Manifest.from_dict(doc)
-
     def test_summary_flags_failures_and_drift(self):
         ok = _record("a")
         failed = _record("b", status="failed")

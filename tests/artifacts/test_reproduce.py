@@ -1,23 +1,26 @@
 """Behavioral tests for ``repro reproduce-all``.
 
 The expensive artifacts (bench documents, full figure set) run in the
-CI ``reproduce`` job; here the runner's contracts are proven on cheap
-registry entries (``table1`` regenerates in well under a second) and on
-synthetic artifacts injected through the runner's selection seam.
+CI ``reproduce`` and ``benchmarks`` jobs; here the runner's contracts
+are proven on cheap registry entries (``table1`` regenerates in well
+under a second) and on synthetic artifacts injected through the
+runner's selection seam.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+from dataclasses import replace
 
 import pytest
 
+import repro.artifacts.registry as registry_mod
 import repro.artifacts.runner as runner_mod
 from repro.artifacts import (
     REGISTRY,
     Artifact,
     compare_deterministic,
-    read_manifest,
     reproduce_all,
     select,
 )
@@ -27,6 +30,7 @@ from repro.artifacts.registry import (
     _check_availability,
     _check_parallel,
 )
+from repro.experiments import figures
 
 
 class TestSelection:
@@ -54,10 +58,10 @@ class TestSelection:
 class TestTable1EndToEnd:
     """The cheapest real registry entry, regenerated twice."""
 
-    def _run(self, tmp_path, tag):
+    def _run(self, tmp_path, tag, check=False):
         out = tmp_path / tag
-        return reproduce_all(only="table1", quick=True, out_dir=out,
-                             manifest_path=out / "MANIFEST.json")
+        return reproduce_all(only="table1", quick=True, check=check,
+                             out_dir=out, manifest_path=out / "MANIFEST.json")
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         first = self._run(tmp_path, "run1")
@@ -73,14 +77,28 @@ class TestTable1EndToEnd:
 
     def test_manifest_written_with_provenance(self, tmp_path):
         manifest = self._run(tmp_path, "run")
-        back = read_manifest(tmp_path / "run" / "MANIFEST.json")
-        assert back.summary()["ok"] is True
+        doc = json.loads((tmp_path / "run" / "MANIFEST.json").read_text())
+        assert doc["summary"]["ok"] is True
         for key in ("git_sha", "git_dirty", "host", "python", "cpu_count",
                     "timestamp"):
-            assert key in back.provenance, key
-        assert back.mode == "quick"
-        assert back.artifacts["table1"].wall_seconds >= 0.0
-        assert back.to_dict()["summary"] == manifest.summary()
+            assert key in doc["provenance"], key
+        assert doc["mode"] == "quick"
+        assert doc["artifacts"]["table1"]["wall_seconds"] >= 0.0
+        assert doc["summary"] == manifest.summary()
+
+    def test_check_judges_the_paper_claims(self, tmp_path):
+        manifest = self._run(tmp_path, "run", check=True)
+        assert manifest.ok
+        assert manifest.artifacts["table1"].drift == []
+
+    def test_a_broken_claim_fails_the_check(self, tmp_path, monkeypatch):
+        table1 = figures.ALL_FIGURES["table1"]
+        monkeypatch.setitem(figures.ALL_FIGURES, "table1", lambda ev: replace(
+            table1(ev), rows=table1(ev).rows[:7]))
+        manifest = self._run(tmp_path, "run", check=True)
+        assert not manifest.ok
+        assert manifest.artifacts["table1"].drift == [
+            "the table lists eight fault classes"]
 
 
 def _synthetic(name, generate, check=None, baseline=None,
@@ -148,6 +166,36 @@ class TestRunnerContracts:
                                  baseline_root=tmp_path)
         assert not manifest.ok
         assert "missing" in manifest.artifacts["fake"].drift[0]
+
+    def test_check_without_a_baseline_runs(self, tmp_path, monkeypatch):
+        """A check that needs no committed document (a figure's claims)
+        runs under --check all the same."""
+        def generate(ctx):
+            (ctx.out_dir / "out.json").write_text("{}")
+            return {}
+
+        art = _synthetic("fake", generate, check=lambda c, a: ["boom"])
+        self._patch_registry(monkeypatch, [art])
+        manifest = reproduce_all(check=True, out_dir=tmp_path / "o",
+                                 manifest_path=tmp_path / "m.json",
+                                 baseline_root=tmp_path)
+        assert manifest.artifacts["fake"].drift == ["boom"]
+        assert not manifest.ok
+
+    def test_lint_findings_fail_the_artifact(self, tmp_path, monkeypatch):
+        """`repro lint --strict` exiting 1 is the lint artifact's gate."""
+        def run(args, **kwargs):
+            return subprocess.CompletedProcess(args, 1, stdout="",
+                                               stderr="3 errors, 2 warnings")
+
+        monkeypatch.setattr(registry_mod.subprocess, "run", run)
+        manifest = reproduce_all(only="lint", check=True,
+                                 out_dir=tmp_path / "o",
+                                 manifest_path=tmp_path / "m.json")
+        assert manifest.artifacts["lint"].status == "failed"
+        assert "exited 1: 3 errors, 2 warnings" in \
+            manifest.artifacts["lint"].error
+        assert not manifest.ok
 
     def test_unchecked_run_records_no_drift(self, tmp_path, monkeypatch):
         def generate(ctx):

@@ -19,6 +19,11 @@ stage_durations = st.lists(
 stage_tputs = st.lists(
     st.floats(min_value=0.0, max_value=normal), min_size=7, max_size=7
 )
+#: a fault class that serves above the normal level (its own strategy:
+#: scale_template's properties assume throughput <= normal)
+above_normal_tputs = st.lists(
+    st.floats(min_value=normal, max_value=1.5 * normal), min_size=7, max_size=7
+)
 
 
 def make_template(durations, tputs, self_recovered=True):
@@ -32,15 +37,22 @@ class TestModelProperties:
     @settings(max_examples=80, deadline=None)
     @given(durations=stage_durations, tputs=stage_tputs,
            mttf=st.floats(min_value=1e5, max_value=1e9),
-           count=st.integers(min_value=1, max_value=16))
-    def test_availability_bounded(self, durations, tputs, mttf, count):
-        catalog = FaultCatalog([FaultRate(FaultKind.NODE_CRASH, mttf, 60.0, count)])
+           count=st.integers(min_value=1, max_value=16),
+           above_durations=stage_durations, above=above_normal_tputs)
+    def test_availability_bounded(self, durations, tputs, mttf, count,
+                                  above_durations, above):
+        catalog = FaultCatalog([FaultRate(FaultKind.NODE_CRASH, mttf, 60.0, count),
+                                FaultRate(FaultKind.APP_CRASH, mttf, 60.0, 1)])
         model = AvailabilityModel(catalog, EnvironmentParams(0.0, 0.0))
         result = model.evaluate(
-            {FaultKind.NODE_CRASH: make_template(durations, tputs)}, normal, normal)
+            {FaultKind.NODE_CRASH: make_template(durations, tputs),
+             FaultKind.APP_CRASH: make_template(above_durations, above)},
+            normal, normal)
         assert 0.0 <= result.availability <= 1.0
+        # the signed classes sum to 1 - AA wherever AA is below 1
         assert result.unavailability == pytest.approx(
-            sum(c.unavailability for c in result.contributions), abs=1e-12)
+            max(sum(c.unavailability for c in result.contributions), 0.0),
+            abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(durations=stage_durations, tputs=stage_tputs,

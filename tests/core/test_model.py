@@ -41,10 +41,13 @@ class TestBasicAlgebra:
             FaultRate(FaultKind.SCSI_TIMEOUT, 5e6, 3600.0, 8),
         ])
         templates = {
-            FaultKind.NODE_CRASH: flat_template(),
+            # serves above the normal level while it lasts, so it nets
+            # against the SCSI dip rather than counting as zero
+            FaultKind.NODE_CRASH: flat_template(a=(0.0, 100.0), c_tput=110.0),
             FaultKind.SCSI_TIMEOUT: flat_template(a=(30.0, 10.0), c_tput=50.0),
         }
         result = AvailabilityModel(catalog).evaluate(templates, 100.0, 100.0)
+        assert result.by_kind()[FaultKind.NODE_CRASH] < 0
         total = sum(c.unavailability for c in result.contributions)
         assert result.unavailability == pytest.approx(total, rel=1e-9)
 

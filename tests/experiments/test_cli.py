@@ -27,9 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "COOP", "volcano"])
 
-    def test_figure_unknown_name_is_error(self, capsys):
-        assert main(["--quick", "figure", "fig999"]) == 2
-
     def test_quick_flag_parsed(self):
         args = build_parser().parse_args(["--quick", "versions"])
         assert args.quick
@@ -49,7 +46,7 @@ class TestAccountingCommands:
     """``explain`` plumbing that stops before any simulation."""
 
     REMOVED = ("inject", "trace", "spans", "metrics", "profile", "record",
-               "budget", "timeline")
+               "budget", "timeline", "figure")
 
     def test_record_parser_defaults(self):
         # explain takes only the record options; no --out: the flight

@@ -159,3 +159,91 @@ class TestFigurePlumbing:
         pred = ev.predicted("FME")
         assert pred.version == "FME(pred)"
         assert 0.0 <= pred.availability <= 1.0
+
+
+def _set(rows, key, name, **values):
+    """A copy of ``rows`` with the row whose ``key`` is ``name`` edited."""
+    return [dict(r, **values) if r[key] == name else r for r in rows]
+
+
+def _fig7_mq_at_quarter(rows):
+    coop = rows[0]["measured_unavail"]
+    return _set(rows, "version", "MQ", measured_unavail=0.25 * coop)
+
+
+def _fig8_raid_below_non_disk(rows):
+    by_kind = next(r["by_kind"] for r in rows if r["config"] == "X-SW")
+    non_disk = sum(u for k, u in by_kind.items() if k != "scsi_timeout")
+    return _set(rows, "config", "X-SW-RAID", unavailability=0.89 * non_disk)
+
+
+def _fig9_direct_rows(rows):
+    return rows + [{"config": "FME-8 128MB (direct)", "unavailability": 1e-3},
+                   {"config": "FME-8 64MB (direct)", "unavailability": 7e-4}]
+
+
+def _fig10_flat(rows):
+    return _set(rows, "config", "COOP-16",
+                unavailability=1.5 * rows[1]["unavailability"])
+
+
+def _table2_unsorted(rows):
+    return _set(rows, "enhancement", "Membership", ncsl=rows[1]["ncsl"] + 1)
+
+
+#: figure -> (an edit of its rows, the one claim the edit breaks)
+BREAKS = {
+    "fig1a": (lambda rows: _set(rows, "version", "COOP",
+                                throughput=2.0 * rows[0]["throughput"]),
+              "COOP serves over 2x INDEP's throughput (paper ~3x)"),
+    "fig1b": (lambda rows: _set(rows, "config", "HW",
+                                unavailability=0.5 * rows[0]["unavailability"]),
+              "HW keeps over half of COOP's unavailability"),
+    "fig2": (lambda rows: _set(rows, "stage", "C", provenance="measured"),
+             "stage C's duration is supplied from the MTTR"),
+    "fig6": (lambda rows: _set(rows, "config", "RAID+switch",
+                               unavailability=rows[0]["unavailability"]),
+             "RAID+switch is less unavailable than COOP (paper -25%)"),
+    "fig7": (_fig7_mq_at_quarter,
+             "MQ cuts over 75% of COOP's unavailability (paper 87%)"),
+    "fig8": (_fig8_raid_below_non_disk,
+             "X-SW-RAID keeps at least 90% of X-SW's non-disk unavailability"),
+    "fig9": (_fig9_direct_rows,
+             "direct FME-8 at 64MB is at least 0.8x as unavailable as at 128MB"),
+    "fig10": (_fig10_flat, "COOP-16 is over 1.5x as unavailable as COOP-8 (paper 2x)"),
+    "table1": (lambda rows: rows[:7], "the table lists eight fault classes"),
+    "table2": (_table2_unsorted, "effort grows down the table"),
+}
+
+
+class TestClaims:
+    """Each figure's paper claims read its rows and can fail, by name."""
+
+    @pytest.mark.parametrize("name", sorted(BREAKS))
+    def test_a_broken_row_breaks_its_claim(self, ev, name):
+        figure = (figures.fig9(ev, measure_direct=False) if name == "fig9"
+                  else figures.ALL_FIGURES[name](ev))
+        edit, claim = BREAKS[name]
+        before = figures.broken_claims(figure)
+        after = figures.broken_claims(replace(figure, rows=edit(figure.rows)))
+        assert [c for c in after if c not in before] == [claim]
+
+    def test_fig4_timeline(self):
+        def fig4(rates):
+            return figures.FigureOutput(
+                "fig4", "t", [{"t": 5.0 * i, "rate": r} for i, r in enumerate(rates)], "")
+
+        assert figures.broken_claims(fig4([100, 0, 50, 60, 100])) == []
+        assert figures.broken_claims(fig4([100, 0, 100, 60, 100])) == [
+            "mid-run throughput is 20-90% of peak (paper: partial)"]
+        assert figures.broken_claims(fig4([100, 10, 50, 60, 100])) == [
+            "throughput drops under 5% of peak while undetected (paper ~0)"]
+
+    def test_fig9_direct_claims_apply_only_to_direct_rows(self, ev):
+        quick = figures.fig9(ev, measure_direct=False)
+        assert figures.broken_claims(quick) == []
+        full = replace(quick, rows=quick.rows + [
+            {"config": "FME-8 128MB (direct)", "unavailability": 1e-12},
+            {"config": "FME-8 64MB (direct)", "unavailability": 1e-12}])
+        assert figures.broken_claims(full) == [
+            "scaled FME-8 is within 5x of the direct 128MB run (paper 25%)"]
