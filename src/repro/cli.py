@@ -33,6 +33,9 @@ Commands
 ``digest VERSION FAULT``
     Fingerprint one run — the worker the ``hashseed`` variant spawns,
     also useful for manual diffing.
+``sensitivity VERSION [--target A]``
+    Rank the what-if levers; ``--target A`` also searches for a path to
+    availability A.
 
 Version names are case-insensitive and accept aliases (``pressha`` is
 the paper's fully-hardened FME configuration).
@@ -174,8 +177,8 @@ def cmd_explain(args) -> int:
         {kind: report.template}, trace.normal_tput, trace.offered_rate,
         version=spec.name)
     budget = build_budget(result, catalog, measured=[report])
-    spans = telemetry.spans
-    blame = blame_report(spans.trees(),
+    trees = dict(telemetry.spans.trees())  # the span records, built once
+    blame = blame_report(trees.items(),
                          phases=phases_from_trace(events, trace.t_end))
     profiler = telemetry.profiler
 
@@ -192,7 +195,8 @@ def cmd_explain(args) -> int:
                            "rates": [float(r) for r in rates]},
             "attribution": report.to_dict(),
             "budget": budget.to_dict(),
-            "blame": dict(blame, spans_digest=spans_digest(spans.spans())),
+            "blame": dict(blame, spans_digest=spans_digest(
+                span for tree in trees.values() for span in tree)),
             "wall": profiler.snapshot(),
             "metrics": telemetry.metrics.snapshot(),
         }, sort_keys=True))
@@ -213,7 +217,7 @@ def cmd_explain(args) -> int:
     if during:
         req = during[0]["groups"][0]["example_req"]
         print(f"\nslowest request of the top group, {during[0]['label']}:")
-        print(render_waterfall(spans.tree(req)))
+        print(render_waterfall(trees[req]))
     print()
     print(_section("wall"))
     print("span recording was on: absolute times include its cost")

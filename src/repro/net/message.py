@@ -72,10 +72,10 @@ class Message:
 
     ``kind`` must be a member of :data:`WIRE_KINDS`; ``size`` in bytes
     feeds the network transfer-time model.  ``ctx`` is the optional
-    trace context (the sender's :class:`~repro.obs.spans.Span`): it
-    threads causal request tracing across the wire so the receiver can
-    parent its spans correctly.  ``None`` (the default, and always the
-    value when tracing is off) costs the hot path nothing.
+    trace context (the id of the sender's span): it threads causal
+    request tracing across the wire so the receiver can parent its
+    spans correctly.  ``None`` (the default, and always the value when
+    tracing is off) costs the hot path nothing.
     """
 
     __slots__ = ("kind", "src", "dst", "payload", "size", "ctx")

@@ -144,7 +144,7 @@ class Endpoint:
         finally:
             self._senders.pop(proc, None)
             # Reset/kill while in flight: close the hop at abort time.
-            if span is not None and span.t1 is None:
+            if span is not None and spans.is_open(span):
                 spans.finish(span, outcome="reset")
 
     # -- receiving -----------------------------------------------------------

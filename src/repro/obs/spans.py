@@ -9,9 +9,9 @@ A :class:`Span` is one timed hop of one request (queueing in the main
 queue, CPU service, a cooperative peer fetch, a disk read, a network
 transfer, timeout wait).  Spans form a tree per request, rooted at the
 client's ``request`` span and threaded through the cluster by a trace
-context — the parent :class:`Span` object itself — carried on the
-request (``Request.ctx``) and on :class:`~repro.net.message.Message.ctx`,
-and passed explicitly to every span-opening call.
+context — the parent span's integer id — carried on the request
+(``Request.ctx``) and on :class:`~repro.net.message.Message.ctx`, and
+passed explicitly to every span-opening call.
 
 Determinism contract (the run fingerprint extends to spans):
 
@@ -46,6 +46,8 @@ On top of the store:
 from __future__ import annotations
 
 import hashlib
+from array import array
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventKind, TraceEvent, canonical
@@ -57,7 +59,7 @@ CATEGORIES = frozenset(
 
 
 class Span:
-    """One timed hop of one request.
+    """One timed hop of one request, as read back from a recorder.
 
     ``t1`` is ``None`` while the span is open; crash/reap paths may
     legitimately leave spans unfinished (the analysis helpers clamp
@@ -68,8 +70,9 @@ class Span:
                  "node", "t0", "t1", "meta")
 
     def __init__(self, span_id: int, req_id: int, parent_id: Optional[int],
-                 name: str, category: str, node: str, t0: float):
-        assert category in CATEGORIES, f"unknown span category {category!r}"
+                 name: str, category: str, node: str, t0: float,
+                 t1: Optional[float] = None,
+                 meta: Optional[Dict[str, Any]] = None):
         self.span_id = span_id
         self.req_id = req_id
         self.parent_id = parent_id
@@ -77,8 +80,8 @@ class Span:
         self.category = category
         self.node = node
         self.t0 = t0
-        self.t1: Optional[float] = None
-        self.meta: Dict[str, Any] = {}
+        self.t1 = t1
+        self.meta: Dict[str, Any] = {} if meta is None else meta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = f"{self.t1:.3f}" if self.t1 is not None else "open"
@@ -86,59 +89,74 @@ class Span:
                 f"[{self.t0:.3f}..{end}]>")
 
 
-class SpanRecorder:
-    """The per-world span store: one tree per request, every request kept.
+#: ``t1`` of a span that is still open (NaN equals nothing, itself included).
+_OPEN = float("nan")
+#: The clock of a recorder no environment is bound to.
+_NO_CLOCK = SimpleNamespace(now=0.0)
 
-    The trace context threaded through the system *is* the parent
-    :class:`Span`; ``None`` means "not traced", and every method is
-    ``None``-tolerant so call sites stay unconditional.  Disabled
-    recorders never allocate, so the simulation hot path pays one
-    attribute check per call site.
+
+class SpanRecorder:
+    """The per-world span store: one row per span, every request kept.
+
+    Recording appends a row to append-only columns and each meta item to
+    one flat ``(span id, key, value)`` log, so it allocates nothing the
+    garbage collector tracks; :class:`Span` records are built only when
+    the set is read.  The handle ``root``, ``start`` and ``event`` return,
+    the trace context, is the span's id (its row plus one); ``None``
+    means "not traced", and every method is ``None``-tolerant so call
+    sites stay unconditional.  Disabled recorders never record, so the
+    simulation hot path pays one attribute check per call site.
     """
 
-    __slots__ = ("enabled", "_trees", "_next_span_id", "_next_probe_id",
-                 "_env")
+    __slots__ = ("enabled", "_req", "_parent", "_name", "_category",
+                 "_node", "_t0", "_t1", "_meta", "_next_probe_id", "_env")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        # req_id -> [Span, ...] in creation order
-        self._trees: Dict[int, List[Span]] = {}
-        self._next_span_id = 0
+        self._req = array("q")
+        self._parent = array("q")  # 0 for a root
+        self._name: List[str] = []
+        self._category: List[str] = []
+        self._node: List[str] = []
+        self._t0 = array("d")
+        self._t1 = array("d")  # _OPEN until finished
+        self._meta: List[Any] = []  # span id, key, value, span id, ...
         self._next_probe_id = 0
-        self._env = None
+        self._env = _NO_CLOCK
 
     # -- wiring ----------------------------------------------------------
     def bind_clock(self, env) -> None:
         """Read timestamps from ``env.now`` (done by Telemetry.attach)."""
         self._env = env
 
-    def _time(self, t: Optional[float]) -> float:
-        if t is not None:
-            return t
-        return self._env.now if self._env is not None else 0.0
-
     # -- recording -------------------------------------------------------
-    def _alloc(self, req_id: int, parent_id: Optional[int], name: str,
-               category: str, node: str, t: Optional[float],
-               meta: Dict[str, Any]) -> Span:
-        self._next_span_id += 1
-        span = Span(self._next_span_id, req_id, parent_id, name, category,
-                    node, self._time(t))
+    def _open(self, req_id: int, parent_id: int, name: str, category: str,
+              node: str, t: Optional[float], meta: Dict[str, Any]) -> int:
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown span category {category!r}")
+        self._req.append(req_id)
+        self._parent.append(parent_id)
+        self._name.append(name)
+        self._category.append(category)
+        self._node.append(node)
+        self._t0.append(self._env.now if t is None else t)
+        self._t1.append(_OPEN)
+        span_id = len(self._req)
         if meta:
-            span.meta.update(meta)
-        return span
+            log = self._meta
+            for key, value in meta.items():
+                log += (span_id, key, value)
+        return span_id
 
     def root(self, req_id: int, name: str, node: str,
-             t: Optional[float] = None, **meta: Any) -> Optional[Span]:
+             t: Optional[float] = None, **meta: Any) -> Optional[int]:
         """Open a request's root span; returns None when disabled."""
         if not self.enabled:
             return None
-        span = self._alloc(req_id, None, name, "request", node, t, meta)
-        self._trees.setdefault(req_id, []).append(span)
-        return span
+        return self._open(req_id, 0, name, "request", node, t, meta)
 
     def probe_root(self, name: str, node: str, t: Optional[float] = None,
-                   **meta: Any) -> Optional[Span]:
+                   **meta: Any) -> Optional[int]:
         """Root span in the monitoring namespace (negative req_ids).
 
         FME/S-FME probe rounds live here so request blame reports can
@@ -150,49 +168,66 @@ class SpanRecorder:
         return self.root(self._next_probe_id, name, node, t, **meta)
 
     def start(self, name: str, category: str, node: str,
-              ctx: Optional[Span], t: Optional[float] = None,
-              **meta: Any) -> Optional[Span]:
+              ctx: Optional[int], t: Optional[float] = None,
+              **meta: Any) -> Optional[int]:
         """Open a child span under ``ctx``; None ctx (untraced) no-ops."""
         if ctx is None or not self.enabled:
             return None
-        tree = self._trees.get(ctx.req_id)
-        if tree is None:  # ctx opened by another recorder
-            return None
-        span = self._alloc(ctx.req_id, ctx.span_id, name, category, node,
-                           t, meta)
-        tree.append(span)
-        return span
+        return self._open(self._req[ctx - 1], ctx, name, category, node, t,
+                          meta)
 
-    def event(self, ctx: Optional[Span], name: str, category: str, node: str,
-              t: Optional[float] = None, **meta: Any) -> Optional[Span]:
+    def event(self, ctx: Optional[int], name: str, category: str, node: str,
+              t: Optional[float] = None, **meta: Any) -> Optional[int]:
         """A zero-duration annotation span (e.g. a routing decision)."""
         span = self.start(name, category, node, ctx, t, **meta)
         if span is not None:
-            span.t1 = span.t0
+            self._t1[span - 1] = self._t0[span - 1]
         return span
 
-    def finish(self, span: Optional[Span], t: Optional[float] = None,
+    def finish(self, span: Optional[int], t: Optional[float] = None,
                **meta: Any) -> None:
         if span is None:
             return
-        span.t1 = self._time(t)
+        self._t1[span - 1] = self._env.now if t is None else t
         if meta:
-            span.meta.update(meta)
+            log = self._meta
+            for key, value in meta.items():
+                log += (span, key, value)
+
+    def is_open(self, span: int) -> bool:
+        """Whether ``span`` has not been finished yet."""
+        t1 = self._t1[span - 1]
+        return t1 != t1
 
     # -- access ----------------------------------------------------------
-    def tree(self, req_id: int) -> List[Span]:
-        return list(self._trees.get(req_id, ()))
+    def spans(self) -> Iterator[Span]:
+        """Every span as a :class:`Span` record, in creation order, its
+        meta replayed from the log (a later key overrides an earlier one)."""
+        meta: Dict[int, Dict[str, Any]] = {}
+        log = self._meta
+        for i in range(0, len(log), 3):
+            meta.setdefault(log[i], {})[log[i + 1]] = log[i + 2]
+        rows = zip(self._req, self._parent, self._name, self._category,
+                   self._node, self._t0, self._t1)
+        for span_id, (req_id, parent_id, name, category, node, t0,
+                      t1) in enumerate(rows, 1):
+            yield Span(span_id, req_id, parent_id or None, name, category,
+                       node, t0, None if t1 != t1 else t1, meta.get(span_id))
 
     def trees(self) -> Iterator[Tuple[int, List[Span]]]:
-        for req_id, spans in self._trees.items():
-            yield req_id, list(spans)
+        """``(req_id, spans)`` per request, in first-seen order."""
+        trees: Dict[int, List[Span]] = {}
+        for span in self.spans():
+            trees.setdefault(span.req_id, []).append(span)
+        return iter(trees.items())
 
-    def spans(self) -> Iterator[Span]:
-        for spans in self._trees.values():
-            yield from spans
+    def tree(self, req_id: int) -> List[Span]:
+        """One request's spans; reads every record, so read :meth:`trees`
+        once to look at many."""
+        return [span for span in self.spans() if span.req_id == req_id]
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._trees.values())
+        return len(self._req)
 
 
 #: Shared always-disabled recorder: it records nothing, so sharing is safe.

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.obs.kernelprof import TimingProfiler
 from repro.obs.metrics import MetricsHub
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.obs.trace import Tracer
 
 
@@ -46,7 +46,7 @@ class Telemetry:
         self.profiler: Optional[TimingProfiler] = (
             TimingProfiler() if enabled and profile_time else None)
         self.trace_spans = bool(enabled and trace_spans)
-        self.spans = SpanRecorder(enabled=self.trace_spans)
+        self.spans = SpanRecorder() if self.trace_spans else NULL_SPANS
 
     @classmethod
     def disabled(cls) -> "Telemetry":

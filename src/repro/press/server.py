@@ -58,9 +58,9 @@ class DiskFetch:
         self.request = request
         self.origin = origin
         self.reqid = reqid
-        # Trace context: the requester's span at creation; _to_disk
-        # replaces it with this fetch's own open "disk" span so
-        # _handle_disk_done can close it.  None when tracing is off.
+        # Trace context: the requester's span id at creation; _to_disk
+        # replaces it with the id of this fetch's own open "disk" span
+        # so _handle_disk_done can close it.  None when tracing is off.
         self.ctx = ctx
 
 

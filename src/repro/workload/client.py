@@ -70,7 +70,7 @@ class Request:
         self.expired = False  # set when the client gave up
         # Deterministic monotone id assigned by the issuing ClientPool
         # (0 = never pooled, e.g. a test double), and the trace context:
-        # the root Span when span tracing is on, else None.
+        # the root span's id when span tracing is on, else None.
         self.req_id = 0
         self.ctx = None
 

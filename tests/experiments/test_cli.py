@@ -1,8 +1,12 @@
 """CLI plumbing (cheap commands only; experiment commands are covered by
 the integration/benchmark suites)."""
 
+import argparse
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -40,6 +44,13 @@ class TestParser:
     def test_validate_horizon_option(self):
         args = build_parser().parse_args(["validate", "COOP", "--horizon", "60"])
         assert args.horizon == 60.0
+
+    def test_docstring_lists_every_subcommand(self):
+        # the module docstring is the CLI's own command list
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        documented = set(re.findall(r"^``([a-z-]+)", cli.__doc__, re.M))
+        assert documented == set(sub.choices)
 
 
 class TestAccountingCommands:

@@ -15,7 +15,7 @@ from repro.core.quantify import QuantifyConfig, run_single_fault
 from repro.experiments.configs import version
 from repro.faults.types import FaultKind
 from repro.obs.export import event_to_dict
-from repro.obs.spans import blame_report, phases_from_trace
+from repro.obs.spans import blame_report, phases_from_trace, spans_digest
 from repro.obs.telemetry import Telemetry
 
 pytestmark = pytest.mark.slow
@@ -51,6 +51,14 @@ class TestCoopVsFmeBlame:
     def test_trees_recorded_without_drops(self, coop):
         _, report = coop
         assert report["requests"] > 0
+
+    def test_span_set_pinned(self, coop):
+        # Quick windows, seed 0: the set the object-based recorder kept,
+        # so any change to what a run records shows here.
+        telemetry, _ = coop
+        assert len(telemetry.spans) == 271_365
+        assert spans_digest(telemetry.spans.spans()) == (
+            "3024ff0929e1f7be9c3d7739a14b7097191f35de1f87bcd1411dca011986f159")
 
     def test_coop_recovery_tail_blames_peer_fetch(self, coop):
         _, report = coop

@@ -5,12 +5,16 @@ number is checkable by hand; the live end-to-end path (ctx threading
 through PRESS) is exercised by tests/integration/test_span_tracing.py.
 """
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.events import EventKind, TraceEvent
 from repro.obs.spans import (
+    CATEGORIES,
     NULL_SPANS,
-    Span,
     SpanRecorder,
     analyze_tree,
     attribute_path,
@@ -20,8 +24,11 @@ from repro.obs.spans import (
     path_signature,
     phases_from_trace,
     render_waterfall,
+    span_to_dict,
     spans_digest,
 )
+from repro.obs.telemetry import Telemetry
+from tests.obs.reference_spans import ReferenceSpanRecorder
 
 
 def _request_tree(rec, req_id, t0=0.0, latency=1.0, outcome="ok",
@@ -64,7 +71,8 @@ class TestRecorder:
     def test_event_is_zero_duration(self):
         rec = SpanRecorder()
         root = rec.root(1, "request", "clients", t=0.0)
-        ev = rec.event(root, "route", "route", "fe", t=0.3, choice="n1")
+        rec.event(root, "route", "route", "fe", t=0.3, choice="n1")
+        ev = rec.tree(1)[1]
         assert ev.t0 == ev.t1 == 0.3
         assert ev.meta == {"choice": "n1"}
 
@@ -81,14 +89,25 @@ class TestRecorder:
         assert len(rec) == 0
         assert NULL_SPANS.root(1, "request", "clients") is None
 
+    def test_untraced_telemetry_shares_null_spans(self):
+        assert Telemetry().spans is NULL_SPANS
+        assert Telemetry.disabled().spans is NULL_SPANS
+        assert Telemetry(trace_spans=True).spans is not NULL_SPANS
+
     def test_unknown_category_rejected(self):
-        with pytest.raises(AssertionError):
-            Span(1, 1, None, "x", "bogus", "n1", 0.0)
+        rec = SpanRecorder()
+        root = rec.root(1, "request", "clients", t=0.0)
+        with pytest.raises(ValueError, match="bogus"):
+            rec.start("x", "bogus", "n1", root)
+        with pytest.raises(ValueError, match="bogus"):
+            rec.event(root, "x", "bogus", "n1")
+        assert len(rec) == 1
 
     def test_probe_roots_use_negative_request_ids(self):
         rec = SpanRecorder()
-        a = rec.probe_root("fme_probe", "n1", t=0.0)
-        b = rec.probe_root("fme_probe", "n1", t=1.0)
+        rec.probe_root("fme_probe", "n1", t=0.0)
+        rec.probe_root("fme_probe", "n1", t=1.0)
+        a, b = rec.spans()
         assert a.req_id == -1 and b.req_id == -2
         assert {req_id for req_id, _ in rec.trees()} == {-1, -2}
 
@@ -98,8 +117,108 @@ class TestRecorder:
 
         rec = SpanRecorder()
         rec.bind_clock(_Env())
-        root = rec.root(1, "request", "clients")
+        rec.root(1, "request", "clients")
+        (root,) = rec.tree(1)
         assert root.t0 == 4.5
+
+    def test_recording_allocates_no_tracked_objects(self):
+        # 10,000 spans, 2,000 requests: rows and a meta log, no Span
+        # objects, meta dicts or per-request lists until read.
+        rec = SpanRecorder()
+        before = len(gc.get_objects())
+        for req_id in range(1, 2001):
+            root = rec.root(req_id, "request", "clients", t=0.0, fid=req_id)
+            conn = rec.start("connect", "network", "clients", root, t=0.1)
+            rec.finish(conn, t=0.2, outcome="established")
+            rec.event(root, "route", "route", "fe", t=0.2, choice="n1")
+            q = rec.start("mainq", "queue", "n1", root, t=0.2)
+            rec.finish(q, t=0.3)
+            serve = rec.start("serve", "service", "n1", root, t=0.3)
+            rec.finish(serve, t=0.4, cache="hit")
+            rec.finish(root, t=0.5, outcome="ok")
+        assert len(rec) == 10_000
+        assert len(gc.get_objects()) - before < 100
+
+
+NAMES = ("request", "mainq", "peer_fetch", "disk")
+NODES = ("clients", "n1", "n2")
+#: explicit times are floats, like every clock reading in a run
+TIMES = st.none() | st.floats(0.0, 1e4, allow_nan=False)
+META = st.dictionaries(st.sampled_from(("outcome", "fid", "cache")),
+                       st.integers(-3, 3) | st.sampled_from(("ok", "hit")),
+                       max_size=2)
+#: a span-opening call's target: an index into the handles so far
+#: (taken modulo their number; open or finished alike), or None
+PARENT = st.none() | st.integers(0, 50)
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("root"), st.integers(1, 4), st.sampled_from(NAMES),
+              st.sampled_from(NODES), TIMES, META),
+    st.tuples(st.just("probe_root"), st.sampled_from(NAMES),
+              st.sampled_from(NODES), TIMES, META),
+    st.tuples(st.sampled_from(("start", "event")), PARENT,
+              st.sampled_from(NAMES), st.sampled_from(sorted(CATEGORIES)),
+              st.sampled_from(NODES), TIMES, META),
+    st.tuples(st.just("finish"), PARENT, TIMES, META),
+), max_size=40)
+
+
+def _drive(rec, ops, bound_clock):
+    """Replay ``ops`` on ``rec``; returns it.  With ``bound_clock`` the
+    recorder reads a clock that ticks once per call."""
+    class _Env:
+        now = 0.0
+
+    env = _Env()
+    if bound_clock:
+        rec.bind_clock(env)
+    handles = []
+
+    def pick(index):
+        return None if index is None or not handles else \
+            handles[index % len(handles)]
+
+    for op in ops:
+        env.now += 0.25
+        if op[0] == "root":
+            _, req_id, name, node, t, meta = op
+            handles.append(rec.root(req_id, name, node, t, **meta))
+        elif op[0] == "probe_root":
+            _, name, node, t, meta = op
+            handles.append(rec.probe_root(name, node, t, **meta))
+        elif op[0] == "start":
+            _, parent, name, category, node, t, meta = op
+            handles.append(rec.start(name, category, node, pick(parent), t,
+                                     **meta))
+        elif op[0] == "event":
+            _, parent, name, category, node, t, meta = op
+            handles.append(rec.event(pick(parent), name, category, node, t,
+                                     **meta))
+        else:
+            _, target, t, meta = op
+            rec.finish(pick(target), t, **meta)
+    return rec
+
+
+def _dicts(spans):
+    return [span_to_dict(s) for s in spans]
+
+
+class TestAgainstReference:
+    """The columnar store reads back what the object-based recorder it
+    replaced (tests/obs/reference_spans.py) keeps, call for call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=OPS, bound_clock=st.booleans())
+    def test_same_span_set(self, ops, bound_clock):
+        ref = _drive(ReferenceSpanRecorder(), ops, bound_clock)
+        rec = _drive(SpanRecorder(), ops, bound_clock)
+        assert len(rec) == len(ref)
+        assert spans_digest(rec.spans()) == spans_digest(ref.spans())
+        assert [(r, [s.span_id for s in tree]) for r, tree in rec.trees()] \
+            == [(r, [s.span_id for s in tree]) for r, tree in ref.trees()]
+        for req_id, _ in ref.trees():
+            assert _dicts(rec.tree(req_id)) == _dicts(ref.tree(req_id))
+        assert [s.span_id for s in rec.spans()] == list(range(1, len(rec) + 1))
 
 
 class TestCriticalPath:
@@ -235,8 +354,9 @@ class TestExport:
 
     def test_digest_sensitive_to_content(self):
         rec = SpanRecorder()
-        root = rec.root(1, "request", "clients", t=0.0)
-        base = spans_digest([root])
+        rec.root(1, "request", "clients", t=0.0)
+        base = spans_digest(rec.spans())
+        (root,) = rec.tree(1)
         root.meta["outcome"] = "ok"
         assert spans_digest([root]) != base
 
