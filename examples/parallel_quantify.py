@@ -3,7 +3,8 @@
 processes, then prove the results are byte-identical to a serial run.
 
 `quantify_grid` shards every (version, fault, seed) cell of a
-four-version study into one shared process pool. The merge is keyed on
+four-version study into one grid, each cell run in a forked child,
+`JOBS` at a time. The merge is keyed on
 grid order — never completion order — so the parallel artifacts digest
 identically to the serial ones; this script verifies that with a
 chained SHA-256 over every fitted template.
@@ -14,9 +15,6 @@ serial verification pass stays cheap; `FULL=1` runs every kind.
 Run:  python examples/parallel_quantify.py        (~2 min incl. serial check)
       JOBS=2 python examples/parallel_quantify.py
       FULL=1 python examples/parallel_quantify.py  (full grids, ~10 min serial)
-
-The `__main__` guard is load-bearing: workers are spawned, so the
-module must be importable without re-running the study.
 """
 
 import hashlib

@@ -520,7 +520,7 @@ def _vary_obs(scenario: Any) -> List[RunComparison]:
 
 
 def _vary_jobs(scenario: Any) -> List[RunComparison]:
-    """The cell document of ``run_cell`` in process against a 2-worker pool."""
+    """The cell document of ``run_cell`` in process against a forked child's."""
     if not isinstance(scenario, Scenario) or scenario.length == "smoke":
         raise ValueError("the jobs variant runs a campaign cell: a quick or full "
                          "Scenario, not the smoke cell")
@@ -534,10 +534,10 @@ def _vary_jobs(scenario: Any) -> List[RunComparison]:
     cell = CampaignCell(index=0, version=version(scenario.version).name,
                         fault=scenario.fault, seed=scenario.seed)
     serial = FlightRecord.from_dict(run_cell(cell, config)["record"])
-    (pooled,) = run_campaign_cells([cell], config, jobs=2)
+    (forked,) = run_campaign_cells([cell], config, jobs=2)
     return [RunComparison("jobs", "jobs=1", "jobs=2", compare(
         fingerprint_record(serial),
-        fingerprint_record(FlightRecord.from_dict(pooled["record"])), "jobs"))]
+        fingerprint_record(FlightRecord.from_dict(forked["record"])), "jobs"))]
 
 
 _RUNNERS: Dict[str, Callable[[Any], List[RunComparison]]] = {

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -132,8 +133,6 @@ def _section(title: str) -> str:
 
 def cmd_explain(args) -> int:
     """One injected run, four answers: lost requests, budget, tails, wall."""
-    from dataclasses import replace
-
     from repro.core.model import AvailabilityModel
     from repro.experiments.runner import build_world
     from repro.obs.attribution import StageAttributor
@@ -226,63 +225,35 @@ def cmd_explain(args) -> int:
 
 
 # -- sweep command ----------------------------------------------------------
-# Knob appliers and the measurement live at module level so that a
-# parallel sweep (spawn pool) can pickle them; closures cannot cross the
-# process boundary.
-
-def _knob_heartbeat(profile, value):
-    from dataclasses import replace
-
-    return replace(profile, press=profile.press.with_(heartbeat_interval=value))
-
-
-def _knob_cache_files(profile, value):
-    return profile.with_cache_files(int(value))
-
-
-def _knob_disk_queue(profile, value):
-    from dataclasses import replace
-
-    return replace(profile,
-                   press=profile.press.with_(disk_queue_capacity=int(value)))
-
-
-def _knob_coop_rate(profile, value):
-    from dataclasses import replace
-
-    return replace(profile, coop_rate=float(value))
-
 
 #: knob name -> (help text, apply(profile, value) -> profile)
 SWEEP_KNOBS = {
-    "heartbeat": ("heartbeat interval in seconds", _knob_heartbeat),
-    "cache-files": ("per-node cache size in files", _knob_cache_files),
-    "disk-queue": ("disk queue capacity in requests", _knob_disk_queue),
+    "heartbeat": ("heartbeat interval in seconds", lambda p, v: replace(
+        p, press=p.press.with_(heartbeat_interval=v))),
+    "cache-files": ("per-node cache size in files",
+                    lambda p, v: p.with_cache_files(int(v))),
+    "disk-queue": ("disk queue capacity in requests", lambda p, v: replace(
+        p, press=p.press.with_(disk_queue_capacity=int(v)))),
     "coop-rate": ("offered load for cooperative versions (req/s)",
-                  _knob_coop_rate),
+                  lambda p, v: replace(p, coop_rate=float(v))),
 }
 
 
-def _sweep_availability(version_name: str, config: QuantifyConfig) -> dict:
-    """One sweep point: quantify the version under the varied profile."""
-    va = quantify_version(version(version_name), config)
-    return {
-        "availability": va.availability,
-        "unavailability": va.unavailability,
-        "normal_tput": va.normal_tput,
-    }
-
-
 def cmd_sweep(args) -> int:
-    import functools
-
     from repro.experiments.sweep import Sweep
 
     spec = _version(args.version)  # alias-aware existence check
     _help, apply_fn = SWEEP_KNOBS[args.knob]
     sweep = Sweep(args.knob, values=args.values, apply=apply_fn,
                   quick=not args.full, seed=args.seed)
-    measure = functools.partial(_sweep_availability, spec.name)
+
+    def measure(config: QuantifyConfig) -> dict:
+        """One sweep point: quantify the version under the varied profile."""
+        va = quantify_version(spec, config)
+        return {"availability": va.availability,
+                "unavailability": va.unavailability,
+                "normal_tput": va.normal_tput}
+
     if args.jobs > 1:
         print(f"sweeping {args.knob} over {len(args.values)} points "
               f"({args.jobs} workers)...", file=sys.stderr)

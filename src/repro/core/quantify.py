@@ -13,8 +13,8 @@ picklable :class:`~repro.faults.campaign.CampaignCell` specs,
 :func:`run_cell` executes one cell into a JSON-safe document, and
 :func:`quantify_from_cell_docs` merges documents back into a
 :class:`VersionAvailability` in grid order.  :mod:`repro.parallel`
-runs the cells, in this process or on a spawn pool, and the merged
-result is the same either way.
+runs the cells, in this process or in forked children, and the
+merged result is the same either way.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ a text rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.quantify import QuantifyConfig
 from repro.experiments.profiles import SMALL, ScaleProfile
@@ -90,22 +90,28 @@ class Sweep:
         """Measure every point; ``jobs > 1`` fans them out in parallel.
 
         Sweep points are independent (each rebuilds its own world from
-        the sweep seed), so the parallel path runs one point per task on
-        :func:`repro.parallel.executor.spawn_pool` (spawn context, pinned
-        ``PYTHONHASHSEED``) and collects rows in *value order*, never
-        completion order — a parallel sweep tabulates identically to a
-        serial one.  ``measure`` must then be picklable: a module-level
-        function or a ``functools.partial`` of one.
+        the sweep seed), so the parallel path measures each in a child
+        forked by :func:`repro.parallel.executor.fork_map`, ``jobs`` at a
+        time, and collects rows in *value order*, never completion order
+        — a parallel sweep tabulates identically to a serial one.  Only
+        results are pickled; a point that fails raises
+        :class:`RuntimeError` naming it and the error.
         """
         configs = [self.config_for(value) for value in self.values]
         if jobs > 1:
             # Imported lazily: repro.parallel imports repro.core.quantify,
             # which reaches back into this package's builders.
-            from repro.parallel.executor import spawn_pool
+            from repro.parallel.executor import fork_map
 
-            with spawn_pool(min(jobs, len(configs))) as pool:
-                futures = [pool.submit(measure, cfg) for cfg in configs]
-                results = [f.result() for f in futures]  # value order
+            results: List[Dict[str, float]] = [{} for _ in configs]
+
+            def keep(i: int, metrics: Any, error: Optional[str]) -> None:
+                if error is not None:
+                    raise RuntimeError(f"sweep point {self.name}="
+                                       f"{self.values[i]!r} failed: {error}")
+                results[i] = metrics
+
+            fork_map(measure, configs, jobs, keep)
         else:
             results = [measure(cfg) for cfg in configs]
         rows = [{self.name: value, **metrics}

@@ -59,7 +59,7 @@ class CampaignCell:
 
     Cells are the unit of fan-out for the parallel executor
     (:mod:`repro.parallel`): every field is a plain value, so a cell
-    pickles cheaply into a spawned worker, and ``index`` fixes the cell's
+    round-trips through its document's JSON, and ``index`` fixes the cell's
     position in the grid — results are merged in index order, never in
     completion order, which is what keeps a parallel run byte-identical
     to a serial one.

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
@@ -57,6 +58,27 @@ TIMELINE_FIELDS = ("t_inject", "t_detect", "t_repair", "t_reset", "t_end",
                    "normal_tput", "offered_rate")
 
 
+class _EncodedEvents(Sequence):
+    """Trace events kept in dict form until first read: the grid merge
+    fits records whose events it never reads."""
+
+    def __init__(self, dicts: List[Dict[str, Any]]):
+        self.dicts = dicts
+
+    @cached_property
+    def decoded(self) -> List[TraceEvent]:
+        return [event_from_dict(d) for d in self.dicts]
+
+    def __getitem__(self, index):
+        return self.decoded[index]
+
+    def __len__(self) -> int:
+        return len(self.dicts)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and self.decoded == list(other)
+
+
 @dataclass
 class FlightRecord:
     """One recorded single-fault experiment, replayable offline."""
@@ -71,7 +93,7 @@ class FlightRecord:
     component: FaultComponent
     samples: List[float]
     markers: List[Any]  # [time, label, data] triples
-    events: List[TraceEvent] = field(default_factory=list)
+    events: Sequence[TraceEvent] = field(default_factory=list)
     schema: int = SCHEMA_VERSION
 
     # -- construction ------------------------------------------------------
@@ -112,8 +134,7 @@ class FlightRecord:
         so fitting and attribution reproduce the online results exactly.
         """
         series = ThroughputSeries(name=f"{self.version}:{self.fault}")
-        for t in self.samples:
-            series.record(t)
+        series.extend(self.samples)
         return ExperimentTrace(
             component=self.component,
             config=self.campaign,
@@ -171,7 +192,7 @@ class FlightRecord:
             component=component,
             samples=[float(t) for t in d["samples"]],
             markers=[list(m) for m in d.get("markers", [])],
-            events=[event_from_dict(e) for e in d.get("events", [])],
+            events=_EncodedEvents(d.get("events", [])),
             schema=schema,
         )
 

@@ -1,20 +1,21 @@
-"""Process-pool campaign executor with deterministic fan-out/merge.
+"""Fork-per-cell campaign executor with deterministic fan-out/merge.
 
 The quantification grid is embarrassingly parallel: each phase-1 cell
 (one ``(version, fault kind, seed)`` coordinate) builds its own world
 from the master seed and shares no state with any other cell.
 :func:`run_campaign_cells` is the one place cells run: in this process
 when ``jobs <= 1``, otherwise through :class:`CampaignExecutor`, which
-fans them out over a **spawn**-context process pool and folds the
-results back *in grid order* — never completion order — so where the
-cells ran cannot change the merged result:
+runs each cell in a child forked from this process (:func:`fork_map`)
+and folds the results back *in grid order* — never completion order —
+so where the cells ran cannot change the merged result:
 
-* every worker runs under the same pinned ``PYTHONHASHSEED`` (exported
-  by the parent before the pool spawns; children read it at interpreter
-  startup);
+* a forked child runs under this process's hash seed, the one an
+  in-process cell runs under, so string hashing (and set and dict
+  order) is the same by construction; ``repro sanitize --vary
+  hashseed`` shows that results do not depend on the seed's value;
 * a cell's RNG streams derive from its own ``(seed, stream name)``
   coordinates via :class:`~repro.sim.rng.RngRegistry`, so scheduling
-  order across workers cannot perturb them;
+  order across children cannot perturb them;
 * cell results are JSON documents wrapping a replayable
   :class:`~repro.obs.recorder.FlightRecord`; the parent re-fits the
   replayed traces, and replay is lossless (pinned by the recorder's
@@ -22,12 +23,12 @@ cells ran cannot change the merged result:
 * the merge walks outcomes by cell index, so float sums run in grid
   order.
 
-Crash isolation: a cell that raises fails alone, and a worker that dies
-outright fails the cells its broken pool held; the survivors are kept
-in the :class:`ExecutionReport`.  A cell is a pure function of its
-coordinates, so a failed cell fails again when re-run: there are no
-retries.  :func:`run_campaign_cells` raises :class:`CellExecutionError`
-on any failure, with the report attached.
+Crash isolation: a cell that raises fails alone, and so does a cell
+whose child dies (a signal, the OOM killer, ``os._exit``); the others
+run on into the :class:`ExecutionReport`.  A cell is a pure function of
+its coordinates, so a failed cell fails again when re-run: there are
+no retries.  :func:`run_campaign_cells` raises
+:class:`CellExecutionError` on any failure, with the report attached.
 
 Wall-clock reads in this module time the *real* worker processes for
 speedup accounting — they never touch simulated time (see the reprolint
@@ -36,13 +37,15 @@ allowlist).
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import os
+import pickle
+import selectors
+import signal
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.quantify import (
     QuantifyConfig,
@@ -52,11 +55,7 @@ from repro.core.quantify import (
 )
 from repro.experiments.configs import VersionSpec, version as version_by_name
 from repro.faults.campaign import CampaignCell
-from repro.parallel.worker import execute_cell, worker_init
-
-#: hash seed pinned into every worker (any fixed value keeps runs
-#: reproducible; ``repro sanitize`` checks results do not depend on which)
-DEFAULT_HASH_SEED = "0"
+from repro.parallel.worker import execute_cell
 
 ProgressFn = Callable[[str], None]
 
@@ -130,44 +129,101 @@ class CellExecutionError(RuntimeError):
             f"{len(report.failures)} campaign cell(s) failed: {lines}")
 
 
-@contextmanager
-def pinned_hashseed(value: str = DEFAULT_HASH_SEED):
-    """Export ``PYTHONHASHSEED`` around pool creation, then restore it.
+def _flush_std_streams() -> None:
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
 
-    Spawned children read the variable at interpreter startup, so the
-    parent must export it *before* the pool forks off its first worker —
-    a pool initializer runs too late to matter (it only asserts).
+
+def _fork(fn: Callable[[Any], Any], item: Any) -> Tuple[int, int]:
+    """Fork a child that pickles ``fn(item)`` into a pipe: (read end, pid).
+
+    The child exits 0 once its whole result is written, and leaves through
+    ``os._exit`` on every path: it never returns into the caller's stack.
     """
-    prev = os.environ.get("PYTHONHASHSEED")
-    os.environ["PYTHONHASHSEED"] = value
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("PYTHONHASHSEED", None)
-        else:
-            os.environ["PYTHONHASHSEED"] = prev
-
-
-@contextmanager
-def spawn_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
-    """A spawn-context pool of ``jobs`` workers under the pinned hash seed.
-
-    The pin holds for the pool's whole life, because the pool spawns
-    its workers on demand as tasks are submitted; every worker runs
-    :func:`~repro.parallel.worker.worker_init`.  The pool is shut down
-    (its workers joined) on exit.
-    """
-    with pinned_hashseed():
-        pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=worker_init,
-        )
+    rfd, wfd = os.pipe()
+    _flush_std_streams()  # else what this process buffered prints twice
+    # Nothing here starts a thread, so the child is a copy of a
+    # single-threaded process: no lock can be held by a thread it lacks
+    # (numpy's BLAS pool stops itself in a pthread_atfork handler).
+    pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            yield pool
+            os.close(rfd)
+            try:
+                blob = pickle.dumps(("ok", fn(item)))
+            except BaseException as exc:  # reported; the child exits anyway
+                blob = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
+            with open(wfd, "wb") as pipe:
+                pipe.write(blob)
+            code = 0
         finally:
-            pool.shutdown()
+            try:
+                _flush_std_streams()
+            finally:
+                os._exit(code)
+    os.close(wfd)
+    return rfd, pid
+
+
+def _result(blob: bytes, status: int) -> Tuple[Any, Optional[str]]:
+    """``(result, None)`` or ``(None, error)`` from one finished child."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and blob:
+        tag, value = pickle.loads(blob)
+        return (value, None) if tag == "ok" else (None, value)
+    how = (f"with exit status {code}" if code >= 0 else
+           f"by signal {-code} ({signal.strsignal(-code)})")
+    return None, f"worker process terminated {how} before sending a result"
+
+
+def fork_map(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    jobs: int,
+    done: Callable[[int, Any, Optional[str]], None],
+) -> None:
+    """Run ``fn(item)`` for every item, each in a child forked from here.
+
+    At most ``jobs`` children run at once.  Only ``fn``'s result crosses
+    back (pickled), so ``fn`` may be a closure.  ``done(index, result,
+    error)`` runs here as each child finishes; ``error`` is ``None`` or
+    names the exception ``fn`` raised, the pickling error, or the exit
+    status or signal of a child that died before sending a whole result.
+    No child outlives the call, even when ``done`` raises.
+    """
+    if not hasattr(os, "fork"):
+        raise ValueError("parallel runs fork one child per task and this "
+                         "platform has no os.fork; run with --jobs 1")
+    todo = list(enumerate(items))[::-1]
+    live: Dict[int, Tuple[int, int, List[bytes]]] = {}  # fd: index, pid, data
+    selector = selectors.DefaultSelector()
+    try:
+        while todo or live:
+            while todo and len(live) < jobs:
+                index, item = todo.pop()
+                fd, pid = _fork(fn, item)
+                live[fd] = (index, pid, [])
+                selector.register(fd, selectors.EVENT_READ)
+            # Drain every pipe as data arrives: a result can exceed the
+            # pipe buffer, and its child blocks until it is read.
+            for key, _ in selector.select():
+                index, pid, chunks = live[key.fd]
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                status = os.waitpid(pid, 0)[1]
+                del live[key.fd]
+                selector.unregister(key.fd)
+                os.close(key.fd)
+                done(index, *_result(b"".join(chunks), status))
+    finally:
+        for fd, (_, pid, _) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        selector.close()
 
 
 def _ok_line(done: int, total: int, cell: CampaignCell,
@@ -177,7 +233,7 @@ def _ok_line(done: int, total: int, cell: CampaignCell,
 
 
 class CampaignExecutor:
-    """Deterministic fan-out of campaign cells over a spawn pool."""
+    """Deterministic fan-out of campaign cells, one forked child per cell."""
 
     def __init__(
         self,
@@ -187,8 +243,8 @@ class CampaignExecutor:
     ):
         self.config = config
         self.progress = progress
-        # Injectable for tests (crash drills); must be a module-level
-        # function so the spawn pool can pickle it by reference.
+        # Injectable for tests (crash drills); any callable will do, as
+        # only its result crosses the process boundary.
         self.worker = worker
 
     def execute(
@@ -196,37 +252,34 @@ class CampaignExecutor:
         cells: Sequence[CampaignCell],
         config: QuantifyConfig,
     ) -> ExecutionReport:
-        """Run every cell once on a spawn pool and report in grid order.
+        """Run every cell once in a forked child and report in grid order.
 
-        A cell that raises fails alone.  A worker dying mid-run breaks
-        the pool for good (every cell it still held fails with
-        ``BrokenProcessPool``); the cells that finished are kept.
+        At most ``self.config.jobs`` children run at once.  A cell that
+        raises, or whose child dies, fails alone and the others run on.
         """
         cells = list(cells)
         indices = [c.index for c in cells]
         if len(set(indices)) != len(indices):
             raise ValueError("campaign cells carry duplicate grid indices")
         outcomes = [CellOutcome(cell=c) for c in cells]
+        ok = 0
+
+        def finished(i: int, payload: Any, error: Optional[str]) -> None:
+            nonlocal ok
+            outcome = outcomes[i]
+            if error is not None:
+                outcome.error = error
+                self._say(f"[{ok}/{len(cells)}] {outcome.cell.cell_id} "
+                          f"FAILED: {error}")
+                return
+            ok += 1
+            outcome.doc = payload["doc"]
+            outcome.wall = float(payload["wall"])
+            self._say(_ok_line(ok, len(cells), outcome.cell, payload))
 
         t0 = time.perf_counter()
-        done = 0
-        with spawn_pool(max(1, min(self.config.jobs, len(cells)))) as pool:
-            futures = {pool.submit(self.worker, cell, config): outcome
-                       for cell, outcome in zip(cells, outcomes)}
-            for fut in as_completed(futures):
-                outcome = futures[fut]
-                try:
-                    payload = fut.result()
-                except Exception as exc:  # incl. BrokenProcessPool
-                    outcome.error = f"{type(exc).__name__}: {exc}"
-                    self._say(f"[{done}/{len(cells)}] {outcome.cell.cell_id} "
-                              f"FAILED: {outcome.error}")
-                else:
-                    done += 1
-                    outcome.doc = payload["doc"]
-                    outcome.wall = float(payload["wall"])
-                    self._say(_ok_line(done, len(cells), outcome.cell,
-                                       payload))
+        fork_map(lambda cell: self.worker(cell, config), cells,
+                 self.config.jobs, finished)
         stats = ExecutorStats(
             jobs=self.config.jobs,
             cells=len(cells),
@@ -254,10 +307,11 @@ def run_campaign_cells(
 
     Every grid runs through here.  With ``jobs <= 1`` the cells run one
     by one in this process and a cell's exception propagates unchanged;
-    otherwise they run on a :class:`CampaignExecutor` of ``jobs``
-    workers and any failed cell raises :class:`CellExecutionError`, with
-    the :class:`ExecutionReport` attached.  ``progress`` receives one
-    line per completed cell either way.
+    otherwise each runs in a child a :class:`CampaignExecutor` forks,
+    ``jobs`` at a time, and any failed cell raises
+    :class:`CellExecutionError`, with the :class:`ExecutionReport`
+    attached.  ``progress`` receives one line per completed cell either
+    way.
     """
     if jobs > 1:
         report = CampaignExecutor(ExecutorConfig(jobs=jobs),
@@ -268,6 +322,7 @@ def run_campaign_cells(
     docs: List[Dict[str, Any]] = []
     for done, cell in enumerate(cells, 1):
         payload = execute_cell(cell, config)
+        gc.collect()  # a finished world is cyclic garbage: free it now
         if progress is not None:
             progress(_ok_line(done, len(cells), cell, payload))
         docs.append(payload["doc"])
@@ -283,8 +338,8 @@ def quantify_grid(
 ) -> Dict[str, VersionAvailability]:
     """Quantify several versions as one grid of cells.
 
-    All versions' cells are concatenated into a single grid, so a pool
-    stays saturated across version boundaries (a 4-version × 5-fault
+    All versions' cells are concatenated into a single grid, so every
+    ``jobs`` slot stays busy across version boundaries (a 4-version × 5-fault
     study is 20 cells, not 4 sequential 5-cell campaigns), and run
     through :func:`run_campaign_cells`.  Each version's documents are
     then merged in grid order by

@@ -1,12 +1,11 @@
 """Worker-side half of the parallel campaign executor.
 
-Everything here must be importable at module top level: the executor
-uses a **spawn** multiprocessing context, so workers pickle the function
-reference (not a closure) and re-import this module in a fresh
-interpreter.  Keeping the worker surface to two tiny top-level functions
-is what makes :class:`~repro.faults.campaign.CampaignCell` +
-:class:`~repro.core.quantify.QuantifyConfig` the entire cross-process
-contract.
+:func:`execute_cell` is what a child runs for one cell.  The child is a
+fork of the process that runs the grid, so it inherits every imported
+module and the worker need not be importable by name; only its result
+is pickled back.  :class:`~repro.faults.campaign.CampaignCell` +
+:class:`~repro.core.quantify.QuantifyConfig` stay the entire contract
+between the grid and a cell.
 """
 
 from __future__ import annotations
@@ -17,24 +16,6 @@ from typing import Any, Dict
 
 from repro.core.quantify import QuantifyConfig, run_cell
 from repro.faults.campaign import CampaignCell
-
-
-def worker_init() -> None:
-    """Spawn-pool initializer: verify the determinism preconditions.
-
-    The parent pins ``PYTHONHASHSEED`` in its environment *before*
-    creating the pool (children read the variable at interpreter
-    startup, so an initializer-time ``os.environ`` write would be too
-    late).  This bootstrap check only *reads* the variable to fail fast
-    if a foreign executor ever runs our workers without the pin — set
-    ordering and iteration in the simulator must not vary per process.
-    """
-    if not os.environ.get("PYTHONHASHSEED"):
-        raise RuntimeError(
-            "PYTHONHASHSEED is not pinned in this worker; campaign cells "
-            "must run under a fixed hash seed (use repro.parallel's "
-            "executor, which exports it before spawning the pool)"
-        )
 
 
 def execute_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:

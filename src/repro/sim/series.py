@@ -35,6 +35,16 @@ class ThroughputSeries:
             raise ValueError(f"non-monotonic record: {time} after {self._times[-1]}")
         self._times.append(time)
 
+    def extend(self, times) -> None:
+        """Append many timestamps, with one order check for all of them."""
+        new = np.asarray(times, dtype=float)
+        seq = np.concatenate((self._times[-1:], new))
+        drops = np.flatnonzero(seq[1:] < seq[:-1])
+        if drops.size:
+            i = drops[0]
+            raise ValueError(f"non-monotonic record: {seq[i + 1]} after {seq[i]}")
+        self._times.frombytes(new.tobytes())
+
     def __len__(self) -> int:
         return len(self._times)
 

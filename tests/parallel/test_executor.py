@@ -1,26 +1,32 @@
 """Executor plumbing: ordering, crash isolation, progress, stats.
 
-The test workers here are module-level functions (the spawn pool pickles
-them by reference) and take the *pass-through* ``config`` slot as a
-scratch-directory path — the executor never introspects the config it
-ships to workers, so the drills stay simulation-free and fast.
+Each cell runs in a child forked from the test process, so a worker can
+be any callable, a closure included.  The drill workers take the
+*pass-through* ``config`` slot as a scratch-directory path — the
+executor never introspects the config it hands to workers, so the
+drills stay simulation-free and fast.
 """
 
+import gc
 import os
 import pickle
+import time
+import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.faults.campaign import CampaignCell
+import repro.parallel.executor as executor
+from repro.core.quantify import QuantifyConfig, campaign_cells
+from repro.faults.campaign import CampaignCell, CampaignConfig
+from repro.faults.types import FaultKind
 from repro.parallel import (
     CampaignExecutor,
     CellExecutionError,
     ExecutorConfig,
-    pinned_hashseed,
     run_campaign_cells,
-    worker_init,
 )
+from repro.sim.kernel import Environment
 
 
 def cells_for(n):
@@ -28,7 +34,7 @@ def cells_for(n):
             for i in range(n)]
 
 
-# -- module-level drill workers (picklable into spawned children) ----------
+# -- drill workers -------------------------------------------------------------
 def echo_worker(cell, scratch):
     return {"doc": {"schema": 1, "cell": cell.to_dict(), "record": None},
             "wall": 0.01, "pid": os.getpid()}
@@ -44,7 +50,7 @@ def raise_on_odd_worker(cell, scratch):
 
 
 def exit_on_odd_worker(cell, scratch):
-    """Dies hard (breaking the pool) on the odd cells."""
+    """Dies hard, before sending a result, on the odd cells."""
     if cell.index % 2:
         os._exit(13)
     return echo_worker(cell, scratch)
@@ -75,27 +81,6 @@ class TestCampaignCell:
         assert pickle.loads(pickle.dumps(cell)) == cell
         assert CampaignCell.from_dict(cell.to_dict()) == cell
         assert cell.cell_id == "0003:COOP:node_crash:7"
-
-
-class TestPinnedHashseed:
-    def test_sets_and_restores_when_unset(self, monkeypatch):
-        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-        with pinned_hashseed("5"):
-            assert os.environ["PYTHONHASHSEED"] == "5"
-        assert "PYTHONHASHSEED" not in os.environ
-
-    def test_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv("PYTHONHASHSEED", "42")
-        with pinned_hashseed("5"):
-            assert os.environ["PYTHONHASHSEED"] == "5"
-        assert os.environ["PYTHONHASHSEED"] == "42"
-
-    def test_worker_init_requires_pin(self, monkeypatch):
-        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-        with pytest.raises(RuntimeError, match="PYTHONHASHSEED"):
-            worker_init()
-        monkeypatch.setenv("PYTHONHASHSEED", "0")
-        worker_init()  # no raise
 
 
 class TestExecute:
@@ -136,10 +121,40 @@ class TestExecute:
                                     worker=exit_on_odd_worker)
         report = executor.execute(cells, str(tmp_path))
         assert [o.cell.index for o in report.outcomes] == [0, 1]
-        assert 1 in [o.cell.index for o in report.failures]
-        assert report.stats.failed == len(report.failures)
-        assert all("BrokenProcessPool" in o.error or "terminated" in o.error
-                   for o in report.failures)
+        assert [o.cell.index for o in report.failures] == [1]
+        assert [d["cell"]["index"] for d in report.docs] == [0]
+        assert report.stats.failed == 1
+        error = report.failures[0].error
+        assert "terminated" in error and "exit status 13" in error
+
+    def test_closure_worker_runs_in_children(self, tmp_path):
+        parent = os.getpid()
+
+        def worker(cell, scratch):  # a spawn pool could not pickle this
+            payload = echo_worker(cell, scratch)
+            payload["doc"]["forked"] = os.getpid() != parent
+            return payload
+
+        report = CampaignExecutor(ExecutorConfig(jobs=2),
+                                  worker=worker).execute(cells_for(3),
+                                                         str(tmp_path))
+        assert report.stats.failed == 0
+        assert [d["cell"]["index"] for d in report.docs] == [0, 1, 2]
+        assert all(d["forked"] for d in report.docs)
+
+    def test_unpicklable_payload_fails_only_its_cell(self, tmp_path):
+        def worker(cell, scratch):
+            payload = echo_worker(cell, scratch)
+            if cell.index == 1:
+                payload["doc"]["gen"] = (i for i in range(3))
+            return payload
+
+        report = CampaignExecutor(ExecutorConfig(jobs=2),
+                                  worker=worker).execute(cells_for(3),
+                                                         str(tmp_path))
+        assert [o.cell.index for o in report.failures] == [1]
+        assert "cannot pickle 'generator' object" in report.failures[0].error
+        assert [d["cell"]["index"] for d in report.docs] == [0, 2]
 
     def test_strict_entry_point_raises(self, tmp_path):
         cells = cells_for(2)
@@ -169,3 +184,85 @@ def test_run_campaign_cells_raises_naming_the_failed_cell(tmp_path):
         run_campaign_cells(cells_for(2), str(tmp_path), jobs=2)
     assert "0001:SYNTH:app_crash:0" in str(exc_info.value)
     assert len(exc_info.value.report.failures) == 2
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildren:
+    """No child outlives ``execute``, whatever the way out."""
+
+    def test_after_a_clean_run(self, tmp_path):
+        CampaignExecutor(ExecutorConfig(jobs=2), worker=echo_worker).execute(
+            cells_for(3), str(tmp_path))
+        assert_no_children()
+
+    def test_after_a_child_dies(self, tmp_path):
+        report = CampaignExecutor(ExecutorConfig(jobs=2),
+                                  worker=exit_on_odd_worker).execute(
+            cells_for(4), str(tmp_path))
+        assert report.stats.failed == 2
+        assert_no_children()
+
+    def test_after_progress_raises_on_the_first_line(self, tmp_path):
+        def slow_after_first(cell, scratch):
+            if cell.index:
+                time.sleep(60)
+            return echo_worker(cell, scratch)
+
+        def refuse(line):
+            raise RuntimeError(f"progress refused {line!r}")
+
+        executor = CampaignExecutor(ExecutorConfig(jobs=2), progress=refuse,
+                                    worker=slow_after_first)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"refused '\[1/3\] 0000"):
+            executor.execute(cells_for(3), str(tmp_path))
+        assert time.monotonic() - t0 < 30  # the sleeping child was killed
+        assert_no_children()
+
+
+def test_fork_with_numpy_loaded_does_not_warn(tmp_path):
+    np = pytest.importorskip("numpy")
+    a = np.ones((256, 256))
+    assert (a @ a)[0, 0] == 256.0  # starts the BLAS thread pool, if any
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = CampaignExecutor(ExecutorConfig(jobs=2),
+                                  worker=echo_worker).execute(
+            cells_for(3), str(tmp_path))
+    assert report.stats.failed == 0
+    assert not [w for w in caught if "multi-threaded" in str(w.message)
+                and "fork" in str(w.message)]
+
+
+def test_without_fork_parallel_runs_refuse_before_any_cell(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="--jobs 1"):
+        CampaignExecutor(ExecutorConfig(jobs=2),
+                         worker=raise_on_odd_worker).execute(
+            cells_for(2), str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
+def test_in_process_cells_leave_no_worlds_behind(monkeypatch):
+    config = QuantifyConfig(
+        campaign=CampaignConfig(warmup=20.0, normal_window=5.0,
+                                fault_active=10.0, post_repair_observe=10.0,
+                                reset_duration=5.0, post_reset_observe=5.0),
+        kinds=(FaultKind.APP_CRASH, FaultKind.APP_HANG, FaultKind.NODE_CRASH))
+    cells = campaign_cells("INDEP", config)
+    live = []
+    real = executor.execute_cell
+
+    def counting(cell, cfg):
+        live.append(sum(isinstance(o, Environment) for o in gc.get_objects()))
+        return real(cell, cfg)
+
+    monkeypatch.setattr(executor, "execute_cell", counting)
+    gc.collect()
+    run_campaign_cells(cells, config, jobs=1)
+    assert live == [live[0]] * 3
